@@ -38,6 +38,7 @@ from .exterior import (
     truncate_weight,
     wedge,
 )
+from .linsolve import solve_canonical  # dense reference for the block sweep
 from .francoise import (
     FrancoisePair,
     FrancoiseSequence,

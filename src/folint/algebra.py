@@ -371,7 +371,10 @@ def _parse_term(body: str, col: int) -> tuple[Exponent, Fraction]:
     m = re.match(r"^(\d+(?:/\d+)?)?", body)
     coef_text = m.group(1) or ""
     rest = body[m.end():]
-    coef = Fraction(coef_text) if coef_text else Fraction(1)
+    try:
+        coef = Fraction(coef_text) if coef_text else Fraction(1)
+    except ZeroDivisionError:
+        raise PolyParseError(f"zero denominator in {coef_text!r}", column=col) from None
     a = b = 0
     mx = re.match(r"^x(?:\^(\d+))?", rest)
     if mx:

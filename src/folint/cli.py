@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -134,7 +135,8 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False
+            self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,
+            allow_nan=False,
         ) + "\n"
 
 
@@ -222,7 +224,14 @@ def _real_list(values, label: str) -> tuple[float, ...]:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise InvalidInput(f"{label} must be a list of numbers")
-    return tuple(float(v) for v in values)
+    return _finite(tuple(float(v) for v in values), label)
+
+
+def _finite(values: tuple[float, ...], label: str) -> tuple[float, ...]:
+    for v in values:
+        if not math.isfinite(v):
+            raise InvalidInput(f"{label} entries must be finite, got {v}")
+    return values
 
 
 def _symbolic_omega(spec: ProblemSpec) -> Form1Planar:
@@ -479,9 +488,10 @@ def run_verify_all(cfg: oracle.HolonomyConfig, out=None) -> int:
 
 def _float_list(text: str, label: str) -> tuple[float, ...]:
     try:
-        return tuple(float(piece) for piece in text.split(",") if piece.strip())
+        values = tuple(float(piece) for piece in text.split(",") if piece.strip())
     except ValueError as exc:
         raise InvalidInput(f"{label} must be comma-separated numbers: {exc}") from None
+    return _finite(values, label)
 
 
 def _load_spec(args) -> ProblemSpec:

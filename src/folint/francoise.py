@@ -1,20 +1,36 @@
 """Relative-exactness decomposition and the iterated Melnikov construction.
 
 For F = x^2 + y^2 a polynomial 1-form w decomposes as w = g dF + dr exactly
-when its period over the circle family vanishes.  The solver writes g and r
-with unknown coefficients (deg g = deg w - 1, deg r = deg w + 1, r without
-constant term), equates dx/dy coefficients and solves the exact linear system
-by fraction-free elimination.  Because g dF + dr is homogeneous-degree
-preserving, the system is block diagonal over total degree and is solved one
-homogeneous block at a time; this is the same matrix the global formulation
-produces, just permuted.
+when its period over the circle family vanishes.  g dF + dr preserves total
+degree, so the split is solved one homogeneous block at a time.  A block of
+degree d has w = sum_j (p_j dx + q_j dy) x^{d-j} y^j, unknowns
+g = sum_j g_j x^{d-1-j} y^j and r = sum_j r_j x^{d+1-j} y^j, and equations
 
-Canonical representative: within each block the columns are ordered r-monomials
-first (ascending graded-lex), then g-monomials in descending graded-lex, and
-free variables are set to zero.  The free columns are then exactly the y^{2j}
-coefficients of g, which pins the s(F)-shift gauge (g, r) ->
-(g + s(F), r - S(F)) to zero.  Every returned pair is verified by exact
-resubstitution; a failure is an internal error, never a wrong answer.
+    dx_j:  2 g_j     + (d+1-j) r_j     = p_j     (j = 0..d, g_d = 0)
+    dy_j:  2 g_{j-1} + (j+1)   r_{j+1} = q_j     (j = 0..d, g_{-1} = 0).
+
+Each equation couples two unknowns whose indices have the same parity, so the
+system splits into two bidiagonal chains solved by an O(d) sweep:
+
+- the odd chain (r_1, g_1, r_3, ...) runs forward from dy_0: r_1 = q_0.  For
+  odd d it ends in dx_d, which has no unknown left: r_d = p_d is the single
+  consistency equation of the block, i.e. its period condition;
+- the even chain (..., g_2, r_2, g_0, r_0) runs backward.  For even d it
+  starts from dx_d: r_d = p_d.  For odd d it has one unknown more than
+  equations, and the canonical gauge g_{d-1} = 0 starts it: dy_d gives
+  r_{d+1} = q_d/(d+1) and dx_{d-1} gives r_{d-1} = p_{d-1}/2.
+
+Canonical representative.  The kernel of a block is the s(F)-shift
+(g, r) -> (g + c F^m, r - c F^{m+1}/(m+1)) with d = 2m+1, so it exists only
+for odd d and moves the y^{d-1} coefficient of g (F^m has y^{2m} with
+coefficient 1).  Fixing that coefficient to zero is therefore a complete
+gauge, and it is the answer of dense elimination with columns ordered r first
+(ascending graded-lex) then g (descending graded-lex) and free variables set
+to zero: the last column, g's y^{d-1}, is the only free one.  Across blocks
+this zeroes every y^{2j} coefficient of g.  Every returned pair is verified by
+exact resubstitution; a failure is an internal error, never a wrong answer.
+The dense solver survives as folint.linsolve, the reference the tests compare
+this sweep against.
 
 The displacement of the deformed foliation dF + eps w = 0 expands as
 Delta(t, eps) = sum_i eps^i M_i(t); the iteration below produces
@@ -28,9 +44,8 @@ from fractions import Fraction
 from typing import Union
 
 from .abelian import CIRCLE, OvalFamily, PeriodPoly, period_of_form
-from .algebra import BivarPoly, grlex_key
+from .algebra import BivarPoly
 from .exterior import Form1Planar, d_planar_scalar
-from .linsolve import solve_canonical
 
 __all__ = [
     "FrancoisePair",
@@ -129,57 +144,54 @@ class MelnikovResult:
 # ---------------------------------------------------------------------------
 
 
-def _block_solve(w_dx: BivarPoly, w_dy: BivarPoly, deg: int) -> tuple[BivarPoly, BivarPoly] | None:
-    """Solve g 2x + dr/dx = w_dx, g 2y + dr/dy = w_dy on one homogeneous block.
+def _block_solve(
+    p: BivarPoly, q: BivarPoly, d: int
+) -> tuple[BivarPoly, BivarPoly] | None:
+    """Solve g dF + dr = p dx + q dy on one homogeneous block of degree d.
 
-    deg is the (common) total degree of the block's coefficients; unknowns are
-    homogeneous g of degree deg-1 and r of degree deg+1.
+    Returns the canonical (g, r), or None when the odd chain's consistency
+    equation fails (the block's period is nonzero).  Index j is the power of
+    y: p_j, q_j multiply x^{d-j} y^j, g_j multiplies x^{d-1-j} y^j and r_j
+    multiplies x^{d+1-j} y^j.
     """
-    g_monos = [
-        (a, deg - 1 - a) for a in range(deg - 1, -1, -1)
-    ] if deg >= 1 else []
-    r_monos = sorted(
-        ((a, deg + 1 - a) for a in range(deg + 2)), key=grlex_key
-    )
-    # columns: r block first, then g in descending graded-lex
-    cols: list[tuple[str, tuple[int, int]]] = [("r", e) for e in r_monos]
-    cols += [("g", e) for e in g_monos]
+    pc = [Fraction(0)] * (d + 1)
+    qc = [Fraction(0)] * (d + 1)
+    for (_, j), c in p.terms.items():
+        pc[j] = c
+    for (_, j), c in q.terms.items():
+        qc[j] = c
+    g = [Fraction(0)] * (d + 1)  # g[d]: g_d = 0, or dx_d's residual for odd d
+    r = [Fraction(0)] * (d + 2)
 
-    eq_monos = sorted(((a, deg - a) for a in range(deg + 1)), key=grlex_key)
-    row_index: dict[tuple[str, tuple[int, int]], int] = {}
-    for e in eq_monos:
-        row_index[("dx", e)] = len(row_index)
-        row_index[("dy", e)] = len(row_index)
+    # even chain, backward; for odd d the gauge g_{d-1} = 0 leaves dy_d alone
+    if d % 2:
+        r[d + 1] = qc[d] / (d + 1)
+    for j in range(d - d % 2, -1, -2):
+        if j < d - 1:
+            g[j] = (qc[j + 1] - (j + 2) * r[j + 2]) / 2  # dy_{j+1}
+        r[j] = (pc[j] - 2 * g[j]) / (d + 1 - j)  # dx_j
 
-    rows = [[Fraction(0)] * len(cols) for _ in row_index]
-    for j, (kind, (a, b)) in enumerate(cols):
-        if kind == "g":
-            # g * (2x dx + 2y dy)
-            rows[row_index[("dx", (a + 1, b))]][j] += 2
-            rows[row_index[("dy", (a, b + 1))]][j] += 2
-        else:
-            # d(x^a y^b) = a x^{a-1} y^b dx + b x^a y^{b-1} dy
-            if a > 0:
-                rows[row_index[("dx", (a - 1, b))]][j] += a
-            if b > 0:
-                rows[row_index[("dy", (a, b - 1))]][j] += b
-
-    rhs = [Fraction(0)] * len(row_index)
-    for (a, b), c in w_dx.terms.items():
-        rhs[row_index[("dx", (a, b))]] = c
-    for (a, b), c in w_dy.terms.items():
-        rhs[row_index[("dy", (a, b))]] = c
-
-    solution = solve_canonical(rows, rhs)
-    if solution is None:
+    # odd chain, forward from r_1 = q_0; for odd d it ends in dx_d
+    for j in range(1, d + 2, 2):
+        r[j] = (qc[j - 1] - (2 * g[j - 2] if j > 1 else 0)) / j  # dy_{j-1}
+        if j <= d:
+            g[j] = (pc[j] - (d + 1 - j) * r[j]) / 2  # dx_j
+    if g[d]:
         return None
-    g_terms: dict[tuple[int, int], Fraction] = {}
-    r_terms: dict[tuple[int, int], Fraction] = {}
-    for (kind, exp), v in zip(cols, solution):
-        if v == 0:
-            continue
-        (g_terms if kind == "g" else r_terms)[exp] = v
+
+    g_terms = {(d - 1 - j, j): g[j] for j in range(d) if g[j]}
+    r_terms = {(d + 1 - j, j): r[j] for j in range(d + 1, -1, -1) if r[j]}
     return BivarPoly(g_terms), BivarPoly(r_terms)
+
+
+def _blocks(w: Form1Planar) -> list[tuple[int, list[BivarPoly]]]:
+    """Homogeneous blocks (d, [p_d, q_d]) of w in ascending degree."""
+    blocks: dict[int, list[BivarPoly]] = {}
+    for d, part in w.p.homogeneous_parts().items():
+        blocks.setdefault(d, [BivarPoly.zero(), BivarPoly.zero()])[0] = part
+    for d, part in w.q.homogeneous_parts().items():
+        blocks.setdefault(d, [BivarPoly.zero(), BivarPoly.zero()])[1] = part
+    return sorted(blocks.items())
 
 
 def decompose(
@@ -196,15 +208,9 @@ def decompose(
     if not period.is_zero():
         return NoSolution(witness=period)
 
-    blocks: dict[int, list[BivarPoly]] = {}
-    for d, part in w.p.homogeneous_parts().items():
-        blocks.setdefault(d, [BivarPoly.zero(), BivarPoly.zero()])[0] = part
-    for d, part in w.q.homogeneous_parts().items():
-        blocks.setdefault(d, [BivarPoly.zero(), BivarPoly.zero()])[1] = part
-
     g_total = BivarPoly.zero()
     r_total = BivarPoly.zero()
-    for d, (pdx, pdy) in sorted(blocks.items()):
+    for d, (pdx, pdy) in _blocks(w):
         solved = _block_solve(pdx, pdy, d)
         if solved is None:
             raise InternalSolverError(

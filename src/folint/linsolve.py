@@ -1,5 +1,10 @@
 """Fraction-free Gaussian elimination for exact linear systems over Q.
 
+No runtime path calls this module: folint.francoise solves its homogeneous
+blocks by a structured O(d) sweep.  solve_canonical is kept, and exported
+from the package, as the general reference solver that the tests compare
+that sweep against.
+
 The solver returns one canonical solution of A v = rhs: columns are processed
 strictly left to right (no column pivoting), the pivot row is the first row
 with a nonzero entry in the current column, and every non-pivot (free)

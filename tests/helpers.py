@@ -38,7 +38,11 @@ def random_form(rng: random.Random, max_deg: int) -> Form1Planar:
 
 def zero_period_form(rng: random.Random, max_deg: int) -> Form1Planar:
     """Random form minus the multiple of F^(m-1)*(x dy - y dx) per t^m period."""
-    w = random_form(rng, max_deg)
+    return remove_period(random_form(rng, max_deg))
+
+
+def remove_period(w: Form1Planar) -> Form1Planar:
+    """w minus the multiple of F^(m-1)*(x dy - y dx) per t^m period."""
     correction = Form1Planar.zero()
     for m, c in enumerate(period_of_form(w).coeffs):
         if c == 0:

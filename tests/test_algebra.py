@@ -139,7 +139,7 @@ def test_parse_known_inputs(text, poly):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "  ", "x^", "x++y", "2//3", "(x)", "x z", "x^-2", "+"]
+    "bad", ["", "  ", "x^", "x++y", "2//3", "(x)", "x z", "x^-2", "+", "2/0 x"]
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(PolyParseError):

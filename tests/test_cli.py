@@ -100,6 +100,9 @@ def test_parse_problem_rational_is_not_symbolic():
         (lambda d: d.update(oracle={"t": "nope"}), "list of numbers"),
         (lambda d: d.update(oracle={"t": [True]}), "list of numbers"),
         (lambda d: d.update(oracle={"t": [-1.0]}), "must be positive"),
+        (lambda d: d.update(oracle={"t": [float("inf")]}), "must be finite"),
+        (lambda d: d.update(oracle={"t": [1.0], "eps": [float("nan")]}), "must be finite"),
+        (lambda d: d.update(oracle={"t": [1.0], "eps": [float("-inf")]}), "must be finite"),
     ],
 )
 def test_parse_problem_rejections(mutate, message):
@@ -263,6 +266,12 @@ def test_report_keeps_null_first_nonzero_with_melnikov():
 # ---------------------------------------------------------------------------
 
 
+def test_report_json_refuses_non_finite_numbers():
+    rep = RunReport(command="oracle", oracle_table={"rows": [[1.0, float("nan")]]})
+    with pytest.raises(ValueError):
+        rep.to_json()
+
+
 def test_main_melnikov_stdout(tmp_path, capsys):
     path = write_doc(tmp_path, SQUARE_DOC)
     assert main(["melnikov", path]) == EXIT_OK
@@ -333,6 +342,43 @@ def test_main_invalid_inputs(tmp_path, capsys, argv_builder):
     path = write_doc(tmp_path, SQUARE_DOC)  # has no oracle grids
     assert main(argv_builder(path)) == EXIT_INVALID
     assert "error" in capsys.readouterr().err
+
+
+def test_main_zero_denominator_coefficient_is_invalid_input(tmp_path, capsys):
+    doc = dict(SQUARE_DOC, omega={"dx": "2/0 x", "dy": "0"})
+    path = write_doc(tmp_path, doc)
+    assert main(["melnikov", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "zero denominator" in err and "column 1" in err
+
+
+def test_main_rejects_non_finite_grid_in_document(tmp_path, capsys):
+    # json.dumps writes the bare NaN/Infinity tokens that json.load accepts
+    doc = dict(LINEAR_DOC, oracle={"t": [float("inf")], "eps": [float("nan")]})
+    path = write_doc(tmp_path, doc)
+    assert "Infinity" in (tmp_path / "problem.json").read_text(encoding="utf-8")
+    assert main(["--steps", "500", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps", "nan"],
+        ["--eps", "0.01,inf"],
+        ["--t", "inf"],
+        ["--t", "1.0,NaN"],
+    ],
+)
+def test_main_rejects_non_finite_grid_flags(tmp_path, capsys, flags):
+    path = write_doc(tmp_path, LINEAR_DOC)
+    assert main(["--steps", "500", "oracle", path] + flags) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_main_rejects_bad_json(tmp_path, capsys):

@@ -6,21 +6,32 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folint.abelian import CIRCLE, PeriodPoly, period_of_form
-from folint.algebra import BivarPoly, X, Y
+from folint.algebra import BivarPoly, X, Y, grlex_key
 from folint.exterior import Form1Planar, d_planar_scalar
 from folint.francoise import (
     ExceedsMax,
     FrancoisePair,
     FrancoiseSequence,
     NoSolution,
+    _block_solve,
+    _blocks,
     decompose,
     melnikov_sequence,
     sequence_length,
 )
+from folint.linsolve import solve_canonical
 from folint.oracle import HolonomyConfig, melnikov_estimate
-from helpers import random_form, random_poly, zero_period_form
+from helpers import (
+    AREA_FORM,
+    random_form,
+    random_poly,
+    remove_period,
+    zero_period_form,
+)
 
 F = X * X + Y * Y
 DF = d_planar_scalar(F)
@@ -94,6 +105,125 @@ def test_decompose_gelfand_leray_identity():
 def test_pair_rejects_constant_term_in_r():
     with pytest.raises(ValueError, match="constant term"):
         FrancoisePair(g=X, r=BivarPoly.one() + X * Y)
+
+
+# ---------------------------------------------------------------------------
+# block sweep against dense elimination
+# ---------------------------------------------------------------------------
+
+
+def dense_block_solve(w_dx: BivarPoly, w_dy: BivarPoly, deg: int):
+    """Reference: the block as a dense system, solved by solve_canonical.
+
+    Columns are r-monomials in ascending graded-lex, then g-monomials in
+    descending graded-lex; solve_canonical sets free variables to zero.
+    """
+    g_monos = [(a, deg - 1 - a) for a in range(deg - 1, -1, -1)]
+    r_monos = sorted(((a, deg + 1 - a) for a in range(deg + 2)), key=grlex_key)
+    cols = [("r", e) for e in r_monos] + [("g", e) for e in g_monos]
+
+    eq_monos = sorted(((a, deg - a) for a in range(deg + 1)), key=grlex_key)
+    row_index = {}
+    for e in eq_monos:
+        row_index[("dx", e)] = len(row_index)
+        row_index[("dy", e)] = len(row_index)
+
+    rows = [[Fraction(0)] * len(cols) for _ in row_index]
+    for j, (kind, (a, b)) in enumerate(cols):
+        if kind == "g":
+            # g * (2x dx + 2y dy)
+            rows[row_index[("dx", (a + 1, b))]][j] += 2
+            rows[row_index[("dy", (a, b + 1))]][j] += 2
+        else:
+            # d(x^a y^b) = a x^{a-1} y^b dx + b x^a y^{b-1} dy
+            if a > 0:
+                rows[row_index[("dx", (a - 1, b))]][j] += a
+            if b > 0:
+                rows[row_index[("dy", (a, b - 1))]][j] += b
+
+    rhs = [Fraction(0)] * len(row_index)
+    for (a, b), c in w_dx.terms.items():
+        rhs[row_index[("dx", (a, b))]] = c
+    for (a, b), c in w_dy.terms.items():
+        rhs[row_index[("dy", (a, b))]] = c
+
+    solution = solve_canonical(rows, rhs)
+    if solution is None:
+        return None
+    g_terms, r_terms = {}, {}
+    for (kind, exp), v in zip(cols, solution):
+        if v:
+            (g_terms if kind == "g" else r_terms)[exp] = v
+    return BivarPoly(g_terms), BivarPoly(r_terms)
+
+
+def assert_blocks_match_dense(w: Form1Planar) -> int:
+    blocks = _blocks(w)
+    for d, (p, q) in blocks:
+        assert _block_solve(p, q, d) == dense_block_solve(p, q, d), d
+    return len(blocks)
+
+
+def random_block(rng: random.Random, d: int) -> Form1Planar:
+    """Homogeneous degree-d block with rational coefficients and zero period."""
+    def part():
+        return BivarPoly({
+            (d - j, j): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for j in range(d + 1)
+        })
+    return remove_period(Form1Planar(part(), part()))
+
+
+def test_sweep_matches_dense_on_criterion_4_corpus():
+    # the same 500 forms as acceptance criterion 4, every block of each,
+    # including the odd blocks of nonzero period (both solvers give None)
+    rng = random.Random(404)
+    blocks = 0
+    for i in range(500):
+        w = random_form(rng, 6) if i % 5 else zero_period_form(rng, 6)
+        blocks += assert_blocks_match_dense(w)
+    assert blocks > 2500
+
+
+@st.composite
+def zero_period_forms(draw, max_deg=12):
+    deg = draw(st.integers(0, max_deg))
+    exps = [(a, b) for a in range(deg + 1) for b in range(deg + 1 - a)]
+    coef = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    p = draw(st.dictionaries(st.sampled_from(exps), coef, max_size=12))
+    q = draw(st.dictionaries(st.sampled_from(exps), coef, max_size=12))
+    return remove_period(Form1Planar(BivarPoly(p), BivarPoly(q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_period_forms())
+def test_sweep_matches_dense_on_zero_period_forms(w):
+    assert period_of_form(w).is_zero()
+    assert_blocks_match_dense(w)
+    assert isinstance(decompose(w), FrancoisePair)
+
+
+def test_sweep_matches_dense_on_single_blocks_up_to_degree_60():
+    rng = random.Random(208)
+    for d in range(61):
+        w = random_block(rng, d)
+        solved = _block_solve(w.p, w.q, d)
+        assert solved is not None
+        assert solved == dense_block_solve(w.p, w.q, d), d
+        g, r = solved
+        assert (DF.scale(g) + d_planar_scalar(r) - w).is_zero(), d
+
+
+def test_sweep_rejects_odd_block_with_nonzero_period():
+    rng = random.Random(209)
+    for d in (1, 3, 7, 15):
+        w = random_block(rng, d)
+        # F^{m-1} (x dy - y dx) carries all of a block's period
+        bad = w + AREA_FORM.scale(F ** ((d - 1) // 2))
+        assert not period_of_form(bad).is_zero()
+        assert _block_solve(bad.p, bad.q, d) is None
+        assert dense_block_solve(bad.p, bad.q, d) is None
+    assert _block_solve(Y, ZERO, 1) is None  # y dx, period -pi t
 
 
 # ---------------------------------------------------------------------------
