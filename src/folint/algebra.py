@@ -9,7 +9,10 @@ exponent.
 Rational functions are reduced fractions of BivarPoly with the denominator
 normalized to have graded-lex leading coefficient 1.  Gcds are computed by a
 primitive pseudo-remainder sequence in x with univariate Euclid over Q[y] for
-the contents, so no external computer-algebra dependency is involved.
+the contents, so no external computer-algebra dependency is involved.  A gcd
+runs only when a RationalFunction is built: the eps-series layer works over
+polynomials, and callers that know their denominator in advance build each
+quotient once, at the end.
 
 Truncated power series in a deformation parameter eps (EpsSeries) carry an
 explicit truncation order K and store all K+1 coefficients, including trailing
@@ -675,12 +678,8 @@ def _ring_inverse(c):
         return Fraction(1, c)
     if isinstance(c, BivarPoly):
         if not c.is_constant():
-            raise NonInvertibleSeries(
-                "constant term is a nonconstant polynomial; lift to RationalFunction"
-            )
+            raise NonInvertibleSeries("constant term is a nonconstant polynomial")
         return BivarPoly.constant(Fraction(1) / c.constant_term())
-    if isinstance(c, RationalFunction):
-        return c.reciprocal()
     raise TypeError(f"no inverse for {type(c).__name__}")
 
 
@@ -777,8 +776,6 @@ class EpsSeries:
         c0 = self.coeffs[0]
         if _elem_is_zero(c0):
             raise NonInvertibleSeries("constant term of the series is zero")
-        if isinstance(c0, BivarPoly) and not c0.is_constant():
-            return self.lift_to_rf().invert()
         inv0 = _ring_inverse(c0)
         out = [inv0]
         for n in range(1, self.order + 1):
@@ -788,13 +785,6 @@ class EpsSeries:
                 acc = term if acc is None else acc + term
             out.append(-(inv0 * acc) if acc is not None else _zero_like(inv0))
         return EpsSeries(out, self.order)
-
-    def lift_to_rf(self) -> "EpsSeries":
-        return EpsSeries(
-            [c if isinstance(c, RationalFunction) else RationalFunction(_coerce(c))
-             for c in self.coeffs],
-            self.order,
-        )
 
     def is_zero(self) -> bool:
         return all(_elem_is_zero(c) for c in self.coeffs)

@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from .algebra import (
@@ -40,7 +40,6 @@ from .exterior import Form1Planar, series_to_text
 from .abelian import CIRCLE, PeriodPoly, UnsupportedOvalFamily
 from .francoise import InternalSolverError, melnikov_sequence, sequence_length
 from .godbillon import (
-    NoFactorExists,
     assemble_omega,
     first_integral,
     gv_pairs_from_francoise,
@@ -63,11 +62,15 @@ class InvalidInput(ValueError):
 
 
 class ObstructionAtOrder(Exception):
-    """A nonzero Melnikov value blocks the construction at this order."""
+    """A nonzero Melnikov value blocks the construction at this order.
 
-    def __init__(self, order: int, witness: PeriodPoly):
+    melnikov holds the report texts of M_1..M_order; M_order is the witness.
+    """
+
+    def __init__(self, order: int, witness: PeriodPoly, melnikov: tuple[str, ...]):
         self.order = order
         self.witness = witness
+        self.melnikov = melnikov
         super().__init__(
             f"obstruction at order {order}: M_{order} = {witness.to_text()}"
         )
@@ -109,28 +112,16 @@ class RunReport:
     cross_check: tuple[dict, ...] | None = None
 
     def to_dict(self) -> dict:
-        doc: dict = {"command": self.command}
-        for key in (
-            "melnikov",
-            "first_nonzero",
-            "pairs",
-            "gv_pairs",
-            "length",
-            "first_integral",
-            "defect_zero",
-            "integrating_factor",
-            "witness_ok",
-            "obstruction",
-            "oracle_table",
-            "estimates",
-            "cross_check",
-        ):
-            value = getattr(self, key)
-            if value is None and key != "first_nonzero":
-                continue
-            if key == "first_nonzero" and self.melnikov is None:
-                continue
-            doc[key] = _jsonable(value)
+        """Set fields only; first_nonzero goes with melnikov, even when None."""
+        doc: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "first_nonzero":
+                keep = self.melnikov is not None
+            else:
+                keep = value is not None
+            if keep:
+                doc[f.name] = _jsonable(value)
         return doc
 
     def to_json(self) -> str:
@@ -282,9 +273,10 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
     if k < 0:
         raise InvalidInput("k must be >= 0")
     result = melnikov_sequence(spec.family, w, k + 1)
+    melnikov = tuple(m.to_text() for m in result.melnikov)
     if result.first_nonzero is not None:
         raise ObstructionAtOrder(
-            result.first_nonzero, result.melnikov[result.first_nonzero - 1]
+            result.first_nonzero, result.melnikov[-1], melnikov
         )
     seq = result.sequence
     gvp = gv_pairs_from_francoise(seq)
@@ -305,7 +297,7 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
 
     return RunReport(
         command="gv",
-        melnikov=tuple(m.to_text() for m in result.melnikov),
+        melnikov=melnikov,
         first_nonzero=result.first_nonzero,
         pairs=tuple(
             {"i": i, "g": p.g.to_text(), "r": p.r.to_text()}
@@ -375,11 +367,11 @@ def cmd_oracle(
     )
 
 
-def obstruction_report(exc: ObstructionAtOrder, partial=None) -> RunReport:
+def obstruction_report(exc: ObstructionAtOrder) -> RunReport:
     return RunReport(
         command="gv",
-        melnikov=partial,
-        first_nonzero=exc.order if partial is not None else None,
+        melnikov=exc.melnikov,
+        first_nonzero=exc.order,
         obstruction={"order": exc.order, "witness": exc.witness.to_text()},
     )
 
@@ -502,24 +494,17 @@ def _load_spec(args) -> ProblemSpec:
         raise InvalidInput(f"cannot read {args.problem}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{args.problem} is not valid JSON: {exc}") from None
-    spec = parse_problem(doc)
-    if getattr(args, "max_order", None) is not None:
+    if getattr(args, "max_order", None) is not None and isinstance(doc, dict):
         doc["max_order"] = args.max_order
-        spec = parse_problem(doc)
-    if getattr(args, "t", None) is not None or getattr(args, "eps", None) is not None:
-        t = _float_list(args.t, "--t") if args.t is not None else spec.t_samples
-        eps = _float_list(args.eps, "--eps") if args.eps is not None else spec.eps_samples
+    spec = parse_problem(doc)
+    if getattr(args, "t", None) is not None:
+        t = _float_list(args.t, "--t")
         for value in t:
             if value <= 0:
                 raise InvalidInput(f"--t entries must be positive, got {value}")
-        spec = ProblemSpec(
-            family=spec.family,
-            omega=spec.omega,
-            symbolic=spec.symbolic,
-            max_order=spec.max_order,
-            t_samples=t,
-            eps_samples=eps,
-        )
+        spec = replace(spec, t_samples=t)
+    if getattr(args, "eps", None) is not None:
+        spec = replace(spec, eps_samples=_float_list(args.eps, "--eps"))
     return spec
 
 
@@ -581,9 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report the Richardson-extrapolated first coefficient",
     )
-    p_or.add_argument(
-        "--steps", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
 
     return parser
 
@@ -615,11 +597,7 @@ def main(argv=None) -> int:
             try:
                 report = cmd_gv(spec, k)
             except ObstructionAtOrder as exc:
-                partial = melnikov_sequence(spec.family, spec.omega, exc.order)
-                report = obstruction_report(
-                    exc, tuple(m.to_text() for m in partial.melnikov)
-                )
-                _emit(report, args)
+                _emit(obstruction_report(exc), args)
                 return EXIT_OBSTRUCTION
         else:
             report = cmd_oracle(spec, cfg, richardson=args.richardson)
@@ -633,7 +611,7 @@ def main(argv=None) -> int:
     except (oracle.LeafEscapedAnnulus, oracle.DenominatorVanished) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (InternalSolverError, NoFactorExists) as exc:
+    except Exception as exc:  # consistency failures and anything unforeseen
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .algebra import (
-    BivarPoly,
-    EpsSeries,
-    RationalFunction,
-    SeriesOrderMismatch,
-)
+from .algebra import BivarPoly, EpsSeries, SeriesOrderMismatch
 
 __all__ = [
     "DX",
@@ -127,9 +122,6 @@ class Form1Planar:
     def wedge(self, other: "Form1Planar") -> "Form2Planar":
         return Form2Planar(self.p * other.q - self.q * other.p)
 
-    def lift_to_rf(self) -> "Form1Planar":
-        return Form1Planar(_lift(self.p), _lift(self.q))
-
     def to_text(self) -> str:
         return f"({self.p}) dx + ({self.q}) dy"
 
@@ -168,12 +160,6 @@ class Form2Planar:
 def d_planar_scalar(f) -> Form1Planar:
     """Differential of a scalar: (df/dx) dx + (df/dy) dy."""
     return Form1Planar(f.partial("x"), f.partial("y"))
-
-
-def _lift(c):
-    if isinstance(c, RationalFunction):
-        return c
-    return RationalFunction(c)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +299,6 @@ class FormEps:
 
     def __hash__(self) -> int:
         return hash((self.order, tuple(sorted(self.comps.items(), key=lambda t: t[0], ))))
-
-    def lift_to_rf(self) -> "FormEps":
-        return FormEps(
-            self.order,
-            {b: s.lift_to_rf() for b, s in self.comps.items()},
-            self.exact,
-            RationalFunction(0),
-        )
 
     # -- printing -------------------------------------------------------------------
 

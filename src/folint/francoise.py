@@ -239,13 +239,14 @@ def melnikov_sequence(
     """Iterate M_{k+1} = (-1)^{k+1} period(g_k w) until nonzero or max_order.
 
     While the Melnikov values vanish the sequence is extended with
-    decompose(g_k w); the first nonzero value stops the iteration and leaves
-    the pair list one short of the stopping index.
+    decompose(g_k w), whose resubstitution check is exactly the pair's
+    defining identity g_k w = g_{k+1} dF + d r_{k+1}; the first nonzero value
+    stops the iteration and leaves the pair list one short of the stopping
+    index.
     """
     family.require_circle()
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    F = family.hamiltonian
     melnikov: list[PeriodPoly] = []
     pairs: list[FrancoisePair] = []
     g_prev = BivarPoly.one()
@@ -261,8 +262,6 @@ def melnikov_sequence(
         solved = decompose(current, family)
         if isinstance(solved, NoSolution):  # pragma: no cover - period was zero
             raise InternalSolverError("decompose failed on a zero-period form")
-        if not solved.verify(g_prev, w, F):
-            raise InternalSolverError("iteration resubstitution failed")
         pairs.append(solved)
         g_prev = solved.g
     seq = FrancoiseSequence(family=family, omega=w, pairs=tuple(pairs))

@@ -207,12 +207,6 @@ def integrability_defect(omega: FormEps, k: int) -> FormEps:
 # ---------------------------------------------------------------------------
 
 
-def _exact_quotient(elem, divisor: BivarPoly):
-    if isinstance(elem, RationalFunction):
-        return elem / RationalFunction(divisor)
-    return divexact(elem, divisor)
-
-
 def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries:
     """Unit series N with omega = N * d(F_eps) through weight k.
 
@@ -244,7 +238,7 @@ def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries
             res_p = res_p - n[j] * dpx[w - j]
             res_q = res_q - n[j] * dpy[w - j]
         try:
-            n_w = _exact_quotient(res_p, Fx) if not Fx.is_zero() else _exact_quotient(res_q, Fy)
+            n_w = divexact(res_p, Fx) if not Fx.is_zero() else divexact(res_q, Fy)
         except ValueError as exc:
             raise NoFactorExists(
                 f"planar part at eps^{w} is not a multiple of dF"
@@ -295,6 +289,14 @@ def classical_gv_forms(
     divide by and raises DegenerateNormalization.  The rescaled variant
     ("of dF") starts from R_1 * eta_0 = dF and carries the scalings
     eta~_1 = 2(R_2 dF + dR_1)/R_1 and eta~_i = R_1^{i-1} eta_i.
+
+    The only denominator is a power of r_1, so everything runs in
+    polynomials.  Substituting eps = r_1 s turns the eps-derivative
+    [r_1, 2c_2, 3c_3, ...] into r_1 times the unit series
+    [1, 2c_2, 3c_3 r_1, ...], whose inverse P is polynomial; then
+    eta_i = i! N_i / r_1^{i+1} with N_i = sum_j dc_j r_1^j P_{i-j}, and
+    eta~_i = i! N_i / r_1^2 for i >= 2.  Each component is reduced once,
+    when its RationalFunction is built.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -306,34 +308,40 @@ def classical_gv_forms(
             f"{fint.series.order - 1}"
         )
     c = fint.series.coeffs
-    den = EpsSeries([c[i + 1] * Fraction(i + 1) for i in range(m + 1)], m)
     r1 = c[1]
     if r1.is_zero():
         raise DegenerateNormalization("r_1 = 0; dF_eps/deps has no unit lead")
-    den_inv = den.invert()
-    num_p = EpsSeries([c[i].partial("x") for i in range(m + 1)], m).lift_to_rf()
-    num_q = EpsSeries([c[i].partial("y") for i in range(m + 1)], m).lift_to_rf()
-    tp = num_p * den_inv
-    tq = num_q * den_inv
-    eta = [
-        Form1Planar(tp.coeffs[i], tq.coeffs[i]).scale(
-            RationalFunction(factorial(i))
-        )
-        for i in range(m + 1)
-    ]
+    r1_pow = [BivarPoly.one()]
+    for _ in range(m + 1):
+        r1_pow.append(r1_pow[-1] * r1)
+    unit = EpsSeries(
+        [BivarPoly.one()]
+        + [c[j + 1] * r1_pow[j - 1] * (j + 1) for j in range(1, m + 1)],
+        m,
+    )
+    P = unit.invert().coeffs
+    dc = [d_planar_scalar(c[j]).scale(r1_pow[j]) for j in range(m + 1)]
+
+    def numerator(i: int) -> Form1Planar:
+        acc = dc[0].scale(P[i])
+        for j in range(1, i + 1):
+            acc = acc + dc[j].scale(P[i - j])
+        return acc.scale(factorial(i))
+
+    def over(num: Form1Planar, den: BivarPoly) -> Form1Planar:
+        return Form1Planar(RationalFunction(num.p, den), RationalFunction(num.q, den))
+
     if normalization == NORMALIZATION_PRIMARY:
+        eta = [over(numerator(i), r1_pow[i + 1]) for i in range(m + 1)]
         return GVClassicalSequence(eta=tuple(eta), normalization=normalization)
 
     dF = d_planar_scalar(fint.hamiltonian)
-    rescaled = [dF.lift_to_rf()]
+    rescaled = [over(dF, BivarPoly.one())]
     if m >= 1:
-        r2_scaled = c[2] * 2  # R_2
-        inner = dF.scale(r2_scaled) + d_planar_scalar(r1)
-        rescaled.append(
-            inner.lift_to_rf().scale(RationalFunction(BivarPoly.constant(2), r1))
-        )
+        inner = dF.scale(c[2] * 2) + d_planar_scalar(r1)  # R_2 dF + dR_1
+        rescaled.append(over(inner.scale(2), r1))
     for i in range(2, m + 1):
-        rescaled.append(eta[i].scale(RationalFunction(r1 ** (i - 1))))
+        rescaled.append(over(numerator(i), r1_pow[2]))
     return GVClassicalSequence(eta=tuple(rescaled), normalization=normalization)
 
 
@@ -348,7 +356,8 @@ def length_two_witness(seq: FrancoiseSequence, k: int) -> FormEps:
     Verifies G*d(eta) + dG^eta = 0 coefficient-wise through eps^k, the
     planar closedness of G*eta = d(F_eps) for eta = dF + eps w; d(theta) = 0
     needs no computation, a logarithmic derivative is closed wherever
-    defined.  Coefficients of theta are returned as rational functions.
+    defined.  G has constant term 1, so 1/G is a polynomial series and the
+    coefficients of theta are polynomials.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -370,17 +379,8 @@ def length_two_witness(seq: FrancoiseSequence, k: int) -> FormEps:
             "closedness of G*(dF + eps w) failed; sequence data inconsistent"
         )
 
-    g_inv = G.invert().lift_to_rf()
-    theta = FormEps(
-        k,
-        {
-            DX: (-dGp).lift_to_rf() * g_inv,
-            DY: (-dGq).lift_to_rf() * g_inv,
-        },
-        exact=False,
-        zero_elem=RationalFunction(0),
-    )
-    return theta
+    g_inv = G.invert()
+    return FormEps(k, {DX: -dGp * g_inv, DY: -dGq * g_inv}, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,17 @@ def test_main_internal_error_exit(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_main_unexpected_error_exits_internal(tmp_path, capsys):
+    # t = 1e300 overflows the fit, and the report refuses the non-finite value
+    doc = dict(LINEAR_DOC, oracle={"t": [1e300], "eps": [0.001]})
+    path = write_doc(tmp_path, doc)
+    assert main(["--steps", "100", "oracle", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("internal error: ValueError: ") == 1
+
+
 # ---------------------------------------------------------------------------
 # shipped fixtures
 # ---------------------------------------------------------------------------

@@ -164,12 +164,6 @@ def test_planar_zero_like_rational():
     assert z.is_zero()
 
 
-def test_planar_lift_to_rf():
-    w = Form1Planar(X, Y).lift_to_rf()
-    assert isinstance(w.p, RationalFunction)
-    assert w.p == RationalFunction(X)
-
-
 # ---------------------------------------------------------------------------
 # FormEps construction and access
 # ---------------------------------------------------------------------------
@@ -235,13 +229,6 @@ def test_formeps_scale_series():
     s = _series([ZERO, ONE, ZERO], 2)  # multiply by eps
     v = u.scale_series(s)
     assert v.component(DX) == EpsSeries([ZERO, ONE, X], 2)
-
-
-def test_formeps_lift_to_rf():
-    u = FormEps(1, {DX: _series([X, ZERO], 1)}).lift_to_rf()
-    c = u.component(DX).coeffs[0]
-    assert isinstance(c, RationalFunction)
-    assert c == RationalFunction(X)
 
 
 # ---------------------------------------------------------------------------

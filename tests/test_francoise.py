@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from folint.abelian import CIRCLE, PeriodPoly, period_of_form
 from folint.algebra import BivarPoly, X, Y, grlex_key
 from folint.exterior import Form1Planar, d_planar_scalar
+from folint import francoise
 from folint.francoise import (
     ExceedsMax,
     FrancoisePair,
     FrancoiseSequence,
+    InternalSolverError,
     NoSolution,
     _block_solve,
     _blocks,
@@ -288,6 +290,18 @@ def test_zero_form_trivial_sequence():
     assert all(m.is_zero() for m in res.melnikov)
     assert all(p.g.is_zero() and p.r.is_zero() for p in res.sequence.pairs)
     assert sequence_length(res.sequence) == 0
+
+
+def test_corrupted_block_solve_fails_resubstitution(monkeypatch):
+    real = francoise._block_solve
+
+    def corrupt(p, q, d):
+        solved = real(p, q, d)
+        return None if solved is None else (solved[0] + X, solved[1])
+
+    monkeypatch.setattr(francoise, "_block_solve", corrupt)
+    with pytest.raises(InternalSolverError, match="resubstitution"):
+        melnikov_sequence(CIRCLE, Form1Planar(Y * Y, ZERO), 2)
 
 
 def test_max_order_validation():

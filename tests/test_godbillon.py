@@ -272,6 +272,51 @@ def test_eta0_is_df_over_r1(square_seq):
     assert cs.eta[0].q == RationalFunction(2 * Y, r1)
 
 
+def test_eta_texts_are_reduced(square_seq):
+    # r_1 = x(2/3x^2 + y^2): eta_0 = dF/r_1 cancels the factor x of r_1
+    eta = classical_gv_forms(first_integral(F, square_seq, 3), 2).eta
+    assert [(e.p.to_text(), e.q.to_text()) for e in eta] == [
+        ("(3) / (x^2 + 3/2y^2)", "(3y) / (x^3 + 3/2xy^2)"),
+        (
+            "(3/4x^4 + 3/2x^2y^2 + 9/4y^4) / (x^5 + 3x^3y^2 + 9/4xy^4)",
+            "(3/4x^2y) / (x^4 + 3x^2y^2 + 9/4y^4)",
+        ),
+        (
+            "(3/40x^6 + 3/10x^4y^2 + 9/8x^2y^4) / "
+            "(x^6 + 9/2x^4y^2 + 27/4x^2y^4 + 27/8y^6)",
+            "(3/40x^5y - 9/20x^3y^3) / (x^6 + 9/2x^4y^2 + 27/4x^2y^4 + 27/8y^6)",
+        ),
+    ]
+
+
+def test_eta_matches_sympy_taylor_expansion(square_seq):
+    # eta_i = i! [eps^i] dF_eps / (dF_eps/deps), i.e. the i-th eps-derivative
+    # of the quotient at eps = 0, computed by an independent algebra system
+    sp = pytest.importorskip("sympy")
+    x, y, eps = sp.symbols("x y eps")
+
+    def to_sympy(u):
+        if isinstance(u, RationalFunction):
+            return to_sympy(u.num) / to_sympy(u.den)
+        return sum(
+            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
+             for (a, b), c in u.terms.items()),
+            sp.Integer(0),
+        )
+
+    m = 4
+    fint = first_integral(F, square_seq, m + 1)
+    f_eps = sum(to_sympy(c) * eps**j for j, c in enumerate(fint.series.coeffs))
+    f_deps = sp.diff(f_eps, eps)
+    eta = classical_gv_forms(fint, m).eta
+    for var, part in ((x, "p"), (y, "q")):
+        quotient = sp.diff(f_eps, var) / f_deps
+        for i in range(m + 1):
+            got = to_sympy(getattr(eta[i], part))
+            assert sp.cancel(quotient.subs(eps, 0) - got) == 0
+            quotient = sp.diff(quotient, eps)
+
+
 def test_classical_gv_relations(square_seq):
     fint = first_integral(F, square_seq, 4)
     eta = classical_gv_forms(fint, 3).eta
@@ -285,11 +330,13 @@ def test_rescaled_forms(square_seq):
     primary = classical_gv_forms(fint, 3).eta
     rs = classical_gv_forms(fint, 3, NORMALIZATION_RESCALED)
     assert rs.normalization == NORMALIZATION_RESCALED
-    assert (rs.eta[0] - d_planar_scalar(F).lift_to_rf()).is_zero()
+    assert (rs.eta[0] - d_planar_scalar(F)).is_zero()
     r1 = square_seq.r(1)
     R2 = square_seq.r(2) * (-2)
     inner = d_planar_scalar(F).scale(R2) + d_planar_scalar(r1)
-    expect = inner.lift_to_rf().scale(RationalFunction(BivarPoly.constant(2), r1))
+    expect = Form1Planar(
+        RationalFunction(2 * inner.p, r1), RationalFunction(2 * inner.q, r1)
+    )
     assert (rs.eta[1] - expect).is_zero()
     for i in (2, 3):
         scaled = primary[i].scale(RationalFunction(r1 ** (i - 1)))
@@ -323,8 +370,9 @@ def test_witness_log_derivative_coefficients(xdf_seq):
     theta = length_two_witness(xdf_seq, 3)
     assert theta.order == 3
     assert not theta.exact
-    expect = [RationalFunction(0), RationalFunction(ONE), RationalFunction(-X), RationalFunction(X * X)]
-    assert list(theta.component(DX).coeffs) == expect
+    coeffs = theta.component(DX).coeffs
+    assert all(isinstance(c, BivarPoly) for c in coeffs)
+    assert list(coeffs) == [ZERO, ONE, -X, X * X]
     assert theta.component(DY).is_zero()
     # closed: the planar curl vanishes slot by slot
     assert d_total(theta).component(DX | DY).is_zero()
