@@ -67,14 +67,11 @@ from .godbillon import (
     pairs_from_first_integral,
 )
 from .oracle import (
-    DarbouxReport,
     DenominatorVanished,
     DisplacementSample,
     HolonomyConfig,
     LeafEscapedAnnulus,
     MelnikovEstimates,
-    darboux_fixture_check,
-    displacement_sample,
     displacement_table,
     first_melnikov_richardson,
     holonomy_return,

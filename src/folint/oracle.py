@@ -15,19 +15,21 @@ symbolic pipeline.
 
 At eps = 0 the right-hand side vanishes identically, so the unperturbed
 return is exact at any step count; convergence-order measurements therefore
-need a nonzero eps.  The integrator state is a numpy vector over the eps
-grid, which keeps coefficient sweeps at fixed t cheap.
+need a nonzero eps.  The integrator state is a numpy vector of (t, eps)
+lanes: each lane starts from its own rho(0) = sqrt(t) and must stay in its
+own annulus t/2 < rho^2 < 2t, so a whole displacement grid is one
+integration per step count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import cos, sin, pi, sqrt
+from math import cos, sin, pi
 
 import numpy as np
 
-from .algebra import BivarPoly, RationalFunction, X, Y
+from .algebra import BivarPoly, X, Y
 from .exterior import Form1Planar
 from .abelian import UnsupportedOvalFamily
 
@@ -35,15 +37,12 @@ __all__ = [
     "HolonomyConfig",
     "DisplacementSample",
     "MelnikovEstimates",
-    "DarbouxReport",
     "LeafEscapedAnnulus",
     "DenominatorVanished",
     "holonomy_return",
-    "displacement_sample",
     "displacement_table",
     "melnikov_estimate",
     "first_melnikov_richardson",
-    "darboux_fixture_check",
     "write_samples_csv",
     "CSV_COLUMNS",
 ]
@@ -68,13 +67,10 @@ class HolonomyConfig:
     """Fixed-step integrator settings."""
 
     step_count: int = 20000
-    refine_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.step_count < 100:
             raise ValueError("step_count must be >= 100")
-        if not self.refine_tol > 0:
-            raise ValueError("refine_tol must be positive")
 
 
 DEFAULT_CONFIG = HolonomyConfig()
@@ -97,11 +93,18 @@ def _require_circle(F: BivarPoly) -> None:
         )
 
 
-def _integrate(
-    w: Form1Planar, t: float, eps: np.ndarray, steps: int
-) -> np.ndarray:
-    """rho(2pi) for every eps in the grid, from rho(0) = sqrt(t)."""
-    if t <= 0:
+def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
+    """rho(2pi) for every (t, eps) lane; t and eps broadcast together.
+
+    Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
+    t/2 < rho^2 < 2t.  The result has the broadcast shape of t and eps.
+    """
+    t, eps = np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(eps, dtype=float)
+    )
+    shape = t.shape
+    t, eps = t.ravel(), eps.ravel()
+    if not np.all(t > 0):
         raise ValueError("t must be positive")
     p_fn = w.p.as_callable()
     q_fn = w.q.as_callable()
@@ -115,65 +118,51 @@ def _integrate(
         pv = p_fn(x, y)
         qv = q_fn(x, y)
         den = 2.0 * rho + eps * (pv * c + qv * s)
-        if np.any(den <= 0.0):
-            j = int(np.argmin(den))
+        ok = den > 0.0  # false on NaN too
+        if not ok.all():
+            j = int(np.argmin(ok))
             raise DenominatorVanished(
                 f"d rho coefficient vanished at theta={theta:.6f}, "
-                f"eps={float(np.atleast_1d(eps)[min(j, np.size(eps) - 1)]):g}"
+                f"t={t[j]:g}, eps={eps[j]:g}"
             )
         return -eps * rho * (qv * c - pv * s) / den
 
-    eps = np.asarray(eps, dtype=float)
-    rho = np.full(eps.shape or (1,), sqrt(t))
-    for i in range(steps):
-        theta = i * h
-        k1 = slope(theta, rho)
-        k2 = slope(theta + 0.5 * h, rho + 0.5 * h * k1)
-        k3 = slope(theta + 0.5 * h, rho + 0.5 * h * k2)
-        k4 = slope(theta + h, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sq = rho * rho
-        if np.any(sq <= lo) or np.any(sq >= hi):
-            bad = np.argmax((sq <= lo) | (sq >= hi))
-            raise LeafEscapedAnnulus(
-                f"leaf left the annulus ({lo:g}, {hi:g}) at theta="
-                f"{theta + h:.6f}, t={t:g}, "
-                f"eps={float(np.atleast_1d(eps)[min(int(bad), np.size(eps) - 1)]):g}"
-            )
-    return rho
+    rho = np.sqrt(t)
+    # the guards stop every non-finite lane, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            theta = i * h
+            k1 = slope(theta, rho)
+            k2 = slope(theta + 0.5 * h, rho + 0.5 * h * k1)
+            k3 = slope(theta + 0.5 * h, rho + 0.5 * h * k2)
+            k4 = slope(theta + h, rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sq = rho * rho
+            inside = (sq > lo) & (sq < hi)  # false on NaN too
+            if not inside.all():
+                j = int(np.argmin(inside))
+                raise LeafEscapedAnnulus(
+                    f"leaf left the annulus ({lo[j]:g}, {hi[j]:g}) at theta="
+                    f"{theta + h:.6f}, t={t[j]:g}, eps={eps[j]:g}"
+                )
+    return rho.reshape(shape)
 
 
 def holonomy_return(
     F: BivarPoly,
     w: Form1Planar,
-    t: float,
-    eps: float,
+    t,
+    eps,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
-) -> float:
-    """F-value after one revolution of the leaf through (sqrt(t), 0)."""
+):
+    """F-value after one revolution of the leaf through (sqrt(t), 0).
+
+    t and eps broadcast together, one lane per element; scalar inputs give
+    a scalar.
+    """
     _require_circle(F)
-    rho = _integrate(w, t, np.array([eps], dtype=float), cfg.step_count)
-    return float(rho[0] ** 2)
-
-
-def displacement_sample(
-    F: BivarPoly,
-    w: Form1Planar,
-    t: float,
-    eps: float,
-    cfg: HolonomyConfig = DEFAULT_CONFIG,
-) -> DisplacementSample:
-    """Delta(t, eps) from the doubled-step run, with the halving difference."""
-    coarse = holonomy_return(F, w, t, eps, cfg) - t
-    fine = (
-        holonomy_return(
-            F, w, t, eps, HolonomyConfig(2 * cfg.step_count, cfg.refine_tol)
-        )
-        - t
-    )
-    return DisplacementSample(
-        t=t, eps=eps, delta=fine, est_error=abs(fine - coarse)
-    )
+    rho = _integrate(w, t, eps, cfg.step_count)
+    return rho * rho
 
 
 def displacement_table(
@@ -183,11 +172,27 @@ def displacement_table(
     eps_values,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
 ) -> list[DisplacementSample]:
-    """Samples for the whole (t, eps) grid, row-major in the given order."""
+    """Samples for the whole (t, eps) grid, row-major in the given order.
+
+    Delta is the doubled-step return; est_error is its difference from the
+    cfg run.  Each step count is one integration over every grid point.
+    """
+    grid = [(t, eps) for t in t_values for eps in eps_values]
+    if not grid:  # zero lanes would still step through two revolutions
+        return []
+    t_lane, eps_lane = np.array(grid, dtype=float).reshape(-1, 2).T
+    coarse = holonomy_return(F, w, t_lane, eps_lane, cfg) - t_lane
+    fine = (
+        holonomy_return(
+            F, w, t_lane, eps_lane, HolonomyConfig(2 * cfg.step_count)
+        )
+        - t_lane
+    )
     return [
-        displacement_sample(F, w, t, eps, cfg)
-        for t in t_values
-        for eps in eps_values
+        DisplacementSample(t=t, eps=eps, delta=delta, est_error=err)
+        for (t, eps), delta, err in zip(
+            grid, fine.tolist(), np.abs(fine - coarse).tolist()
+        )
     ]
 
 
@@ -276,42 +281,6 @@ def first_melnikov_richardson(
             for i in range(len(table) - 1)
         ]
     return float(table[0])
-
-
-@dataclass(frozen=True)
-class DarbouxReport:
-    """Displacement audit of the rational fixture w = F d(1+x)/(1+x)."""
-
-    samples: tuple[DisplacementSample, ...]
-    tolerance: float
-    max_abs_delta: float
-    integrator_ok: bool
-    passed: bool
-
-
-def darboux_fixture_check(
-    cfg: HolonomyConfig = DEFAULT_CONFIG, tolerance: float = 1e-8
-) -> DarbouxReport:
-    """Check Delta ~ 0 for the rational perturbation with first integral F(1+x)^eps.
-
-    w = F dx / (1+x) on t in {0.25, 0.5}, eps in {1e-2, 1e-3}; the denominator
-    1 + x stays positive on the disk t < 1.
-    """
-    w = Form1Planar(
-        RationalFunction(_CIRCLE, BivarPoly.one() + X), RationalFunction(0)
-    )
-    samples = displacement_table(
-        _CIRCLE, w, (0.25, 0.5), (1e-2, 1e-3), cfg
-    )
-    worst = max(abs(s.delta) for s in samples)
-    integrator_ok = all(s.est_error <= cfg.refine_tol for s in samples)
-    return DarbouxReport(
-        samples=tuple(samples),
-        tolerance=tolerance,
-        max_abs_delta=worst,
-        integrator_ok=integrator_ok,
-        passed=worst < tolerance and integrator_ok,
-    )
 
 
 def write_samples_csv(samples, fileobj) -> None:

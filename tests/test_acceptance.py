@@ -15,7 +15,7 @@ import pytest
 
 from folint.abelian import CIRCLE, PeriodPoly, period_of_form
 from folint.algebra import BivarPoly, EpsSeries, RationalFunction, X, Y
-from folint.cli import ObstructionAtOrder, cmd_gv, parse_problem
+from folint.cli import ObstructionAtOrder, cmd_gv, load_fixture, parse_problem
 from folint.exterior import DE, DX, DY, Form1Planar, d_planar_scalar
 from folint.francoise import (
     FrancoisePair,
@@ -36,7 +36,7 @@ from folint.godbillon import (
 from folint.oracle import (
     DEFAULT_CONFIG,
     HolonomyConfig,
-    darboux_fixture_check,
+    displacement_table,
     holonomy_return,
     melnikov_estimate,
 )
@@ -206,10 +206,14 @@ def test_criterion_8_numeric_oracle():
     delta = holonomy_return(F, W_EXAMPLE1, 1.0, 1e-2, DEFAULT_CONFIG) - 1.0
     assert abs(delta) < 1e-10
 
-    report = darboux_fixture_check(HolonomyConfig(step_count=4000))
-    assert report.passed
-    assert report.max_abs_delta < 1e-8
-    assert {(s.t, s.eps) for s in report.samples} == {
+    # the rational fixture w = F dx / (1+x) has the first integral F (1+x)^eps
+    spec = parse_problem(load_fixture("example3-oracle.json"))
+    samples = displacement_table(
+        F, spec.omega, spec.t_samples, spec.eps_samples, HolonomyConfig(4000)
+    )
+    assert max(abs(s.delta) for s in samples) < 1e-8
+    assert all(s.est_error <= 1e-12 for s in samples)
+    assert {(s.t, s.eps) for s in samples} == {
         (0.25, 1e-2),
         (0.25, 1e-3),
         (0.5, 1e-2),

@@ -420,6 +420,23 @@ def test_main_unexpected_error_exits_internal(tmp_path, capsys):
     assert captured.err.count("internal error: ValueError: ") == 1
 
 
+def test_main_nonfinite_lane_is_invalid_input(tmp_path, capsys):
+    # at t = 1e300 the slope of y^2 dx + x dy overflows, and the next d rho
+    # coefficient is NaN: the guard must stop it before it reaches the report
+    doc = dict(
+        LINEAR_DOC,
+        omega={"dx": "y^2", "dy": "x"},
+        oracle={"t": [1e300], "eps": [0.001]},
+    )
+    path = write_doc(tmp_path, doc)
+    assert main(["--steps", "100", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: DenominatorVanished: ")
+    assert "t=1e+300" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # shipped fixtures
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ import io
 import math
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
+from folint import cli, oracle
 from folint.abelian import UnsupportedOvalFamily
 from folint.algebra import BivarPoly, RationalFunction, X, Y
 from folint.exterior import Form1Planar
@@ -29,8 +31,6 @@ from folint.oracle import (
     HolonomyConfig,
     LeafEscapedAnnulus,
     MelnikovEstimates,
-    darboux_fixture_check,
-    displacement_sample,
     displacement_table,
     first_melnikov_richardson,
     holonomy_return,
@@ -41,11 +41,17 @@ from folint.oracle import (
 F = X * X + Y * Y
 ZERO = BivarPoly.zero()
 W_LINEAR = Form1Planar(Y, ZERO)
+W_CUBIC = Form1Planar(Y - 2 * X * X + 3 * X * Y * Y, X - Y * Y)
 CFG = HolonomyConfig(step_count=2000)
 
 
 def closed_delta(t: float, eps: float) -> float:
     return t * (math.exp(4.0 * math.pi * eps / math.sqrt(16.0 - eps * eps)) - 1.0)
+
+
+def example3_oracle():
+    """The rational fixture: w = F dx / (1+x), first integral F (1+x)^eps."""
+    return cli.parse_problem(cli.load_fixture("example3-oracle.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,9 @@ def test_first_order_displacement():
 
 
 def test_zero_perturbation_gives_zero_displacement():
-    s = displacement_sample(F, Form1Planar.zero(), 1.0, 1e-2, HolonomyConfig(200))
+    (s,) = displacement_table(
+        F, Form1Planar.zero(), (1.0,), (1e-2,), HolonomyConfig(200)
+    )
     assert s.delta == 0.0
     assert s.est_error == 0.0
 
@@ -127,17 +135,14 @@ def test_vanishing_denominator_reports_parameters():
 
 def test_config_validation():
     assert DEFAULT_CONFIG.step_count == 20000
-    assert DEFAULT_CONFIG.refine_tol == 1e-12
     with pytest.raises(ValueError):
         HolonomyConfig(step_count=99)
-    with pytest.raises(ValueError):
-        HolonomyConfig(refine_tol=0.0)
     with pytest.raises(FrozenInstanceError):
         DEFAULT_CONFIG.step_count = 5
 
 
 def test_displacement_sample_error_estimate():
-    s = displacement_sample(F, W_LINEAR, 1.0, 1e-3, HolonomyConfig(500))
+    (s,) = displacement_table(F, W_LINEAR, (1.0,), (1e-3,), HolonomyConfig(500))
     assert s.delta == pytest.approx(closed_delta(1.0, 1e-3), abs=1e-12)
     assert 0 <= s.est_error <= 1e-12
 
@@ -151,6 +156,57 @@ def test_displacement_table_is_row_major():
         (1.0, 1e-2),
         (1.0, 1e-3),
     ]
+
+
+@pytest.mark.parametrize(
+    "w", [W_CUBIC, example3_oracle().omega], ids=["cubic", "rational"]
+)
+def test_table_matches_scalar_returns(w):
+    cfg = HolonomyConfig(step_count=100)
+    t_values, eps_values = (0.25, 0.5), (1e-2, 5e-3, 1e-3)
+    rows = displacement_table(F, w, t_values, eps_values, cfg)
+    assert [(s.t, s.eps) for s in rows] == [
+        (t, e) for t in t_values for e in eps_values
+    ]
+    for s in rows:
+        coarse = holonomy_return(F, w, s.t, s.eps, cfg) - s.t
+        fine = holonomy_return(F, w, s.t, s.eps, HolonomyConfig(200)) - s.t
+        assert s.delta == fine
+        assert s.est_error == abs(fine - coarse)
+
+
+@pytest.mark.parametrize("n_t,n_eps", [(1, 1), (2, 3), (4, 2), (0, 2)])
+def test_table_integrates_once_per_step_count(monkeypatch, n_t, n_eps):
+    calls = []
+    integrate = oracle._integrate
+
+    def counting(w, t, eps, steps):
+        calls.append(steps)
+        return integrate(w, t, eps, steps)
+
+    monkeypatch.setattr(oracle, "_integrate", counting)
+    t_values = [0.5 + 0.1 * i for i in range(n_t)]
+    eps_values = [1e-3 * (i + 1) for i in range(n_eps)]
+    rows = displacement_table(F, W_LINEAR, t_values, eps_values, HolonomyConfig(100))
+    assert len(rows) == n_t * n_eps
+    assert calls == ([100, 200] if rows else [])
+
+
+def test_table_names_the_escaping_lane():
+    with pytest.raises(LeafEscapedAnnulus) as exc:
+        displacement_table(F, W_LINEAR, (1.0,), (1e-3, 3.0), CFG)
+    assert "t=1" in str(exc.value)
+    assert "eps=3" in str(exc.value)
+    assert "eps=0.001" not in str(exc.value)
+
+
+def test_holonomy_return_broadcasts_lanes():
+    t = np.array([0.25, 0.5, 1.0])
+    out = holonomy_return(F, W_LINEAR, t, 1e-3, CFG)
+    assert out.shape == (3,)
+    for ti, got in zip(t, out):
+        assert got == holonomy_return(F, W_LINEAR, float(ti), 1e-3, CFG)
+    assert isinstance(holonomy_return(F, W_LINEAR, 1.0, 1e-3, CFG), float)
 
 
 def test_csv_output():
@@ -249,13 +305,15 @@ def test_estimates_container():
 
 
 def test_darboux_fixture_silent():
-    report = darboux_fixture_check(CFG)
-    assert report.passed
-    assert report.integrator_ok
-    assert report.max_abs_delta < 1e-8
-    assert report.tolerance == 1e-8
-    assert len(report.samples) == 4
-    assert {(s.t, s.eps) for s in report.samples} == {
+    spec = example3_oracle()
+    samples = displacement_table(
+        F, spec.omega, spec.t_samples, spec.eps_samples, CFG
+    )
+    assert max(abs(s.delta) for s in samples) < 1e-8
+    assert all(s.est_error <= 1e-12 for s in samples)
+    assert cli.load_fixture("example3-oracle.json")["expect"]["max_abs_delta"] == 1e-8
+    assert len(samples) == 4
+    assert {(s.t, s.eps) for s in samples} == {
         (0.25, 1e-2),
         (0.25, 1e-3),
         (0.5, 1e-2),
