@@ -72,6 +72,7 @@ from .oracle import (
     HolonomyConfig,
     LeafEscapedAnnulus,
     MelnikovEstimates,
+    NonFiniteEstimate,
     displacement_table,
     first_melnikov_richardson,
     holonomy_return,

@@ -499,14 +499,14 @@ def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
     if _deg_x(p) < _deg_x(q):
         p, q = q, p
     cp, cq = _content_x(p), _content_x(q)
-    a = divexact(p, cp)
-    b = divexact(q, cq)
-    # primitive pseudo-remainder sequence in x
+    a = _grlex_monic(divexact(p, cp))
+    b = _grlex_monic(divexact(q, cq))
+    # primitive pseudo-remainder sequence in x; the content division leaves a
+    # rational scalar, and without the monic rescaling the coefficients grow
     while not b.is_zero():
         r = _prem_x(a, b)
         if not r.is_zero():
-            cr = _content_x(r)
-            r = divexact(r, cr)
+            r = _grlex_monic(divexact(r, _content_x(r)))
         a, b = b, r
     g = divexact(a, _content_x(a))
     g = g * _gcd_univar_y(cp, cq)

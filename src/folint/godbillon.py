@@ -16,6 +16,13 @@ deps with weight one, provided the eps^k slot of R is filled with R_{k+1};
 without that extra pair the defect exhibits the order-(k+1) obstruction
 instead of hiding it.
 
+One Omega answers every order j <= k.  d and the wedge product preserve the
+weight, so the weight <= j+1 part of Omega ^ dOmega depends only on the
+weight <= j+1 part of Omega; there the order-k and order-j assemblies differ
+only by the planar term eps^{j+1} G_{j+1} dF, which meets only the weight-0
+part dF, and dF ^ d(eps^{j+1} G_{j+1} dF) = 0.  The order-j verdict is
+therefore the order-k defect's vanishing through weight j+1.
+
 The module also recovers the data in the opposite direction (pairs from a
 first integral), produces the integrating factor N with Omega = N d(F_eps),
 extracts the classical Godbillon-Vey forms eta_i from the Taylor expansion
@@ -194,7 +201,12 @@ def assemble_omega(
 
 
 def integrability_defect(omega: FormEps, k: int) -> FormEps:
-    """Omega ^ d(Omega) truncated to weight <= k+1 (zero iff integrable there)."""
+    """Omega ^ d(Omega) truncated to weight <= k+1 (zero iff integrable there).
+
+    The weight <= j+1 part of the order-k defect is the defect of the
+    order-j assembly for every j <= k (see the module docstring), so
+    is_zero_mod_weight(defect, j + 1) gives each lower order's verdict.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if omega.order < k:

@@ -39,6 +39,7 @@ __all__ = [
     "MelnikovEstimates",
     "LeafEscapedAnnulus",
     "DenominatorVanished",
+    "NonFiniteEstimate",
     "holonomy_return",
     "displacement_table",
     "melnikov_estimate",
@@ -60,6 +61,10 @@ class LeafEscapedAnnulus(RuntimeError):
 
 class DenominatorVanished(RuntimeError):
     """The d rho coefficient of dF + eps*w reached zero; leaf not a graph."""
+
+
+class NonFiniteEstimate(RuntimeError):
+    """The Melnikov fit overflowed float64; t is too large for the oracle."""
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,7 @@ def melnikov_estimate(
     Samples the geometric grid eps_j = eps0 * 2^-j for j = 0..2*orders and
     fits the model without constant term; the fit runs in the rescaled
     variable eps/eps0 so the reported condition number reflects the model,
-    not the units.
+    not the units.  A fit that overflows float64 raises NonFiniteEstimate.
     """
     _require_circle(F)
     if orders < 1:
@@ -245,8 +250,11 @@ def melnikov_estimate(
     design = np.vander(u, orders + 1, increasing=True)[:, 1:]
     scaled, _, rank, sv = np.linalg.lstsq(design, deltas, rcond=None)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    residual = float(np.sqrt(np.mean((design @ scaled - deltas) ** 2)))
-    coefficients = scaled / eps0 ** np.arange(1, orders + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.sqrt(np.mean((design @ scaled - deltas) ** 2)))
+        coefficients = scaled / eps0 ** np.arange(1, orders + 1)
+    if not np.all(np.isfinite([residual, *coefficients])):
+        raise NonFiniteEstimate(f"the eps fit at t={t:g} overflows float64")
     return MelnikovEstimates(
         coefficients,
         residual,

@@ -215,6 +215,46 @@ def test_poly_gcd_divides_both():
         assert divexact(q * g, d) * d == q * g
 
 
+def test_poly_gcd_matches_sympy():
+    # rational pairs with a planted common factor, against an independent gcd;
+    # both sides are compared after graded-lex-monic normalisation
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    rng = random.Random(31)
+
+    def rational_poly(max_deg):
+        terms = {}
+        for a in range(max_deg + 1):
+            for b in range(max_deg + 1 - a):
+                if rng.random() < 0.5:
+                    terms[(a, b)] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return BivarPoly(terms)
+
+    def to_sympy(u):
+        return sum(
+            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
+             for (a, b), c in u.terms.items()),
+            sp.Integer(0),
+        )
+
+    def from_sympy(expr):
+        return BivarPoly({
+            m: Fraction(int(c.p), int(c.q))
+            for m, c in sp.Poly(expr, x, y).terms()
+        })
+
+    def monic(u):
+        _, lc = u.leading_term()
+        return u * BivarPoly.constant(1 / lc)
+
+    for _ in range(40):
+        g = rational_poly(2) + X
+        p = rational_poly(3) + 1
+        q = rational_poly(3) + Y
+        want = monic(from_sympy(sp.gcd(to_sympy(p * g), to_sympy(q * g))))
+        assert poly_gcd(p * g, q * g) == want
+
+
 # ---------------------------------------------------------------------------
 # RationalFunction
 # ---------------------------------------------------------------------------

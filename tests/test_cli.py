@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
 from folint import cli
-from folint.algebra import BivarPoly, PolyParseError, RationalFunction
+from folint.algebra import BivarPoly, EpsSeries, PolyParseError, RationalFunction, X
 from folint.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -27,10 +29,17 @@ from folint.cli import (
     parse_problem,
     run_verify_all,
 )
-from folint.godbillon import NoFactorExists
+from folint.godbillon import (
+    GVPair,
+    NoFactorExists,
+    assemble_omega,
+    integrability_defect,
+)
 from folint.oracle import HolonomyConfig
 
 CHEAP = HolonomyConfig(step_count=500)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SQUARE_DOC = {
     "F": "x^2 + y^2",
@@ -187,6 +196,50 @@ def test_gv_obstruction_below_requested_order():
         cmd_gv(spec, 3)
     assert exc.value.order == 3
     assert exc.value.witness.to_text() == "π·(3/512t^4)"
+
+
+def test_gv_assembles_one_omega(monkeypatch):
+    calls = {"assemble_omega": 0, "integrability_defect": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counting)
+    rep = cmd_gv(parse_problem(SQUARE_DOC), 4)
+    assert rep.defect_zero == {str(j): True for j in range(5)}
+    assert calls == {"assemble_omega": 1, "integrability_defect": 1}
+
+
+@pytest.mark.parametrize("j0", range(4))
+def test_gv_verdicts_match_per_window_defects(monkeypatch, j0):
+    # corrupting G_{j0+1} breaks integrability from window j0+1 on; the one
+    # order-k defect must give every window's verdict, including the False ones
+    k = 4
+    spec = parse_problem(SQUARE_DOC)
+    pairs_of = cli.gv_pairs_from_francoise
+    seen = []
+
+    def corrupted(seq):
+        pairs = pairs_of(seq)
+        pairs[j0] = GVPair(G=pairs[j0].G + X, R=pairs[j0].R)
+        seen.append(pairs)
+        return pairs
+
+    monkeypatch.setattr(cli, "gv_pairs_from_francoise", corrupted)
+    monkeypatch.setattr(
+        cli, "integrating_factor", lambda omega, fint, k: EpsSeries([BivarPoly.one()], k)
+    )
+    rep = cmd_gv(spec, k)
+    F = spec.family.hamiltonian
+    (pairs,) = seen
+    reference = {
+        str(j): integrability_defect(
+            assemble_omega(F, spec.omega, pairs[: j + 1], j), j
+        ).is_zero()
+        for j in range(k + 1)
+    }
+    assert reference == {str(j): j <= j0 for j in range(k + 1)}
+    assert rep.defect_zero == reference
 
 
 def test_gv_rejects_negative_k():
@@ -409,15 +462,31 @@ def test_main_internal_error_exit(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_main_unexpected_error_exits_internal(tmp_path, capsys):
-    # t = 1e300 overflows the fit, and the report refuses the non-finite value
-    doc = dict(LINEAR_DOC, oracle={"t": [1e300], "eps": [0.001]})
-    path = write_doc(tmp_path, doc)
+def test_main_unexpected_error_exits_internal(tmp_path, capsys, monkeypatch):
+    # an error outside the known families still ends in one line, not a traceback
+    def boom(spec, cfg, richardson=False):
+        raise ValueError("forced")
+    monkeypatch.setattr(cli, "cmd_oracle", boom)
+    path = write_doc(tmp_path, LINEAR_DOC)
     assert main(["--steps", "100", "oracle", path]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.count("internal error: ValueError: ") == 1
+
+
+def test_main_fit_overflow_is_invalid_input(tmp_path, capsys):
+    # y dx integrates finitely at t = 1e300, but the fit's residual overflows
+    doc = dict(LINEAR_DOC, oracle={"t": [1e300], "eps": [0.001]})
+    path = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--steps", "100", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: NonFiniteEstimate: ")
+    assert "t=1e+300" in captured.err
 
 
 def test_main_nonfinite_lane_is_invalid_input(tmp_path, capsys):
@@ -471,8 +540,35 @@ def test_verify_all_reports_failures(monkeypatch):
     assert code == EXIT_INTERNAL
     assert buf.getvalue().startswith("[FAIL] broken.json")
 
+    # the eps^0 term of the integrating factor must be exactly 1
+    monkeypatch.setattr(cli, "load_fixture", lambda name: dict(SQUARE_DOC))
+    for factor in ("1/2 + eps*(x)", "12 + eps*(x)"):
+        report = RunReport(
+            command="gv",
+            defect_zero={"0": True},
+            integrating_factor=factor,
+            witness_ok=True,
+        )
+        monkeypatch.setattr(cli, "cmd_gv", lambda spec, k: report)
+        buf = io.StringIO()
+        assert run_verify_all(CHEAP, buf) == EXIT_INTERNAL
+        assert buf.getvalue() == f"[FAIL] broken.json: unit_factor: {factor}\n"
+
 
 def test_main_verify_all(capsys):
     assert main(["--verify-all", "--steps", "2000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("[PASS]") == len(fixture_names())
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "nonzero-m1"])
+def test_reports_match_golden(tmp_path, capsys, name):
+    doc = load_fixture(f"{name}.json")
+    path = write_doc(tmp_path, doc)
+    assert main(["melnikov", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.melnikov.json").read_text(encoding="utf-8")
+    want = EXIT_OBSTRUCTION if "obstruction_at" in doc["expect"] else EXIT_OK
+    assert main(["gv", "--k", str(doc["expect"]["gv_k"]), path]) == want
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.gv.json").read_text(encoding="utf-8")
