@@ -31,7 +31,6 @@ from .exterior import (
     Form2Planar,
     FormEps,
     SeriesOrderMismatch,
-    WeightBound,
     d_planar_scalar,
     d_total,
     series_to_text,

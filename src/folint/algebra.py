@@ -14,10 +14,11 @@ runs only when a RationalFunction is built: the eps-series layer works over
 polynomials, and callers that know their denominator in advance build each
 quotient once, at the end.
 
-Truncated power series in a deformation parameter eps (EpsSeries) carry an
-explicit truncation order K and store all K+1 coefficients, including trailing
-zeros.  Combining series of different orders raises SeriesOrderMismatch rather
-than silently coercing.
+Truncated power series in a deformation parameter eps (EpsSeries) have
+BivarPoly coefficients: every series of the pipeline lives in
+Q[x, y][eps]/(eps^{K+1}).  A series carries an explicit truncation order K and
+stores all K+1 coefficients, including trailing zeros.  Combining series of
+different orders raises SeriesOrderMismatch rather than silently coercing.
 """
 
 from __future__ import annotations
@@ -661,34 +662,12 @@ def _coerce_rf(value) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _elem_is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
-
-
-def _zero_like(c):
-    return c - c
-
-
-def _ring_inverse(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, BivarPoly):
-        if not c.is_constant():
-            raise NonInvertibleSeries("constant term is a nonconstant polynomial")
-        return BivarPoly.constant(Fraction(1) / c.constant_term())
-    raise TypeError(f"no inverse for {type(c).__name__}")
-
-
 class EpsSeries:
-    """Jet of order K in eps with coefficients in a fixed commutative ring."""
+    """Jet of order K in eps with coefficients in Q[x, y] (BivarPoly)."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None) -> None:
+    def __init__(self, coeffs: Sequence[BivarPoly], order: int | None = None) -> None:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("EpsSeries needs at least one coefficient")
@@ -696,16 +675,14 @@ class EpsSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        zero = _zero_like(coeffs[0])
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
-        while len(coeffs) < order + 1:
-            coeffs.append(zero)
+        coeffs.extend([ZERO] * (order + 1 - len(coeffs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
-    def constant(cls, c, order: int) -> "EpsSeries":
+    def constant(cls, c: BivarPoly, order: int) -> "EpsSeries":
         return cls([c], order)
 
     def _check(self, other: "EpsSeries") -> None:
@@ -729,36 +706,31 @@ class EpsSeries:
         """Cauchy product truncated at the shared order."""
         self._check(other)
         K = self.order
-        zero = _zero_like(self.coeffs[0])
-        out = [zero for _ in range(K + 1)]
+        out = [ZERO] * (K + 1)
         for i, a in enumerate(self.coeffs):
-            if _elem_is_zero(a):
+            if a.is_zero():
                 continue
             for j in range(0, K + 1 - i):
                 b = other.coeffs[j]
-                if not _elem_is_zero(b):
+                if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return EpsSeries(out, K)
 
-    def scale(self, c) -> "EpsSeries":
+    def scale(self, c: BivarPoly | CoefLike) -> "EpsSeries":
         return EpsSeries([a * c for a in self.coeffs], self.order)
 
-    def map(self, fn: Callable) -> "EpsSeries":
+    def map(self, fn: Callable[[BivarPoly], BivarPoly]) -> "EpsSeries":
         return EpsSeries([fn(a) for a in self.coeffs], self.order)
 
     def shift(self, n: int = 1) -> "EpsSeries":
         """Multiply by eps^n within the same truncation order."""
-        zero = _zero_like(self.coeffs[0])
-        out = [zero] * n + list(self.coeffs[: self.order + 1 - n])
-        return EpsSeries(out, self.order)
+        return EpsSeries([ZERO] * n + list(self.coeffs[: self.order + 1 - n]), self.order)
 
     def eps_derivative(self) -> "EpsSeries":
         """d/d eps; the top coefficient of the result is exact only when the
         series is an exact polynomial of degree <= order."""
-        zero = _zero_like(self.coeffs[0])
         out = [self.coeffs[i + 1] * Fraction(i + 1) for i in range(self.order)]
-        out.append(zero)
-        return EpsSeries(out, self.order)
+        return EpsSeries(out + [ZERO], self.order)
 
     def truncate(self, order: int) -> "EpsSeries":
         if order > self.order:
@@ -772,34 +744,33 @@ class EpsSeries:
         return EpsSeries(list(self.coeffs), order)
 
     def invert(self) -> "EpsSeries":
-        """Multiplicative inverse; needs a unit constant term."""
+        """Multiplicative inverse; needs a nonzero constant as constant term."""
         c0 = self.coeffs[0]
-        if _elem_is_zero(c0):
+        if c0.is_zero():
             raise NonInvertibleSeries("constant term of the series is zero")
-        inv0 = _ring_inverse(c0)
+        if not c0.is_constant():
+            raise NonInvertibleSeries("constant term is a nonconstant polynomial")
+        inv0 = BivarPoly.constant(Fraction(1) / c0.constant_term())
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = None
-            for i in range(1, n + 1):
-                term = self.coeffs[i] * out[n - i]
-                acc = term if acc is None else acc + term
-            out.append(-(inv0 * acc) if acc is not None else _zero_like(inv0))
+            acc = self.coeffs[1] * out[n - 1]
+            for i in range(2, n + 1):
+                acc = acc + self.coeffs[i] * out[n - i]
+            out.append(-(inv0 * acc))
         return EpsSeries(out, self.order)
 
     def is_zero(self) -> bool:
-        return all(_elem_is_zero(c) for c in self.coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            _elem_is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[BivarPoly]:
         return iter(self.coeffs)
 
     def __repr__(self) -> str:

@@ -194,11 +194,8 @@ def parse_problem(doc) -> ProblemSpec:
         block = doc["oracle"]
         if not isinstance(block, dict):
             raise InvalidInput("key 'oracle' must be an object")
-        t_samples = _real_list(block.get("t", []), "oracle.t")
+        t_samples = _t_grid(_real_list(block.get("t", []), "oracle.t"), "oracle.t")
         eps_samples = _real_list(block.get("eps", []), "oracle.eps")
-        for t in t_samples:
-            if t <= 0:
-                raise InvalidInput(f"oracle.t entries must be positive, got {t}")
 
     return ProblemSpec(
         family=CIRCLE,
@@ -222,6 +219,20 @@ def _finite(values: tuple[float, ...], label: str) -> tuple[float, ...]:
     for v in values:
         if not math.isfinite(v):
             raise InvalidInput(f"{label} entries must be finite, got {v}")
+    return values
+
+
+# the oracle integrates inside the annulus t/2 < rho^2 < 2t, whose bound 2t
+# must stay a finite float
+_T_MAX = sys.float_info.max / 2
+
+
+def _t_grid(values: tuple[float, ...], label: str) -> tuple[float, ...]:
+    for t in values:
+        if t <= 0:
+            raise InvalidInput(f"{label} entries must be positive, got {t}")
+        if t > _T_MAX:
+            raise InvalidInput(f"{label} entries must be at most {_T_MAX:g}, got {t}")
     return values
 
 
@@ -495,29 +506,33 @@ def _load_spec(args) -> ProblemSpec:
         doc["max_order"] = args.max_order
     spec = parse_problem(doc)
     if getattr(args, "t", None) is not None:
-        t = _float_list(args.t, "--t")
-        for value in t:
-            if value <= 0:
-                raise InvalidInput(f"--t entries must be positive, got {value}")
-        spec = replace(spec, t_samples=t)
+        spec = replace(spec, t_samples=_t_grid(_float_list(args.t, "--t"), "--t"))
     if getattr(args, "eps", None) is not None:
         spec = replace(spec, eps_samples=_float_list(args.eps, "--eps"))
     return spec
 
 
+def _open_output(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: RunReport, args) -> None:
+    # the file first: a path that cannot be written leaves stdout empty
     text = report.to_json()
-    sys.stdout.write(text)
     if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_output(args.json) as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _write_csv(report: RunReport, path: str) -> None:
     samples = [
         oracle.DisplacementSample(*row) for row in report.oracle_table["rows"]
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         oracle.write_samples_csv(samples, fh)
 
 

@@ -2,8 +2,10 @@
 
 Forms live on coordinates (x, y, eps).  The eight basis monomials are encoded
 as bitmasks over dx (1), dy (2), deps (4) with canonical factor order
-dx < dy < deps; every component of a FormEps is an EpsSeries in eps over a
-planar coefficient ring (BivarPoly or RationalFunction).
+dx < dy < deps; every component of a FormEps is an EpsSeries in eps with
+BivarPoly coefficients.  The planar forms Form1Planar and Form2Planar take
+BivarPoly or RationalFunction components; the rational ones serve the
+classical Godbillon-Vey forms and rational oracle perturbations.
 
 The grading used for truncation is the weight w(eps) = w(deps) = 1,
 w(x) = w(y) = w(dx) = w(dy) = 0, so a term eps^i (...) deps has weight i + 1
@@ -20,10 +22,8 @@ part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
-from .algebra import BivarPoly, EpsSeries, SeriesOrderMismatch
+from .algebra import ZERO, EpsSeries, SeriesOrderMismatch
 
 __all__ = [
     "DX",
@@ -33,7 +33,6 @@ __all__ = [
     "Form1Planar",
     "Form2Planar",
     "FormEps",
-    "WeightBound",
     "wedge",
     "basis_wedge",
     "d_total",
@@ -76,12 +75,6 @@ def basis_wedge(b1: int, b2: int) -> tuple[int, int] | None:
     return sign, b1 | b2
 
 
-def _elem_is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Planar forms (no eps dependence); coefficient ring is BivarPoly or
 # RationalFunction, anything with partial/is_zero and ring arithmetic.
@@ -96,9 +89,8 @@ class Form1Planar:
     q: object
 
     @classmethod
-    def zero(cls, like=None) -> "Form1Planar":
-        z = BivarPoly.zero() if like is None else like - like
-        return cls(z, z)
+    def zero(cls) -> "Form1Planar":
+        return cls(ZERO, ZERO)
 
     def __add__(self, other: "Form1Planar") -> "Form1Planar":
         return Form1Planar(self.p + other.p, self.q + other.q)
@@ -113,7 +105,7 @@ class Form1Planar:
         return Form1Planar(self.p * c, self.q * c)
 
     def is_zero(self) -> bool:
-        return _elem_is_zero(self.p) and _elem_is_zero(self.q)
+        return self.p.is_zero() and self.q.is_zero()
 
     def d(self) -> "Form2Planar":
         """Planar exterior derivative (dq/dx - dp/dy) dx^dy."""
@@ -148,7 +140,7 @@ class Form2Planar:
         return Form2Planar(self.h * c)
 
     def is_zero(self) -> bool:
-        return _elem_is_zero(self.h)
+        return self.h.is_zero()
 
     def to_text(self) -> str:
         return f"({self.h}) dx*dy"
@@ -167,24 +159,6 @@ def d_planar_scalar(f) -> Form1Planar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightBound:
-    """Cutoff for the eps/deps weight grading."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("weight bound must be >= 0")
-
-
-WeightLike = Union[int, WeightBound]
-
-
-def _bound(w: WeightLike) -> int:
-    return w.k if isinstance(w, WeightBound) else WeightBound(w).k
-
-
 class FormEps:
     """Mixed-degree form with EpsSeries components over the 8 basis monomials.
 
@@ -192,14 +166,13 @@ class FormEps:
     truncation order.
     """
 
-    __slots__ = ("order", "comps", "exact", "zero_elem")
+    __slots__ = ("order", "comps", "exact")
 
     def __init__(
         self,
         order: int,
         comps: dict[int, EpsSeries] | None = None,
         exact: bool = True,
-        zero_elem=None,
     ) -> None:
         comps = dict(comps or {})
         for basis, series in comps.items():
@@ -209,18 +182,10 @@ class FormEps:
                 raise SeriesOrderMismatch(
                     f"component order {series.order} != form order {order}"
                 )
-        if zero_elem is None:
-            for series in comps.values():
-                c = series.coeffs[0]
-                zero_elem = c - c
-                break
-            else:
-                zero_elem = BivarPoly.zero()
         comps = {b: s for b, s in comps.items() if not s.is_zero()}
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "zero_elem", zero_elem)
 
     # -- constructors ---------------------------------------------------------
 
@@ -230,30 +195,26 @@ class FormEps:
 
     @classmethod
     def from_planar_1form(cls, f: Form1Planar, order: int, exact: bool = True) -> "FormEps":
-        z = f.p - f.p
         return cls(
-            order,
-            {DX: EpsSeries([f.p], order), DY: EpsSeries([f.q], order)},
-            exact,
-            zero_elem=z,
+            order, {DX: EpsSeries([f.p], order), DY: EpsSeries([f.q], order)}, exact
         )
 
     @classmethod
-    def zero(cls, order: int, zero_elem=None) -> "FormEps":
-        return cls(order, {}, True, zero_elem)
+    def zero(cls, order: int) -> "FormEps":
+        return cls(order, {}, True)
 
     # -- component access --------------------------------------------------------
 
     def component(self, basis: int) -> EpsSeries:
         if basis in self.comps:
             return self.comps[basis]
-        return EpsSeries.constant(self.zero_elem, self.order)
+        return EpsSeries.constant(ZERO, self.order)
 
     def terms(self):
         """Iterate (eps power, basis, coefficient) over nonzero terms."""
         for basis in sorted(self.comps):
             for i, c in enumerate(self.comps[basis].coeffs):
-                if not _elem_is_zero(c):
+                if not c.is_zero():
                     yield i, basis, c
 
     # -- arithmetic ---------------------------------------------------------------
@@ -266,9 +227,7 @@ class FormEps:
         out: dict[int, EpsSeries] = {}
         for basis in set(self.comps) | set(other.comps):
             out[basis] = op(self.component(basis), other.component(basis))
-        return FormEps(
-            self.order, out, self.exact and other.exact, self.zero_elem
-        )
+        return FormEps(self.order, out, self.exact and other.exact)
 
     def __add__(self, other: "FormEps") -> "FormEps":
         return self._merge(other, lambda a, b: a + b)
@@ -277,17 +236,10 @@ class FormEps:
         return self._merge(other, lambda a, b: a - b)
 
     def __neg__(self) -> "FormEps":
-        return FormEps(
-            self.order, {b: -s for b, s in self.comps.items()}, self.exact, self.zero_elem
-        )
+        return FormEps(self.order, {b: -s for b, s in self.comps.items()}, self.exact)
 
     def scale_series(self, s: EpsSeries) -> "FormEps":
-        return FormEps(
-            self.order,
-            {b: c * s for b, c in self.comps.items()},
-            self.exact,
-            self.zero_elem,
-        )
+        return FormEps(self.order, {b: c * s for b, c in self.comps.items()}, self.exact)
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -322,7 +274,7 @@ class FormEps:
 def series_to_text(s: EpsSeries, var: str = "eps") -> str:
     parts = []
     for i, c in enumerate(s.coeffs):
-        if _elem_is_zero(c):
+        if c.is_zero():
             continue
         if i == 0:
             parts.append(f"{c}")
@@ -348,7 +300,7 @@ def wedge(u: FormEps, v: FormEps) -> FormEps:
             if sign < 0:
                 prod = -prod
             acc[basis] = acc[basis] + prod if basis in acc else prod
-    return FormEps(u.order, acc, u.exact and v.exact, u.zero_elem)
+    return FormEps(u.order, acc, u.exact and v.exact)
 
 
 def d_total(u: FormEps) -> FormEps:
@@ -380,7 +332,7 @@ def d_total(u: FormEps) -> FormEps:
             sign, out_basis = merged
             ds = s.eps_derivative()
             add(out_basis, -ds if sign < 0 else ds)
-    return FormEps(u.order, acc, u.exact, u.zero_elem)
+    return FormEps(u.order, acc, u.exact)
 
 
 def term_weight(eps_power: int, basis: int) -> int:
@@ -388,6 +340,8 @@ def term_weight(eps_power: int, basis: int) -> int:
 
 
 def _guard_bound(u: FormEps, k: int) -> None:
+    if k < 0:
+        raise ValueError("weight bound must be >= 0")
     # a jet does not know its coefficients beyond the truncation order, so a
     # weight question reaching past them is unanswerable
     if not u.exact and k > u.order:
@@ -396,29 +350,22 @@ def _guard_bound(u: FormEps, k: int) -> None:
         )
 
 
-def truncate_weight(u: FormEps, w: WeightLike) -> FormEps:
-    """Drop every term of weight strictly greater than the bound.
+def truncate_weight(u: FormEps, w: int) -> FormEps:
+    """Drop every term of weight strictly greater than the bound w >= 0.
 
     The result is itself a fully-known form (the truncation), so exactness is
     preserved.
     """
-    k = _bound(w)
-    _guard_bound(u, k)
+    _guard_bound(u, w)
     out: dict[int, EpsSeries] = {}
     for basis, s in u.comps.items():
         shift = 1 if basis & DE else 0
-        coeffs = [
-            c if i + shift <= k else u.zero_elem for i, c in enumerate(s.coeffs)
-        ]
+        coeffs = [c if i + shift <= w else ZERO for i, c in enumerate(s.coeffs)]
         out[basis] = EpsSeries(coeffs, s.order)
-    return FormEps(u.order, out, u.exact, u.zero_elem)
+    return FormEps(u.order, out, u.exact)
 
 
-def is_zero_mod_weight(u: FormEps, w: WeightLike) -> bool:
-    """True iff every term of weight <= bound has zero coefficient."""
-    k = _bound(w)
-    _guard_bound(u, k)
-    for i, basis, c in u.terms():
-        if term_weight(i, basis) <= k and not _elem_is_zero(c):
-            return False
-    return True
+def is_zero_mod_weight(u: FormEps, w: int) -> bool:
+    """True iff every term of weight <= w (w >= 0) has zero coefficient."""
+    _guard_bound(u, w)
+    return all(term_weight(i, basis) > w for i, basis, _ in u.terms())

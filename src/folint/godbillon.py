@@ -42,7 +42,6 @@ from .exterior import (
     DY,
     Form1Planar,
     FormEps,
-    WeightBound,
     d_planar_scalar,
     d_total,
     series_to_text,
@@ -211,7 +210,7 @@ def integrability_defect(omega: FormEps, k: int) -> FormEps:
         raise ValueError("k must be >= 0")
     if omega.order < k:
         raise ValueError(f"form of order {omega.order} cannot answer k = {k}")
-    return truncate_weight(wedge(omega, d_total(omega)), WeightBound(k + 1))
+    return truncate_weight(wedge(omega, d_total(omega)), k + 1)
 
 
 # ---------------------------------------------------------------------------

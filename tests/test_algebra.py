@@ -324,33 +324,44 @@ def test_series_pads_with_zeros():
     assert s.order == 3
 
 
+def _constants(*values):
+    return [BivarPoly.constant(v) for v in values]
+
+
 def test_series_too_many_coeffs():
     with pytest.raises(ValueError):
-        EpsSeries([1, 2, 3], 1)
+        EpsSeries(_constants(1, 2, 3), 1)
 
 
 def test_series_order_mismatch():
     with pytest.raises(SeriesOrderMismatch):
-        EpsSeries([1], 1) + EpsSeries([1], 2)
+        EpsSeries([ONE], 1) + EpsSeries([ONE], 2)
 
 
 def test_series_product_truncates():
-    s = EpsSeries([Fraction(1), Fraction(1)], 2)
-    t = EpsSeries([Fraction(1), Fraction(-1)], 2)
-    assert (s * t).coeffs == (Fraction(1), Fraction(0), Fraction(-1))
+    s = EpsSeries([ONE, ONE], 2)
+    t = EpsSeries([ONE, -ONE], 2)
+    assert (s * t).coeffs == (ONE, ZERO, -ONE)
 
 
 def test_series_geometric_inverse():
     # 1/(1 - eps) = 1 + eps + eps^2 + ...
-    s = EpsSeries([Fraction(1), Fraction(-1)], 5)
-    assert s.invert().coeffs == tuple(Fraction(1) for _ in range(6))
+    s = EpsSeries([ONE, -ONE], 5)
+    assert s.invert().coeffs == (ONE,) * 6
+    # a constant lead other than 1: 1/(2 + eps) = 1/2 - eps/4 + eps^2/8
+    u = EpsSeries(_constants(2, 1), 2)
+    halves = _constants(Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+    assert u.invert().coeffs == tuple(halves)
 
 
-@given(st.lists(st.integers(-5, 5), min_size=0, max_size=5))
+@given(
+    st.integers(-5, 5).filter(bool),
+    st.lists(st.integers(-5, 5), min_size=0, max_size=5),
+)
 @settings(max_examples=60, deadline=None)
-def test_series_invert_round_trip(tail):
-    s = EpsSeries([Fraction(1)] + [Fraction(c) for c in tail], len(tail))
-    assert s * s.invert() == EpsSeries.constant(Fraction(1), len(tail))
+def test_series_invert_round_trip(lead, tail):
+    s = EpsSeries(_constants(lead, *tail), len(tail))
+    assert s * s.invert() == EpsSeries.constant(ONE, len(tail))
 
 
 def test_series_invert_requires_unit():
@@ -368,10 +379,10 @@ def test_series_eps_derivative():
 
 
 def test_series_shift_and_truncate_extend():
-    s = EpsSeries([1, 2, 3], 2)
-    assert s.shift().coeffs == (0, 1, 2)
-    assert s.truncate(1).coeffs == (1, 2)
-    assert s.extend(4).coeffs == (1, 2, 3, 0, 0)
+    s = EpsSeries(_constants(1, 2, 3), 2)
+    assert s.shift().coeffs == tuple(_constants(0, 1, 2))
+    assert s.truncate(1).coeffs == tuple(_constants(1, 2))
+    assert s.extend(4).coeffs == tuple(_constants(1, 2, 3, 0, 0))
     with pytest.raises(SeriesOrderMismatch):
         s.truncate(3)
     with pytest.raises(SeriesOrderMismatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from folint import cli
+from folint import cli, oracle
 from folint.algebra import BivarPoly, EpsSeries, PolyParseError, RationalFunction, X
 from folint.cli import (
     EXIT_INTERNAL,
@@ -506,6 +506,51 @@ def test_main_nonfinite_lane_is_invalid_input(tmp_path, capsys):
     assert "t=1e+300" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["melnikov"], "--json"),
+        (["--steps", "100", "oracle"], "--csv"),
+    ],
+)
+def test_main_unwritable_output_is_invalid_input(tmp_path, capsys, command, flag):
+    path = write_doc(tmp_path, LINEAR_DOC)
+    target = str(tmp_path / "missing" / "report.out")
+    assert main(command + [path, flag, target]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize(
+    "t, flags, label",
+    [
+        ([1.5e308], [], "oracle.t"),
+        ([1.0], ["--t", "1.6e308"], "--t"),
+    ],
+)
+def test_main_overflowing_t_is_invalid_input(tmp_path, capsys, monkeypatch, t, flags, label):
+    # the annulus bound 2t overflows to inf; reject t before integrating
+    calls = []
+
+    def integrate(*args):
+        calls.append(args)
+        raise AssertionError("integrated an out-of-range t")
+
+    monkeypatch.setattr(oracle, "_integrate", integrate)
+    path = write_doc(tmp_path, dict(LINEAR_DOC, oracle={"t": t, "eps": [0.001]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--steps", "100", "oracle", path, "--richardson"] + flags)
+    assert code == EXIT_INVALID
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {label} entries must be at most ")
+
+
 # ---------------------------------------------------------------------------
 # shipped fixtures
 # ---------------------------------------------------------------------------
@@ -521,15 +566,6 @@ def test_fixture_inventory():
     for name in names:
         doc = load_fixture(name)
         assert "F" in doc and "omega" in doc
-
-
-def test_verify_all_fixtures_pass():
-    buf = io.StringIO()
-    code = run_verify_all(HolonomyConfig(step_count=2000), buf)
-    lines = buf.getvalue().splitlines()
-    assert code == EXIT_OK
-    assert len(lines) == len(fixture_names())
-    assert all(line.startswith("[PASS]") for line in lines)
 
 
 def test_verify_all_reports_failures(monkeypatch):
@@ -557,8 +593,9 @@ def test_verify_all_reports_failures(monkeypatch):
 
 def test_main_verify_all(capsys):
     assert main(["--verify-all", "--steps", "2000"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == len(fixture_names())
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(fixture_names())
+    assert all(line.startswith("[PASS]") for line in lines)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "nonzero-m1"])
@@ -572,3 +609,11 @@ def test_reports_match_golden(tmp_path, capsys, name):
     assert main(["gv", "--k", str(doc["expect"]["gv_k"]), path]) == want
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.gv.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3-oracle", "nonzero-m1"])
+def test_oracle_reports_match_golden(tmp_path, capsys, name):
+    path = write_doc(tmp_path, load_fixture(f"{name}.json"))
+    assert main(["--steps", "200", "oracle", path, "--richardson"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.oracle.json").read_text(encoding="utf-8")

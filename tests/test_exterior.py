@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from folint.algebra import (
     BivarPoly,
     EpsSeries,
-    RationalFunction,
     SeriesOrderMismatch,
     X,
     Y,
@@ -23,7 +21,6 @@ from folint.exterior import (
     Form1Planar,
     Form2Planar,
     FormEps,
-    WeightBound,
     basis_wedge,
     d_planar_scalar,
     d_total,
@@ -156,12 +153,6 @@ def test_planar_form_arithmetic_and_text():
     assert w.scale(X).q == 2 * X * Y
     assert w.to_text() == "(2x) dx + (2y) dy"
     assert Form2Planar(X).to_text() == "(x) dx*dy"
-
-
-def test_planar_zero_like_rational():
-    z = Form1Planar.zero(like=RationalFunction(ONE, ONE + X))
-    assert isinstance(z.p, RationalFunction)
-    assert z.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +349,13 @@ def test_term_weight(power, basis, expected):
 
 
 def test_weight_bound_validates():
+    u = FormEps(2, {DX: _series([X, Y, ONE], 2)})
     with pytest.raises(ValueError):
-        WeightBound(-1)
-    assert WeightBound(2).k == 2
+        truncate_weight(u, -1)
+    with pytest.raises(ValueError):
+        is_zero_mod_weight(u, -1)
+    assert truncate_weight(u, 0) == FormEps(2, {DX: _series([X], 2)})
+    assert not is_zero_mod_weight(u, 0)
 
 
 def test_truncate_weight_scalar():
@@ -372,7 +367,7 @@ def test_truncate_weight_scalar():
 
 def test_truncate_weight_counts_deps():
     u = FormEps(2, {DE: _series([ONE, X, Y], 2)})
-    t = truncate_weight(u, WeightBound(1))
+    t = truncate_weight(u, 1)
     # eps^i deps has weight i+1, so only the i=0 slot survives
     assert t.component(DE) == EpsSeries([ONE, ZERO, ZERO], 2)
 
