@@ -568,6 +568,15 @@ def test_fixture_inventory():
         assert "F" in doc and "omega" in doc
 
 
+def test_verify_all_fixtures_pass():
+    buf = io.StringIO()
+    code = run_verify_all(HolonomyConfig(step_count=2000), buf)
+    lines = buf.getvalue().splitlines()
+    assert code == EXIT_OK
+    assert len(lines) == len(fixture_names())
+    assert all(line.startswith("[PASS]") for line in lines)
+
+
 def test_verify_all_reports_failures(monkeypatch):
     monkeypatch.setattr(cli, "fixture_names", lambda: ["broken.json"])
     monkeypatch.setattr(cli, "load_fixture", lambda name: {"F": "x^2"})
