@@ -64,6 +64,7 @@ from .godbillon import (
     integrating_factor,
     length_two_witness,
     pairs_from_first_integral,
+    witness_theta,
 )
 from .oracle import (
     DenominatorVanished,

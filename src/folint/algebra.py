@@ -442,39 +442,30 @@ def _lc_x(p: BivarPoly) -> BivarPoly:
 
 
 def _gcd_univar_y(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Monic gcd of two polynomials in Q[y] (given as y-only BivarPoly)."""
-    def degy(u: BivarPoly) -> int:
-        return max((b for _, b in u.terms), default=-1)
+    """Monic gcd of two polynomials in Q[y] (given as y-only BivarPoly).
 
+    On y-only polynomials the total degree is the y-degree and the graded-lex
+    leading coefficient is the one of the top power of y.
+    """
     a, b = p, q
     while not b.is_zero():
         # ordinary remainder over the field Q
-        while degy(a) >= degy(b) and not a.is_zero():
-            da, db = degy(a), degy(b)
+        while a.degree() >= b.degree() and not a.is_zero():
+            da, db = a.degree(), b.degree()
             ca = a.coefficient(0, da)
             cb = b.coefficient(0, db)
             a = a - b * BivarPoly.monomial(0, da - db, ca / cb)
         a, b = b, a
-    if a.is_zero():
-        return a
-    lead = a.coefficient(0, max(b2 for _, b2 in a.terms))
-    return a * BivarPoly.constant(1 / lead)
+    return _grlex_monic(a)
 
 
 def _content_x(p: BivarPoly) -> BivarPoly:
     g = BivarPoly.zero()
     for coef in _y_coeffs(p).values():
-        g = _gcd_univar_y(g, coef) if not g.is_zero() else _monic_y(coef)
+        g = _gcd_univar_y(g, coef) if not g.is_zero() else _grlex_monic(coef)
         if g == ONE:
             break
     return g
-
-
-def _monic_y(p: BivarPoly) -> BivarPoly:
-    if p.is_zero():
-        return p
-    lead = p.coefficient(0, max(b for _, b in p.terms))
-    return p * BivarPoly.constant(1 / lead)
 
 
 def _prem_x(p: BivarPoly, q: BivarPoly) -> BivarPoly:
@@ -550,10 +541,6 @@ class RationalFunction:
                 den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def from_poly(cls, p: BivarPoly | CoefLike) -> "RationalFunction":
-        return cls(p, 1)
 
     def __add__(self, other) -> "RationalFunction":
         other = _coerce_rf(other)

@@ -37,7 +37,7 @@ from .algebra import (
     parse_poly,
 )
 from .exterior import Form1Planar, is_zero_mod_weight, series_to_text
-from .abelian import CIRCLE, PeriodPoly, UnsupportedOvalFamily
+from .abelian import CIRCLE, UnsupportedOvalFamily
 from .francoise import InternalSolverError, melnikov_sequence, sequence_length
 from .godbillon import (
     assemble_omega,
@@ -59,21 +59,6 @@ _RATIONAL_TEXT = re.compile(r"^\(([^()]*)\)\s*/\s*\(([^()]*)\)$")
 
 class InvalidInput(ValueError):
     """Problem document rejected before any pipeline ran."""
-
-
-class ObstructionAtOrder(Exception):
-    """A nonzero Melnikov value blocks the construction at this order.
-
-    melnikov holds the report texts of M_1..M_order; M_order is the witness.
-    """
-
-    def __init__(self, order: int, witness: PeriodPoly, melnikov: tuple[str, ...]):
-        self.order = order
-        self.witness = witness
-        self.melnikov = melnikov
-        super().__init__(
-            f"obstruction at order {order}: M_{order} = {witness.to_text()}"
-        )
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,13 @@ def _real_list(values, label: str) -> tuple[float, ...]:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise InvalidInput(f"{label} must be a list of numbers")
-    return _finite(tuple(float(v) for v in values), label)
+    try:
+        floats = tuple(float(v) for v in values)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise InvalidInput(
+            f"{label} entries must be finite, got an integer too large for a float"
+        ) from None
+    return _finite(floats, label)
 
 
 def _finite(values: tuple[float, ...], label: str) -> tuple[float, ...]:
@@ -245,12 +236,6 @@ def _symbolic_omega(spec: ProblemSpec) -> Form1Planar:
     return spec.omega
 
 
-def _report_length(seq) -> int:
-    """Glossary length l (first g_{l+1} = 0) capped at the computed horizon."""
-    ell = sequence_length(seq, max_order=max(len(seq.pairs), 1))
-    return ell if isinstance(ell, int) else len(seq.pairs)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -268,7 +253,7 @@ def cmd_melnikov(spec: ProblemSpec) -> RunReport:
             {"i": i, "g": p.g.to_text(), "r": p.r.to_text()}
             for i, p in enumerate(result.sequence.pairs, start=1)
         ),
-        length=_report_length(result.sequence),
+        length=sequence_length(result.sequence),
     )
 
 
@@ -277,18 +262,24 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
 
     The order-k assembly consumes pairs 1..k+1 (pair k+1 fills the top dε
     slot, which is exactly what makes the weight-(k+1) defect vanish), so a
-    nonzero Melnikov value at any order mu <= k+1 raises
-    ObstructionAtOrder(mu) carrying the witness period.  Otherwise each
-    verdict j <= k is the order-k defect's vanishing through weight j+1.
+    nonzero Melnikov value at any order mu <= k+1 ends the run: the report
+    then carries M_1..M_mu and obstruction = {"order": mu, "witness": M_mu}.
+    Otherwise each verdict j <= k is the order-k defect's vanishing through
+    weight j+1, and witness_ok records that length_two_witness found
+    G (dF + eps w) closed.
     """
     w = _symbolic_omega(spec)
     if k < 0:
         raise InvalidInput("k must be >= 0")
     result = melnikov_sequence(spec.family, w, k + 1)
     melnikov = tuple(m.to_text() for m in result.melnikov)
-    if result.first_nonzero is not None:
-        raise ObstructionAtOrder(
-            result.first_nonzero, result.melnikov[-1], melnikov
+    mu = result.first_nonzero
+    if mu is not None:
+        return RunReport(
+            command="gv",
+            melnikov=melnikov,
+            first_nonzero=mu,
+            obstruction={"order": mu, "witness": melnikov[-1]},
         )
     seq = result.sequence
     gvp = gv_pairs_from_francoise(seq)
@@ -307,7 +298,6 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
     return RunReport(
         command="gv",
         melnikov=melnikov,
-        first_nonzero=result.first_nonzero,
         pairs=tuple(
             {"i": i, "g": p.g.to_text(), "r": p.r.to_text()}
             for i, p in enumerate(seq.pairs, start=1)
@@ -316,7 +306,7 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
             {"i": i, "G": pair.G.to_text(), "R": pair.R.to_text()}
             for i, pair in enumerate(gvp, start=1)
         ),
-        length=_report_length(seq),
+        length=sequence_length(seq),
         first_integral=fint.to_text(),
         defect_zero=defect_zero,
         integrating_factor=series_to_text(n_series),
@@ -376,15 +366,6 @@ def cmd_oracle(
     )
 
 
-def obstruction_report(exc: ObstructionAtOrder) -> RunReport:
-    return RunReport(
-        command="gv",
-        melnikov=exc.melnikov,
-        first_nonzero=exc.order,
-        obstruction={"order": exc.order, "witness": exc.witness.to_text()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fixture verification
 # ---------------------------------------------------------------------------
@@ -407,7 +388,9 @@ def _check_fixture(doc: dict, cfg: oracle.HolonomyConfig) -> list[tuple[str, boo
     (list of report texts), gv_k (order for the gv run), obstruction_at (int),
     witness (period text), max_abs_delta (bound over the oracle table).
     Missing keys skip their check; the structural checks (defect verdicts,
-    unit factor, witness closedness, cross-check agreement) always run.
+    unit factor, witness closedness, cross-check agreement) always run.  The
+    gv run is compared with obstruction_at either way: an obstruction that
+    was not expected, or an expected one that did not come, fails the check.
     """
     spec = parse_problem(doc)
     exp = doc.get("expect", {})
@@ -428,19 +411,18 @@ def _check_fixture(doc: dict, cfg: oracle.HolonomyConfig) -> list[tuple[str, boo
             checks.append(("melnikov_prefix", got == want, f"got {list(got)}"))
 
         k = exp.get("gv_k", max(min(spec.max_order - 1, 4), 0))
-        if exp.get("obstruction_at") is not None:
-            try:
-                cmd_gv(spec, k)
-                checks.append(("obstruction", False, "no obstruction raised"))
-            except ObstructionAtOrder as exc:
-                ok = exc.order == exp["obstruction_at"]
-                if ok and "witness" in exp:
-                    ok = exc.witness.to_text() == exp["witness"]
-                checks.append(
-                    ("obstruction", ok, f"order {exc.order}, witness {exc.witness.to_text()}")
-                )
+        gv = cmd_gv(spec, k)
+        obs = gv.obstruction
+        if obs is not None:
+            ok = obs["order"] == exp.get("obstruction_at")
+            if ok and "witness" in exp:
+                ok = obs["witness"] == exp["witness"]
+            checks.append(
+                ("obstruction", ok, f"order {obs['order']}, witness {obs['witness']}")
+            )
+        elif exp.get("obstruction_at") is not None:
+            checks.append(("obstruction", False, "no obstruction found"))
         else:
-            gv = cmd_gv(spec, k)
             flat = all(gv.defect_zero.values())
             checks.append(("defect_zero", flat, f"{gv.defect_zero}"))
             unit = gv.integrating_factor.split(" + eps")[0] == "1"
@@ -606,17 +588,13 @@ def main(argv=None) -> int:
             report = cmd_melnikov(spec)
         elif args.command == "gv":
             k = args.k if args.k is not None else max(spec.max_order - 1, 0)
-            try:
-                report = cmd_gv(spec, k)
-            except ObstructionAtOrder as exc:
-                _emit(obstruction_report(exc), args)
-                return EXIT_OBSTRUCTION
+            report = cmd_gv(spec, k)
         else:
             report = cmd_oracle(spec, cfg, richardson=args.richardson)
             if args.csv:
                 _write_csv(report, args.csv)
         _emit(report, args)
-        return EXIT_OK
+        return EXIT_OBSTRUCTION if report.obstruction is not None else EXIT_OK
     except (InvalidInput, PolyParseError, UnsupportedOvalFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -52,7 +52,6 @@ __all__ = [
     "FrancoiseSequence",
     "MelnikovResult",
     "NoSolution",
-    "ExceedsMax",
     "InternalSolverError",
     "decompose",
     "melnikov_sequence",
@@ -90,16 +89,6 @@ class FrancoisePair:
         lhs = w.scale(prev_g)
         rhs = dF.scale(self.g) + d_planar_scalar(self.r)
         return (lhs - rhs).is_zero()
-
-
-@dataclass(frozen=True)
-class ExceedsMax:
-    """Marker: no zero g_i was seen up to the requested order."""
-
-    max_order: int
-
-    def __repr__(self) -> str:
-        return f"ExceedsMax(max_order={self.max_order})"
 
 
 @dataclass(frozen=True)
@@ -270,15 +259,14 @@ def melnikov_sequence(
     )
 
 
-def sequence_length(
-    seq: FrancoiseSequence, max_order: int = DEFAULT_MAX_ORDER
-) -> Union[int, ExceedsMax]:
-    """Smallest l with g_{l+1} = 0, or an ExceedsMax marker.
+def sequence_length(seq: FrancoiseSequence) -> int:
+    """Smallest l with g_{l+1} = 0, or len(seq) when no computed g vanishes.
 
     A zero g propagates (the canonical decomposition of the zero form is
-    (0, 0)), so the first zero settles the length.
+    (0, 0)), so the first zero settles the length.  The fallback len(seq) is
+    unambiguous: l = len(seq) would need the pair len(seq) + 1.
     """
-    for i, pair in enumerate(seq.pairs[:max_order]):
+    for i, pair in enumerate(seq.pairs):
         if pair.g.is_zero():
             return i
-    return ExceedsMax(max_order=max_order)
+    return len(seq)

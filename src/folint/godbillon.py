@@ -26,7 +26,10 @@ therefore the order-k defect's vanishing through weight j+1.
 The module also recovers the data in the opposite direction (pairs from a
 first integral), produces the integrating factor N with Omega = N d(F_eps),
 extracts the classical Godbillon-Vey forms eta_i from the Taylor expansion
-of d(F_eps)/(dF_eps/deps), and builds the closed witness theta = -dG/G.
+of d(F_eps)/(dF_eps/deps), and handles the length-two witness in two steps:
+length_two_witness checks that G (dF + eps w) is closed for the unit series
+G = sum (-1)^i eps^i g_i and returns G, and witness_theta builds from it the
+closed one-form theta = -dG/G.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "integrating_factor",
     "classical_gv_forms",
     "length_two_witness",
+    "witness_theta",
     "pairs_from_first_integral",
 ]
 
@@ -83,6 +87,19 @@ class DegenerateNormalization(ValueError):
 
 def _sign(i: int) -> int:
     return 1 if i % 2 == 0 else -1
+
+
+def _over_dF(p: BivarPoly, q: BivarPoly, F: BivarPoly) -> BivarPoly | None:
+    """The n with p dx + q dy = n dF, or None when there is none.
+
+    F_x = 2x for the circle, so dividing p by it fixes n; divexact returns
+    only exact quotients, which leaves the dy component to check.
+    """
+    try:
+        n = divexact(p, F.partial("x"))
+    except ValueError:
+        return None
+    return n if (q - n * F.partial("y")).is_zero() else None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +247,6 @@ def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries
     if omega.order < k or fint.series.order < k:
         raise ValueError("both inputs must carry data through order k")
     F = fint.hamiltonian
-    Fx, Fy = F.partial("x"), F.partial("y")
     # components of d(F_eps): planar from the coefficients, deps slot i
     # holding (i+1) c_{i+1}
     c = fint.series.coeffs
@@ -248,16 +264,9 @@ def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries
         for j in range(w):
             res_p = res_p - n[j] * dpx[w - j]
             res_q = res_q - n[j] * dpy[w - j]
-        try:
-            n_w = divexact(res_p, Fx) if not Fx.is_zero() else divexact(res_q, Fy)
-        except ValueError as exc:
-            raise NoFactorExists(
-                f"planar part at eps^{w} is not a multiple of dF"
-            ) from exc
-        if not (res_p - n_w * Fx).is_zero() or not (res_q - n_w * Fy).is_zero():
-            raise NoFactorExists(
-                f"planar part at eps^{w} is not proportional to dF"
-            )
+        n_w = _over_dF(res_p, res_q, F)
+        if n_w is None:
+            raise NoFactorExists(f"planar part at eps^{w} is not a multiple of dF")
         n.append(n_w)
         if w >= 1:
             lhs = e[w - 1]
@@ -361,14 +370,12 @@ def classical_gv_forms(
 # ---------------------------------------------------------------------------
 
 
-def length_two_witness(seq: FrancoiseSequence, k: int) -> FormEps:
-    """theta = -dG/G for G = sum (-1)^i eps^i g_i, order-k truncation.
+def length_two_witness(seq: FrancoiseSequence, k: int) -> EpsSeries:
+    """The checked unit series G = sum (-1)^i eps^i g_i, order-k truncation.
 
     Verifies G*d(eta) + dG^eta = 0 coefficient-wise through eps^k, the
-    planar closedness of G*eta = d(F_eps) for eta = dF + eps w; d(theta) = 0
-    needs no computation, a logarithmic derivative is closed wherever
-    defined.  G has constant term 1, so 1/G is a polynomial series and the
-    coefficients of theta are polynomials.
+    planar closedness of G*eta = d(F_eps) for eta = dF + eps w, and raises
+    InternalSolverError when it fails.  witness_theta turns G into theta.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -389,9 +396,26 @@ def length_two_witness(seq: FrancoiseSequence, k: int) -> FormEps:
         raise InternalSolverError(
             "closedness of G*(dF + eps w) failed; sequence data inconsistent"
         )
+    return G
 
+
+def witness_theta(seq: FrancoiseSequence, k: int) -> FormEps:
+    """theta = -dG/G for the G of length_two_witness, order-k truncation.
+
+    d(theta) = 0 needs no computation, a logarithmic derivative is closed
+    wherever defined.  G has constant term 1, so 1/G is a polynomial series
+    and the coefficients of theta are polynomials.
+    """
+    G = length_two_witness(seq, k)
     g_inv = G.invert()
-    return FormEps(k, {DX: -dGp * g_inv, DY: -dGq * g_inv}, exact=False)
+    return FormEps(
+        k,
+        {
+            DX: -G.map(lambda u: u.partial("x")) * g_inv,
+            DY: -G.map(lambda u: u.partial("y")) * g_inv,
+        },
+        exact=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +435,6 @@ def pairs_from_first_integral(
     ValueError, meaning fint does not truncate a first integral for w.
     """
     F = fint.hamiltonian
-    Fx, Fy = F.partial("x"), F.partial("y")
     c = fint.series.coeffs
     rt = fint.series.eps_derivative().coeffs
     g_twiddle: list[BivarPoly] = []
@@ -421,14 +444,9 @@ def pairs_from_first_integral(
         if i >= 1:
             num_p = num_p - g_twiddle[i - 1] * w.p
             num_q = num_q - g_twiddle[i - 1] * w.q
-        try:
-            gt = divexact(num_p, Fx)
-        except ValueError as exc:
-            raise ValueError(
-                f"planar coefficient at eps^{i} is not reachable from dF"
-            ) from exc
-        if not (num_q - gt * Fy).is_zero():
-            raise ValueError(f"planar coefficient at eps^{i} is inconsistent")
+        gt = _over_dF(num_p, num_q, F)
+        if gt is None:
+            raise ValueError(f"planar coefficient at eps^{i} is not a multiple of dF")
         g_twiddle.append(gt)
 
     pairs = []

@@ -15,7 +15,7 @@ import pytest
 
 from folint.abelian import CIRCLE, PeriodPoly, period_of_form
 from folint.algebra import BivarPoly, EpsSeries, RationalFunction, X, Y
-from folint.cli import ObstructionAtOrder, cmd_gv, load_fixture, parse_problem
+from folint.cli import cmd_gv, load_fixture, parse_problem
 from folint.exterior import DE, DX, DY, Form1Planar, d_planar_scalar
 from folint.francoise import (
     FrancoisePair,
@@ -30,8 +30,8 @@ from folint.godbillon import (
     gv_pairs_from_francoise,
     integrability_defect,
     integrating_factor,
-    length_two_witness,
     pairs_from_first_integral,
+    witness_theta,
 )
 from folint.oracle import (
     DEFAULT_CONFIG,
@@ -119,9 +119,10 @@ def test_criterion_4_obstruction_detection():
     spec = parse_problem(
         {"F": "x^2 + y^2", "omega": {"dx": "y", "dy": "0"}, "max_order": 3}
     )
-    with pytest.raises(ObstructionAtOrder) as exc:
-        cmd_gv(spec, 0)
-    assert exc.value.order == 1
+    rep = cmd_gv(spec, 0)
+    assert rep.obstruction == {"order": 1, "witness": "π·t"}
+    assert rep.first_nonzero == 1
+    assert rep.melnikov == ("π·t",)
 
     rng = random.Random(404)
     for i in range(500):
@@ -131,7 +132,7 @@ def test_criterion_4_obstruction_detection():
             assert isinstance(out, FrancoisePair)
         else:
             assert isinstance(out, NoSolution)
-    _report(4, "M_1 = pi*t, ObstructionAtOrder(1), 500-form equivalence")
+    _report(4, "M_1 = pi*t, gv obstruction at order 1, 500-form equivalence")
 
 
 def test_criterion_5_gelfand_leray():
@@ -159,7 +160,7 @@ def test_criterion_6_length_two_witness():
     # example2: G eta_eps telescopes to dF on the nose
     seq2 = melnikov_sequence(CIRCLE, W_EXAMPLE2, 5).sequence
     k = 4
-    theta = length_two_witness(seq2, k)  # raises if G d(eta) + dG ^ eta != 0
+    theta = witness_theta(seq2, k)  # raises if G d(eta) + dG ^ eta != 0
     assert theta.component(DY).is_zero()
     G = EpsSeries(
         [BivarPoly.one()] + [seq2.g(i) * (-1) ** i for i in range(1, k + 1)], k

@@ -17,7 +17,6 @@ from folint.cli import (
     EXIT_OBSTRUCTION,
     EXIT_OK,
     InvalidInput,
-    ObstructionAtOrder,
     RunReport,
     cmd_gv,
     cmd_melnikov,
@@ -177,12 +176,11 @@ def test_gv_report_zero_form():
 
 
 def test_gv_obstruction_at_first_order():
-    spec = parse_problem(dict(LINEAR_DOC))
-    with pytest.raises(ObstructionAtOrder) as exc:
-        cmd_gv(spec, 0)
-    assert exc.value.order == 1
-    assert exc.value.witness.to_text() == "π·t"
-    assert "obstruction at order 1: M_1 = π·t" in str(exc.value)
+    rep = cmd_gv(parse_problem(dict(LINEAR_DOC)), 0)
+    assert rep.obstruction == {"order": 1, "witness": "π·t"}
+    assert rep.first_nonzero == 1
+    assert rep.melnikov == ("π·t",)
+    assert rep.pairs is None and rep.witness_ok is None
 
 
 def test_gv_obstruction_below_requested_order():
@@ -191,11 +189,33 @@ def test_gv_obstruction_below_requested_order():
         SQUARE_DOC,
         omega={"dx": "-3/8x^2y + 5/8y^3", "dy": "3/8x^3 + 3/8xy^2"},
     )
-    spec = parse_problem(doc)
-    with pytest.raises(ObstructionAtOrder) as exc:
-        cmd_gv(spec, 3)
-    assert exc.value.order == 3
-    assert exc.value.witness.to_text() == "π·(3/512t^4)"
+    rep = cmd_gv(parse_problem(doc), 3)
+    assert rep.obstruction == {"order": 3, "witness": "π·(3/512t^4)"}
+    assert rep.first_nonzero == 3
+    assert rep.melnikov == ("0", "0", "π·(3/512t^4)")
+
+
+def test_gv_never_inverts_G(monkeypatch):
+    # the report needs the closedness check, run once, not theta = -dG/G
+    inverted, checked = [], []
+    invert, check = EpsSeries.invert, cli.length_two_witness
+
+    def counting_invert(self):
+        inverted.append(self)
+        return invert(self)
+
+    def counting_check(seq, k):
+        checked.append(k)
+        return check(seq, k)
+
+    monkeypatch.setattr(EpsSeries, "invert", counting_invert)
+    monkeypatch.setattr(cli, "length_two_witness", counting_check)
+    rep = cmd_gv(parse_problem(SQUARE_DOC), 4)
+    assert rep.witness_ok is True
+    assert inverted == []
+    assert checked == [4]
+    assert cmd_gv(parse_problem(LINEAR_DOC), 2).obstruction is not None
+    assert checked == [4]
 
 
 def test_gv_assembles_one_omega(monkeypatch):
@@ -551,6 +571,26 @@ def test_main_overflowing_t_is_invalid_input(tmp_path, capsys, monkeypatch, t, f
     assert captured.err.startswith(f"error: {label} entries must be at most ")
 
 
+@pytest.mark.parametrize("key", ["t", "eps"])
+def test_main_oversized_json_integer_is_invalid_input(tmp_path, capsys, monkeypatch, key):
+    # a JSON integer beyond the float range has no float value at all
+    calls = []
+
+    def integrate(*args):
+        calls.append(args)
+        raise AssertionError("integrated an oversized grid entry")
+
+    monkeypatch.setattr(oracle, "_integrate", integrate)
+    grid = dict(LINEAR_DOC["oracle"], **{key: [10**400]})  # 401 digits in the JSON
+    path = write_doc(tmp_path, dict(LINEAR_DOC, oracle=grid))
+    assert main(["--steps", "100", "oracle", path]) == EXIT_INVALID
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: oracle.{key} entries must be finite")
+
+
 # ---------------------------------------------------------------------------
 # shipped fixtures
 # ---------------------------------------------------------------------------
@@ -598,6 +638,19 @@ def test_verify_all_reports_failures(monkeypatch):
         buf = io.StringIO()
         assert run_verify_all(CHEAP, buf) == EXIT_INTERNAL
         assert buf.getvalue() == f"[FAIL] broken.json: unit_factor: {factor}\n"
+
+    # an obstruction is compared with the expectation both ways
+    monkeypatch.setattr(cli, "cmd_gv", cmd_gv)
+    expected_only = dict(SQUARE_DOC, expect={"gv_k": 1, "obstruction_at": 1})
+    found_only = dict(SQUARE_DOC, omega={"dx": "y", "dy": "0"})
+    for doc, note in (
+        (expected_only, "no obstruction found"),
+        (found_only, "order 1, witness π·t"),
+    ):
+        monkeypatch.setattr(cli, "load_fixture", lambda name, doc=doc: doc)
+        buf = io.StringIO()
+        assert run_verify_all(CHEAP, buf) == EXIT_INTERNAL
+        assert buf.getvalue() == f"[FAIL] broken.json: obstruction: {note}\n"
 
 
 def test_main_verify_all(capsys):

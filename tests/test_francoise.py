@@ -14,7 +14,6 @@ from folint.algebra import BivarPoly, X, Y, grlex_key
 from folint.exterior import Form1Planar, d_planar_scalar
 from folint import francoise
 from folint.francoise import (
-    ExceedsMax,
     FrancoisePair,
     FrancoiseSequence,
     InternalSolverError,
@@ -257,7 +256,7 @@ def test_multiple_of_df_gives_monomial_sequence():
     for i in range(1, 4):
         assert res.sequence.g(i) == X**i
         assert res.sequence.r(i).is_zero()
-    assert sequence_length(res.sequence, 3) == ExceedsMax(max_order=3)
+    assert sequence_length(res.sequence) == 3
 
 
 def test_first_order_sign_convention():
@@ -341,5 +340,3 @@ def test_sequence_length_finds_first_zero_g():
     )
     seq = FrancoiseSequence(family=CIRCLE, omega=Form1Planar(Y * Y, ZERO), pairs=pairs)
     assert sequence_length(seq) == 1
-    assert sequence_length(seq, max_order=1) == ExceedsMax(max_order=1)
-    assert repr(ExceedsMax(7)) == "ExceedsMax(max_order=7)"

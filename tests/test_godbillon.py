@@ -39,6 +39,7 @@ from folint.godbillon import (
     integrating_factor,
     length_two_witness,
     pairs_from_first_integral,
+    witness_theta,
 )
 from helpers import zero_period_form
 
@@ -367,7 +368,7 @@ def test_classical_gv_validation(square_seq):
 
 def test_witness_log_derivative_coefficients(xdf_seq):
     # G = 1/(1 + eps x) up to truncation, so -dG/G = d log(1 + eps x)
-    theta = length_two_witness(xdf_seq, 3)
+    theta = witness_theta(xdf_seq, 3)
     assert theta.order == 3
     assert not theta.exact
     coeffs = theta.component(DX).coeffs
@@ -378,8 +379,14 @@ def test_witness_log_derivative_coefficients(xdf_seq):
     assert d_total(theta).component(DX | DY).is_zero()
 
 
+def test_witness_returns_checked_G(xdf_seq):
+    G = length_two_witness(xdf_seq, 3)
+    assert isinstance(G, EpsSeries)
+    assert list(G.coeffs) == [ONE, -X, X * X, -(X**3)]
+
+
 def test_witness_trivial_at_k0(square_seq):
-    assert length_two_witness(square_seq, 0).is_zero()
+    assert witness_theta(square_seq, 0).is_zero()
 
 
 def test_witness_rejects_inconsistent_sequences():
