@@ -193,13 +193,12 @@ def period_of_form(w: Form1Planar, family: OvalFamily = CIRCLE) -> PeriodPoly:
     p, q = w.p, w.q
     if not isinstance(p, BivarPoly) or not isinstance(q, BivarPoly):
         raise TypeError("period_of_form needs polynomial coefficients")
-    total = PeriodPoly.zero()
-    for (a, b), c in p.terms.items():
-        mono = monomial_period(a, b, "dx")
-        if not mono.is_zero():
-            total = total + mono.scale(c)
-    for (a, b), c in q.terms.items():
-        mono = monomial_period(a, b, "dy")
-        if not mono.is_zero():
-            total = total + mono.scale(c)
-    return total
+    sums: dict[int, Fraction] = {}  # power of t -> coefficient
+    for basis, poly in (("dx", p), ("dy", q)):
+        for (a, b), c in poly.terms.items():
+            mono = monomial_period(a, b, basis)
+            if not mono.is_zero():
+                power = mono.degree()
+                sums[power] = sums.get(power, 0) + c * mono.coeffs[power]
+    top = max(sums, default=-1)
+    return PeriodPoly(tuple(sums.get(m, 0) for m in range(top + 1)))

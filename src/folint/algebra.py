@@ -2,6 +2,8 @@
 
 Polynomials in Q[x, y] are stored sparsely as a dict mapping exponent pairs
 (a, b) to nonzero Fraction coefficients; the zero polynomial is the empty dict.
+The BivarPoly constructor alone keeps this invariant, so arithmetic hands it
+raw sums and never tests for cancellation itself.
 The monomial order used everywhere (printing, pivoting, leading terms) is
 graded lexicographic with x > y: compare total degree first, then the x
 exponent.
@@ -76,12 +78,13 @@ def grlex_key(exp: Exponent) -> tuple[int, int]:
     return (a + b, a)
 
 
-def _as_fraction(c: CoefLike) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 class BivarPoly:
-    """Sparse exact polynomial in Q[x, y].  Treated as immutable."""
+    """Sparse exact polynomial in Q[x, y].  Treated as immutable.
+
+    The constructor owns normalisation: it rejects negative exponents,
+    coerces every coefficient to Fraction and drops the zero ones, so terms
+    maps exponents to nonzero Fractions whatever the caller passed.
+    """
 
     __slots__ = ("terms", "_hash")
 
@@ -91,14 +94,8 @@ class BivarPoly:
             for (a, b), c in terms.items():
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent in monomial {(a, b)}")
-                f = _as_fraction(c)
-                if f != 0:
-                    prev = clean.get((a, b))
-                    total = f if prev is None else prev + f
-                    if total != 0:
-                        clean[(a, b)] = total
-                    elif prev is not None:
-                        del clean[(a, b)]
+                if c:
+                    clean[(a, b)] = c if isinstance(c, Fraction) else Fraction(c)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -114,11 +111,11 @@ class BivarPoly:
 
     @classmethod
     def constant(cls, c: CoefLike) -> "BivarPoly":
-        return cls({(0, 0): _as_fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, a: int, b: int, c: CoefLike = 1) -> "BivarPoly":
-        return cls({(a, b): _as_fraction(c)})
+        return cls({(a, b): c})
 
     @classmethod
     def variable(cls, name: str) -> "BivarPoly":
@@ -136,11 +133,7 @@ class BivarPoly:
             return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            out[exp] = out.get(exp, 0) + c
         return BivarPoly(out)
 
     __radd__ = __add__
@@ -165,11 +158,7 @@ class BivarPoly:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 exp = (a1 + a2, b1 + b2)
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
+                out[exp] = out.get(exp, 0) + c1 * c2
         return BivarPoly(out)
 
     __rmul__ = __mul__
@@ -361,12 +350,7 @@ def parse_poly(text: str) -> BivarPoly:
         body = "".join(c for c, _ in chars[start:i])
         col0 = chars[start][1]
         exp, coef = _parse_term(body, col0)
-        key = exp
-        total = terms.get(key, Fraction(0)) + sign * coef
-        if total == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = total
+        terms[exp] = terms.get(exp, 0) + sign * coef
         first = False
     return BivarPoly(terms)
 

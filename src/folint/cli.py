@@ -17,7 +17,8 @@ optional "expect" block makes a fixture self-checking under --verify-all;
 its keys are documented next to _check_fixture.
 
 Exit codes: 0 success, 1 obstruction found (informative, not a failure),
-2 invalid input, 3 internal consistency failure.
+2 invalid input (including a file that is not UTF-8 or nests JSON too deeply,
+and a symbolic run past MAX_DEGREE_ORDER), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 _RATIONAL_TEXT = re.compile(r"^\(([^()]*)\)\s*/\s*\(([^()]*)\)$")
+
+# Budget of a symbolic run, deg(omega) times the Melnikov order it reaches; a
+# run past it exits 2 before melnikov_sequence.  gv --k 40 on (x^3y^2 + y^2) dx
+# is 5 * 41 = 205.
+MAX_DEGREE_ORDER = 400
 
 
 class InvalidInput(ValueError):
@@ -106,7 +112,7 @@ class RunReport:
             else:
                 keep = value is not None
             if keep:
-                doc[f.name] = _jsonable(value)
+                doc[f.name] = value
         return doc
 
     def to_json(self) -> str:
@@ -114,18 +120,6 @@ class RunReport:
             self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,
             allow_nan=False,
         ) + "\n"
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        return value.item()
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +230,14 @@ def _symbolic_omega(spec: ProblemSpec) -> Form1Planar:
     return spec.omega
 
 
+def _require_budget(w: Form1Planar, order: int) -> None:
+    cost = max(w.p.degree(), w.q.degree()) * order
+    if cost > MAX_DEGREE_ORDER:
+        raise InvalidInput(
+            f"deg(omega) * order = {cost} is past the budget {MAX_DEGREE_ORDER}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -244,6 +246,7 @@ def _symbolic_omega(spec: ProblemSpec) -> Form1Planar:
 def cmd_melnikov(spec: ProblemSpec) -> RunReport:
     """Melnikov values M_1..M_max_order with the certifying pair list."""
     w = _symbolic_omega(spec)
+    _require_budget(w, spec.max_order)
     result = melnikov_sequence(spec.family, w, spec.max_order)
     return RunReport(
         command="melnikov",
@@ -271,6 +274,7 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
     w = _symbolic_omega(spec)
     if k < 0:
         raise InvalidInput("k must be >= 0")
+    _require_budget(w, k + 1)
     result = melnikov_sequence(spec.family, w, k + 1)
     melnikov = tuple(m.to_text() for m in result.melnikov)
     mu = result.first_nonzero
@@ -324,6 +328,8 @@ def cmd_oracle(
         raise InvalidInput("the oracle needs a nonempty t grid")
     if not spec.eps_samples:
         raise InvalidInput("the oracle needs a nonempty eps grid")
+    if spec.symbolic:
+        _require_budget(spec.omega, 1)  # the M_1 cross-check
     F = spec.family.hamiltonian
     samples = oracle.displacement_table(
         F, spec.omega, spec.t_samples, spec.eps_samples, cfg
@@ -482,8 +488,12 @@ def _load_spec(args) -> ProblemSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {args.problem}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{args.problem} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{args.problem} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInput(f"{args.problem} nests JSON too deeply") from None
     if getattr(args, "max_order", None) is not None and isinstance(doc, dict):
         doc["max_order"] = args.max_order
     spec = parse_problem(doc)

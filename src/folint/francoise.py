@@ -29,8 +29,9 @@ gauge, and it is the answer of dense elimination with columns ordered r first
 to zero: the last column, g's y^{d-1}, is the only free one.  Across blocks
 this zeroes every y^{2j} coefficient of g.  Every returned pair is verified by
 exact resubstitution; a failure is an internal error, never a wrong answer.
-The dense solver survives as folint.linsolve, the reference the tests compare
-this sweep against.
+The sweep alone decides solvability, and the period is computed only as the
+witness of a failed block.  The dense solver survives as folint.linsolve, the
+reference the tests compare this sweep against.
 
 The displacement of the deformed foliation dF + eps w = 0 expands as
 Delta(t, eps) = sum_i eps^i M_i(t); the iteration below produces
@@ -188,28 +189,28 @@ def decompose(
 ) -> Union[FrancoisePair, NoSolution]:
     """Split w = g dF + dr, or return NoSolution carrying the period witness.
 
-    The decomposition exists iff period_of_form(w) = 0; the returned
-    representative is the solver-canonical one described in the module
-    docstring (no minimality claim).
+    The sweep decides: every block consistent iff period_of_form(w) = 0, so
+    the period is computed only when a block fails, as the witness.  The
+    returned representative is the solver-canonical one described in the
+    module docstring (no minimality claim).
     """
     family.require_circle()
-    period = period_of_form(w, family)
-    if not period.is_zero():
-        return NoSolution(witness=period)
-
-    g_total = BivarPoly.zero()
-    r_total = BivarPoly.zero()
+    # blocks have disjoint degrees, so their terms never collide
+    g_terms, r_terms = {}, {}
     for d, (pdx, pdy) in _blocks(w):
         solved = _block_solve(pdx, pdy, d)
         if solved is None:
-            raise InternalSolverError(
-                f"zero-period block of degree {d} is inconsistent; "
-                "degree bounds violated"
-            )
-        g_total = g_total + solved[0]
-        r_total = r_total + solved[1]
+            period = period_of_form(w, family)
+            if period.is_zero():
+                raise InternalSolverError(
+                    f"zero-period block of degree {d} is inconsistent; "
+                    "degree bounds violated"
+                )
+            return NoSolution(witness=period)
+        g_terms.update(solved[0].terms)
+        r_terms.update(solved[1].terms)
 
-    pair = FrancoisePair(g=g_total, r=r_total)
+    pair = FrancoisePair(g=BivarPoly(g_terms), r=BivarPoly(r_terms))
     if not pair.verify(BivarPoly.one(), w, family.hamiltonian):
         raise InternalSolverError("resubstitution of decomposition failed")
     return pair
@@ -248,9 +249,8 @@ def melnikov_sequence(
         if not m.is_zero():
             first_nonzero = k + 1
             break
+        # the period is zero, so decompose returns a pair or raises
         solved = decompose(current, family)
-        if isinstance(solved, NoSolution):  # pragma: no cover - period was zero
-            raise InternalSolverError("decompose failed on a zero-period form")
         pairs.append(solved)
         g_prev = solved.g
     seq = FrancoiseSequence(family=family, omega=w, pairs=tuple(pairs))

@@ -134,7 +134,7 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
 
     rho = np.sqrt(t)
     # the guards stop every non-finite lane, so numpy's warnings add nothing
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(steps):
             theta = i * h
             k1 = slope(theta, rho)

@@ -39,6 +39,20 @@ def test_constructor_drops_zero_terms():
     assert p.terms == {(1, 0): Fraction(2)}
 
 
+@pytest.mark.parametrize(
+    "make, terms",
+    [
+        (lambda: (X + Y) - X, {(0, 1): 1}),
+        (lambda: (X + Y) * (X - Y), {(2, 0): 1, (0, 2): -1}),
+        (lambda: parse_poly("x - x + y"), {(0, 1): 1}),
+    ],
+)
+def test_cancelling_arithmetic_stores_only_nonzero_fractions(make, terms):
+    p = make()
+    assert p.terms == terms
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
 def test_constructor_rejects_negative_exponents():
     with pytest.raises(ValueError):
         BivarPoly({(-1, 0): 1})

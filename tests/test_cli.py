@@ -461,6 +461,25 @@ def test_main_rejects_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"F": "x^2 + y^2\xff"}', "is not UTF-8 text: "),
+        (b"[" * 200000 + b"]" * 200000, "nests JSON too deeply"),
+    ],
+    ids=["non-utf8", "over-nested"],
+)
+def test_main_unreadable_document_is_invalid_input(tmp_path, capsys, content, message):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    assert main(["melnikov", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path} ")
+    assert message in captured.err
+
+
 def test_main_rejects_wrong_hamiltonian(tmp_path, capsys):
     path = write_doc(tmp_path, dict(SQUARE_DOC, F="x^2"))
     assert main(["melnikov", path]) == EXIT_INVALID
@@ -524,6 +543,64 @@ def test_main_nonfinite_lane_is_invalid_input(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: DenominatorVanished: ")
     assert "t=1e+300" in captured.err
+
+
+def test_main_pole_hit_prints_one_line(tmp_path, capsys):
+    # the leaf through t = 1/4 meets the pole of 1/(x - 1/2) at its first step
+    doc = dict(
+        LINEAR_DOC,
+        omega={"dx": "(1) / (x - 1/2)", "dy": "0"},
+        oracle={"t": [0.25], "eps": [0.001]},
+    )
+    path = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--steps", "100", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: DenominatorVanished: ")
+
+
+@pytest.mark.parametrize(
+    "omega, max_order, argv, cost",
+    [
+        ("x^9999999", 1, ["melnikov"], 9999999),
+        ("x^9999999", 1, ["--steps", "100", "oracle"], 9999999),
+        ("y^2", 10**6, ["melnikov"], 2 * 10**6),
+        ("y^2", 10**6, ["gv"], 2 * 10**6),
+    ],
+    ids=["melnikov-degree", "oracle-degree", "melnikov-order", "gv-order"],
+)
+def test_main_over_budget_exits_before_melnikov(
+    tmp_path, capsys, monkeypatch, omega, max_order, argv, cost
+):
+    def refuse(*args):
+        raise AssertionError("melnikov_sequence ran past the budget")
+
+    monkeypatch.setattr(cli, "melnikov_sequence", refuse)
+    monkeypatch.setattr(oracle, "_integrate", refuse)
+    doc = dict(LINEAR_DOC, omega={"dx": omega, "dy": "0"}, max_order=max_order)
+    assert main(argv + [write_doc(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: deg(omega) * order = {cost} is past the budget "
+        f"{cli.MAX_DEGREE_ORDER}\n"
+    )
+
+
+def test_budget_admits_gv_k40_on_the_baseline(tmp_path, capsys, monkeypatch):
+    orders = []
+
+    def record(family, w, max_order):
+        orders.append(max_order)
+        raise InvalidInput("stop after the budget check")
+
+    monkeypatch.setattr(cli, "melnikov_sequence", record)
+    path = write_doc(tmp_path, dict(SQUARE_DOC, omega={"dx": "x^3y^2 + y^2", "dy": "0"}))
+    assert main(["gv", path, "--k", "40"]) == EXIT_INVALID
+    assert orders == [41]
 
 
 @pytest.mark.parametrize(

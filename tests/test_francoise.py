@@ -303,6 +303,27 @@ def test_corrupted_block_solve_fails_resubstitution(monkeypatch):
         melnikov_sequence(CIRCLE, Form1Planar(Y * Y, ZERO), 2)
 
 
+def test_melnikov_sequence_computes_one_period_per_order(monkeypatch):
+    # decompose runs only on zero-period forms, where the sweep needs no period
+    calls = []
+    real = francoise.period_of_form
+
+    def counting(w, family=CIRCLE):
+        calls.append(w)
+        return real(w, family)
+
+    monkeypatch.setattr(francoise, "period_of_form", counting)
+    res = melnikov_sequence(CIRCLE, Form1Planar(Y * Y, ZERO), 6)
+    assert res.first_nonzero is None
+    assert len(calls) == 6
+
+
+def test_decompose_inconsistent_block_with_zero_period_is_internal(monkeypatch):
+    monkeypatch.setattr(francoise, "_block_solve", lambda p, q, d: None)
+    with pytest.raises(InternalSolverError, match="inconsistent"):
+        decompose(Form1Planar(Y * Y, ZERO))
+
+
 def test_max_order_validation():
     with pytest.raises(ValueError):
         melnikov_sequence(CIRCLE, Form1Planar(Y, ZERO), 0)
