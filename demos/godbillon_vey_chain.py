@@ -49,12 +49,12 @@ print("F_eps =", fint.to_text())
 # ---------------------------------------------------------------------------
 
 pairs = gv_pairs_from_francoise(seq)
-omega = assemble_omega(F, w, pairs, k)
+omega = assemble_omega(w, pairs, k)
 defect = integrability_defect(omega, k)
 print("integrability defect is zero:", defect.is_zero())
 
 # Dropping the top pair leaves the weight-(k+1) obstruction visible.
-partial = assemble_omega(F, w, pairs[:k], k)
+partial = assemble_omega(w, pairs[:k], k)
 print("defect without the top certificate:", integrability_defect(partial, k))
 print()
 

@@ -8,7 +8,7 @@ Melnikov function) or keeps splitting as g dF + dr forever.
 """
 
 from folint.abelian import CIRCLE, period_of_form
-from folint.algebra import BivarPoly, X, Y
+from folint.algebra import BivarPoly, Y
 from folint.exterior import Form1Planar
 from folint.francoise import decompose, melnikov_sequence
 
@@ -55,9 +55,8 @@ print()
 
 split = decompose(Form1Planar(Y * Y, ZERO))
 print("split of y^2 dx: g =", split.g, ", r =", split.r)
-print("certificate checks out:", split.verify(BivarPoly.one(),
-                                              Form1Planar(Y * Y, ZERO),
-                                              X * X + Y * Y))
+print("certificate checks out:",
+      split.verify(BivarPoly.one(), Form1Planar(Y * Y, ZERO)))
 
 blocked = decompose(Form1Planar(Y, ZERO))
 print("split of y dx:", blocked)

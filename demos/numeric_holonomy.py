@@ -10,7 +10,7 @@ the Melnikov coefficients computed symbolically.
 import math
 
 from folint.abelian import CIRCLE
-from folint.algebra import BivarPoly, X, Y
+from folint.algebra import BivarPoly, Y
 from folint.cli import load_fixture, parse_problem
 from folint.exterior import Form1Planar
 from folint.francoise import melnikov_sequence
@@ -22,7 +22,6 @@ from folint.oracle import (
     melnikov_estimate,
 )
 
-F = X * X + Y * Y
 w = Form1Planar(Y, BivarPoly.zero())
 
 # ---------------------------------------------------------------------------
@@ -32,7 +31,7 @@ w = Form1Planar(Y, BivarPoly.zero())
 # ---------------------------------------------------------------------------
 
 for eps in (1e-1, 1e-2, 1e-3):
-    delta = holonomy_return(F, w, 1.0, eps, DEFAULT_CONFIG) - 1.0
+    delta = holonomy_return(w, 1.0, eps, DEFAULT_CONFIG) - 1.0
     closed = math.exp(4 * math.pi * eps / math.sqrt(16 - eps * eps)) - 1.0
     print(f"eps = {eps:7.0e}   delta = {delta:+.12e}   error = {abs(delta - closed):.1e}")
 print()
@@ -41,7 +40,7 @@ print()
 # A displacement table over a (t, eps) grid, row-major in t.
 # ---------------------------------------------------------------------------
 
-table = displacement_table(F, w, [0.5, 1.0], [1e-2, 1e-3], DEFAULT_CONFIG)
+table = displacement_table(w, [0.5, 1.0], [1e-2, 1e-3], DEFAULT_CONFIG)
 for row in table:
     print(f"t = {row.t:.2f}  eps = {row.eps:.0e}  delta = {row.delta:+.9e}")
 print()
@@ -51,7 +50,7 @@ print()
 # Symbolically M_1(t) = pi t for this form, so M_1(1) = pi.
 # ---------------------------------------------------------------------------
 
-est = melnikov_estimate(F, w, 1.0, 3, DEFAULT_CONFIG)
+est = melnikov_estimate(w, 1.0, 3, DEFAULT_CONFIG)
 print("fitted  M_1(1), M_2(1), M_3(1):", [f"{v:.6f}" for v in list(est)])
 print("exact   M_1(1) = pi           :", f"{math.pi:.6f}")
 
@@ -65,7 +64,7 @@ print()
 # ---------------------------------------------------------------------------
 
 silent = Form1Planar(Y * Y, BivarPoly.zero())
-est = melnikov_estimate(F, silent, 1.0, 3, DEFAULT_CONFIG)
+est = melnikov_estimate(silent, 1.0, 3, DEFAULT_CONFIG)
 print("silent form estimates:", [f"{v:.1e}" for v in list(est)])
 print()
 
@@ -77,6 +76,6 @@ print()
 
 spec = parse_problem(load_fixture("example3-oracle.json"))
 table = displacement_table(
-    F, spec.omega, spec.t_samples, spec.eps_samples, HolonomyConfig(step_count=4000)
+    spec.omega, spec.t_samples, spec.eps_samples, HolonomyConfig(step_count=4000)
 )
 print("example3-oracle worst |delta|:", f"{max(abs(row.delta) for row in table):.2e}")

@@ -9,6 +9,10 @@ of a monomial form reduces to a trigonometric moment
 and vanishes unless both exponents are even.  Every period is therefore pi
 times a polynomial in t with rational coefficients, which is what PeriodPoly
 stores; the factor pi is exactly one power and is kept symbolic.
+
+CIRCLE is the only supported family.  OvalFamily owns its one check, run where
+a family enters (francoise.melnikov_sequence); the circle-only internals here
+and in francoise, godbillon and oracle take no family argument.
 """
 
 from __future__ import annotations
@@ -183,13 +187,12 @@ def monomial_period(a: int, b: int, basis: str) -> PeriodPoly:
     return PeriodPoly.single(power, c)
 
 
-def period_of_form(w: Form1Planar, family: OvalFamily = CIRCLE) -> PeriodPoly:
+def period_of_form(w: Form1Planar) -> PeriodPoly:
     """Exact period of a polynomial 1-form over the circle family.
 
     Linear in the form; the result is pi times a polynomial in t with zero
     constant term.
     """
-    family.require_circle()
     p, q = w.p, w.q
     if not isinstance(p, BivarPoly) or not isinstance(q, BivarPoly):
         raise TypeError("period_of_form needs polynomial coefficients")

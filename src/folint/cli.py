@@ -18,7 +18,8 @@ its keys are documented next to _check_fixture.
 
 Exit codes: 0 success, 1 obstruction found (informative, not a failure),
 2 invalid input (including a file that is not UTF-8 or nests JSON too deeply,
-and a symbolic run past MAX_DEGREE_ORDER), 3 internal consistency failure.
+a symbolic run past MAX_DEGREE_ORDER and a rational omega component of degree
+past it), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .algebra import (
     parse_poly,
 )
 from .exterior import Form1Planar, is_zero_mod_weight, series_to_text
-from .abelian import CIRCLE, UnsupportedOvalFamily
+from .abelian import CIRCLE
 from .francoise import InternalSolverError, melnikov_sequence, sequence_length
 from .godbillon import (
     assemble_omega,
@@ -59,7 +60,8 @@ _RATIONAL_TEXT = re.compile(r"^\(([^()]*)\)\s*/\s*\(([^()]*)\)$")
 
 # Budget of a symbolic run, deg(omega) times the Melnikov order it reaches; a
 # run past it exits 2 before melnikov_sequence.  gv --k 40 on (x^3y^2 + y^2) dx
-# is 5 * 41 = 205.
+# is 5 * 41 = 205.  The same bound, at order 1, caps the degree of each side of
+# a rational omega component before its gcd reduction runs.
 MAX_DEGREE_ORDER = 400
 
 
@@ -69,9 +71,8 @@ class InvalidInput(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parsed problem document; omega components may be rational functions."""
+    """Parsed problem over CIRCLE; omega components may be rational functions."""
 
-    family: object
     omega: Form1Planar
     symbolic: bool
     max_order: int
@@ -135,10 +136,17 @@ def parse_component(text: str):
     m = _RATIONAL_TEXT.match(stripped)
     if m is None:
         return parse_poly(stripped)
+    num = parse_poly(m.group(1))
     den = parse_poly(m.group(2))
     if den.is_zero():
         raise InvalidInput(f"zero denominator in {text!r}")
-    return RationalFunction(parse_poly(m.group(1)), den)
+    degree = max(num.degree(), den.degree())
+    if degree > MAX_DEGREE_ORDER:
+        raise InvalidInput(
+            f"rational omega component of degree {degree} is past the budget "
+            f"{MAX_DEGREE_ORDER}"
+        )
+    return RationalFunction(num, den)
 
 
 def parse_problem(doc) -> ProblemSpec:
@@ -177,7 +185,6 @@ def parse_problem(doc) -> ProblemSpec:
         eps_samples = _real_list(block.get("eps", []), "oracle.eps")
 
     return ProblemSpec(
-        family=CIRCLE,
         omega=Form1Planar(p, q),
         symbolic=symbolic,
         max_order=max_order,
@@ -247,7 +254,7 @@ def cmd_melnikov(spec: ProblemSpec) -> RunReport:
     """Melnikov values M_1..M_max_order with the certifying pair list."""
     w = _symbolic_omega(spec)
     _require_budget(w, spec.max_order)
-    result = melnikov_sequence(spec.family, w, spec.max_order)
+    result = melnikov_sequence(CIRCLE, w, spec.max_order)
     return RunReport(
         command="melnikov",
         melnikov=tuple(m.to_text() for m in result.melnikov),
@@ -275,7 +282,7 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
     if k < 0:
         raise InvalidInput("k must be >= 0")
     _require_budget(w, k + 1)
-    result = melnikov_sequence(spec.family, w, k + 1)
+    result = melnikov_sequence(CIRCLE, w, k + 1)
     melnikov = tuple(m.to_text() for m in result.melnikov)
     mu = result.first_nonzero
     if mu is not None:
@@ -287,13 +294,12 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
         )
     seq = result.sequence
     gvp = gv_pairs_from_francoise(seq)
-    F = spec.family.hamiltonian
 
-    omega_full = assemble_omega(F, w, gvp, k)
+    omega_full = assemble_omega(w, gvp, k)
     defect = integrability_defect(omega_full, k)
     defect_zero = {str(j): is_zero_mod_weight(defect, j + 1) for j in range(k + 1)}
 
-    fint = first_integral(F, seq, k)
+    fint = first_integral(CIRCLE.hamiltonian, seq, k)
     n_series = integrating_factor(omega_full, fint, k)
     if n_series.coeffs[0] != BivarPoly.one():
         raise InternalSolverError("integrating factor is not a unit at eps^0")
@@ -330,21 +336,20 @@ def cmd_oracle(
         raise InvalidInput("the oracle needs a nonempty eps grid")
     if spec.symbolic:
         _require_budget(spec.omega, 1)  # the M_1 cross-check
-    F = spec.family.hamiltonian
     samples = oracle.displacement_table(
-        F, spec.omega, spec.t_samples, spec.eps_samples, cfg
+        spec.omega, spec.t_samples, spec.eps_samples, cfg
     )
     rows = [[s.t, s.eps, s.delta, s.est_error] for s in samples]
 
     symbolic_m1 = None
     if spec.symbolic:
-        symbolic_m1 = melnikov_sequence(spec.family, spec.omega, 1).melnikov[0]
+        symbolic_m1 = melnikov_sequence(CIRCLE, spec.omega, 1).melnikov[0]
 
     fit_orders = min(spec.max_order, 3)
     estimates = []
     cross = []
     for t in spec.t_samples:
-        est = oracle.melnikov_estimate(F, spec.omega, t, fit_orders, cfg)
+        est = oracle.melnikov_estimate(spec.omega, t, fit_orders, cfg)
         entry = {
             "t": t,
             "coefficients": list(est),
@@ -354,7 +359,7 @@ def cmd_oracle(
         }
         if richardson:
             entry["richardson_m1"] = oracle.first_melnikov_richardson(
-                F, spec.omega, t, cfg
+                spec.omega, t, cfg
             )
         estimates.append(entry)
         if symbolic_m1 is not None:
@@ -605,7 +610,7 @@ def main(argv=None) -> int:
                 _write_csv(report, args.csv)
         _emit(report, args)
         return EXIT_OBSTRUCTION if report.obstruction is not None else EXIT_OK
-    except (InvalidInput, PolyParseError, UnsupportedOvalFamily) as exc:
+    except (InvalidInput, PolyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (

@@ -36,6 +36,9 @@ reference the tests compare this sweep against.
 The displacement of the deformed foliation dF + eps w = 0 expands as
 Delta(t, eps) = sum_i eps^i M_i(t); the iteration below produces
 M_{k+1} = (-1)^{k+1} * period(g_k w) together with the certifying pairs.
+melnikov_sequence takes the oval family and checks it is CIRCLE; decompose,
+FrancoisePair.verify and FrancoiseSequence work over the circle and take no
+family.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ class FrancoisePair:
         if self.r.constant_term() != 0:
             raise ValueError("pair normalization requires r with zero constant term")
 
-    def verify(self, prev_g: BivarPoly, w: Form1Planar, F: BivarPoly) -> bool:
+    def verify(self, prev_g: BivarPoly, w: Form1Planar) -> bool:
         """Exact check of the defining identity against the previous g."""
-        dF = d_planar_scalar(F)
+        dF = d_planar_scalar(CIRCLE.hamiltonian)
         lhs = w.scale(prev_g)
         rhs = dF.scale(self.g) + d_planar_scalar(self.r)
         return (lhs - rhs).is_zero()
@@ -94,9 +97,8 @@ class FrancoisePair:
 
 @dataclass(frozen=True)
 class FrancoiseSequence:
-    """Pairs (g_1, r_1) .. (g_m, r_m) for a fixed (F, w); g_0 = 1."""
+    """Pairs (g_1, r_1) .. (g_m, r_m) for a fixed w over CIRCLE; g_0 = 1."""
 
-    family: OvalFamily
     omega: Form1Planar
     pairs: tuple[FrancoisePair, ...]
 
@@ -184,9 +186,7 @@ def _blocks(w: Form1Planar) -> list[tuple[int, list[BivarPoly]]]:
     return sorted(blocks.items())
 
 
-def decompose(
-    w: Form1Planar, family: OvalFamily = CIRCLE
-) -> Union[FrancoisePair, NoSolution]:
+def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
     """Split w = g dF + dr, or return NoSolution carrying the period witness.
 
     The sweep decides: every block consistent iff period_of_form(w) = 0, so
@@ -194,13 +194,12 @@ def decompose(
     returned representative is the solver-canonical one described in the
     module docstring (no minimality claim).
     """
-    family.require_circle()
     # blocks have disjoint degrees, so their terms never collide
     g_terms, r_terms = {}, {}
     for d, (pdx, pdy) in _blocks(w):
         solved = _block_solve(pdx, pdy, d)
         if solved is None:
-            period = period_of_form(w, family)
+            period = period_of_form(w)
             if period.is_zero():
                 raise InternalSolverError(
                     f"zero-period block of degree {d} is inconsistent; "
@@ -211,7 +210,7 @@ def decompose(
         r_terms.update(solved[1].terms)
 
     pair = FrancoisePair(g=BivarPoly(g_terms), r=BivarPoly(r_terms))
-    if not pair.verify(BivarPoly.one(), w, family.hamiltonian):
+    if not pair.verify(BivarPoly.one(), w):
         raise InternalSolverError("resubstitution of decomposition failed")
     return pair
 
@@ -243,17 +242,17 @@ def melnikov_sequence(
     first_nonzero: int | None = None
     for k in range(max_order):
         current = w.scale(g_prev)
-        period = period_of_form(current, family)
+        period = period_of_form(current)
         m = period if (k + 1) % 2 == 0 else -period
         melnikov.append(m)
         if not m.is_zero():
             first_nonzero = k + 1
             break
         # the period is zero, so decompose returns a pair or raises
-        solved = decompose(current, family)
+        solved = decompose(current)
         pairs.append(solved)
         g_prev = solved.g
-    seq = FrancoiseSequence(family=family, omega=w, pairs=tuple(pairs))
+    seq = FrancoiseSequence(omega=w, pairs=tuple(pairs))
     return MelnikovResult(
         melnikov=tuple(melnikov), first_nonzero=first_nonzero, sequence=seq
     )

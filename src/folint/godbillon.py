@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .abelian import CIRCLE
 from .algebra import BivarPoly, EpsSeries, RationalFunction, divexact
 from .exterior import (
     DE,
@@ -89,12 +90,13 @@ def _sign(i: int) -> int:
     return 1 if i % 2 == 0 else -1
 
 
-def _over_dF(p: BivarPoly, q: BivarPoly, F: BivarPoly) -> BivarPoly | None:
-    """The n with p dx + q dy = n dF, or None when there is none.
+def _over_dF(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
+    """The n with p dx + q dy = n dF for the circle F, or None when there is none.
 
-    F_x = 2x for the circle, so dividing p by it fixes n; divexact returns
-    only exact quotients, which leaves the dy component to check.
+    F_x = 2x, so dividing p by it fixes n; divexact returns only exact
+    quotients, which leaves the dy component to check.
     """
+    F = CIRCLE.hamiltonian
     try:
         n = divexact(p, F.partial("x"))
     except ValueError:
@@ -167,7 +169,7 @@ def first_integral(F: BivarPoly, seq: FrancoiseSequence, k: int) -> FirstIntegra
     """F + sum_{i=1}^k (-1)^{i+1} eps^i r_i as an order-k series."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if F != seq.family.hamiltonian:
+    if F != CIRCLE.hamiltonian:
         raise ValueError("sequence was computed for a different Hamiltonian")
     coeffs = [F]
     for i, pair in enumerate(_pairs_through(seq, k), start=1):
@@ -180,11 +182,11 @@ def first_integral(F: BivarPoly, seq: FrancoiseSequence, k: int) -> FirstIntegra
 # ---------------------------------------------------------------------------
 
 
-def deformation_form(F: BivarPoly, w: Form1Planar, order: int) -> FormEps:
-    """dF + eps*w as an exact FormEps of the given order (order >= 1)."""
+def deformation_form(w: Form1Planar, order: int) -> FormEps:
+    """dF + eps*w for the circle F as an exact FormEps of the given order (>= 1)."""
     if order < 1:
         raise ValueError("order must be >= 1 to hold the eps term")
-    dF = d_planar_scalar(F)
+    dF = d_planar_scalar(CIRCLE.hamiltonian)
     return FormEps(
         order,
         {
@@ -194,9 +196,7 @@ def deformation_form(F: BivarPoly, w: Form1Planar, order: int) -> FormEps:
     )
 
 
-def assemble_omega(
-    F: BivarPoly, w: Form1Planar, pairs: list[GVPair], k: int
-) -> FormEps:
+def assemble_omega(w: Form1Planar, pairs: list[GVPair], k: int) -> FormEps:
     """Omega = R deps + (dF + eps w) G at representation order k+1.
 
     G uses pairs 1..k and R places R_{i+1} at eps^i for i < k.  The eps^k
@@ -212,7 +212,7 @@ def assemble_omega(
     G = EpsSeries([BivarPoly.one()] + [pairs[i].G for i in range(k)], order)
     r_coeffs = [pairs[i].R for i in range(min(k + 1, len(pairs)))]
     R = EpsSeries(r_coeffs or [BivarPoly.zero()], order)
-    planar = deformation_form(F, w, order).scale_series(G)
+    planar = deformation_form(w, order).scale_series(G)
     return planar + FormEps(order, {DE: R})
 
 
@@ -246,7 +246,6 @@ def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries
         raise ValueError("k must be >= 0")
     if omega.order < k or fint.series.order < k:
         raise ValueError("both inputs must carry data through order k")
-    F = fint.hamiltonian
     # components of d(F_eps): planar from the coefficients, deps slot i
     # holding (i+1) c_{i+1}
     c = fint.series.coeffs
@@ -264,7 +263,7 @@ def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries
         for j in range(w):
             res_p = res_p - n[j] * dpx[w - j]
             res_q = res_q - n[j] * dpy[w - j]
-        n_w = _over_dF(res_p, res_q, F)
+        n_w = _over_dF(res_p, res_q)
         if n_w is None:
             raise NoFactorExists(f"planar part at eps^{w} is not a multiple of dF")
         n.append(n_w)
@@ -384,7 +383,7 @@ def length_two_witness(seq: FrancoiseSequence, k: int) -> EpsSeries:
         coeffs.append(pair.g * _sign(i))
     G = EpsSeries(coeffs, k)
 
-    F = seq.family.hamiltonian
+    F = CIRCLE.hamiltonian
     w = seq.omega
     dGp = G.map(lambda u: u.partial("x"))
     dGq = G.map(lambda u: u.partial("y"))
@@ -434,7 +433,6 @@ def pairs_from_first_integral(
     is verified against its defining identity; any failure raises
     ValueError, meaning fint does not truncate a first integral for w.
     """
-    F = fint.hamiltonian
     c = fint.series.coeffs
     rt = fint.series.eps_derivative().coeffs
     g_twiddle: list[BivarPoly] = []
@@ -444,7 +442,7 @@ def pairs_from_first_integral(
         if i >= 1:
             num_p = num_p - g_twiddle[i - 1] * w.p
             num_q = num_q - g_twiddle[i - 1] * w.q
-        gt = _over_dF(num_p, num_q, F)
+        gt = _over_dF(num_p, num_q)
         if gt is None:
             raise ValueError(f"planar coefficient at eps^{i} is not a multiple of dF")
         g_twiddle.append(gt)
@@ -455,7 +453,7 @@ def pairs_from_first_integral(
         g_i = g_twiddle[i] * _sign(i)
         r_i = rt[i - 1] * Fraction(-_sign(i), i)
         pair = FrancoisePair(g=g_i, r=r_i)
-        if not pair.verify(prev_g, w, F):
+        if not pair.verify(prev_g, w):
             raise ValueError(f"recovered pair {i} fails its defining identity")
         pairs.append(pair)
         prev_g = g_i

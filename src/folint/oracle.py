@@ -19,6 +19,9 @@ need a nonzero eps.  The integrator state is a numpy vector of (t, eps)
 lanes: each lane starts from its own rho(0) = sqrt(t) and must stay in its
 own annulus t/2 < rho^2 < 2t, so a whole displacement grid is one
 integration per step count.
+
+The polar equation is the circle's, so no entry point takes a Hamiltonian;
+cli.parse_problem checks the F of a problem document.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from math import cos, sin, pi
 
 import numpy as np
 
-from .algebra import BivarPoly, X, Y
 from .exterior import Form1Planar
-from .abelian import UnsupportedOvalFamily
 
 __all__ = [
     "HolonomyConfig",
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("t", "eps", "delta", "est_error")
-
-_CIRCLE = X * X + Y * Y
 
 _CONDITION_LIMIT = 1e8
 
@@ -89,13 +88,6 @@ class DisplacementSample:
     eps: float
     delta: float
     est_error: float
-
-
-def _require_circle(F: BivarPoly) -> None:
-    if F != _CIRCLE:
-        raise UnsupportedOvalFamily(
-            f"holonomy integration supports F = x^2+y^2 only, got {F}"
-        )
 
 
 def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
@@ -154,7 +146,6 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
 
 
 def holonomy_return(
-    F: BivarPoly,
     w: Form1Planar,
     t,
     eps,
@@ -165,13 +156,11 @@ def holonomy_return(
     t and eps broadcast together, one lane per element; scalar inputs give
     a scalar.
     """
-    _require_circle(F)
     rho = _integrate(w, t, eps, cfg.step_count)
     return rho * rho
 
 
 def displacement_table(
-    F: BivarPoly,
     w: Form1Planar,
     t_values,
     eps_values,
@@ -186,11 +175,9 @@ def displacement_table(
     if not grid:  # zero lanes would still step through two revolutions
         return []
     t_lane, eps_lane = np.array(grid, dtype=float).reshape(-1, 2).T
-    coarse = holonomy_return(F, w, t_lane, eps_lane, cfg) - t_lane
+    coarse = holonomy_return(w, t_lane, eps_lane, cfg) - t_lane
     fine = (
-        holonomy_return(
-            F, w, t_lane, eps_lane, HolonomyConfig(2 * cfg.step_count)
-        )
+        holonomy_return(w, t_lane, eps_lane, HolonomyConfig(2 * cfg.step_count))
         - t_lane
     )
     return [
@@ -223,8 +210,16 @@ class MelnikovEstimates(list):
         )
 
 
+def _eps_ladder(w: Form1Planar, t: float, eps0: float, rungs: int, cfg):
+    """The grid eps_j = eps0 * 2^-j, j < rungs, and Delta(t, eps_j) on it."""
+    if not eps0 > 0:
+        raise ValueError("eps0 must be positive")
+    grid = np.array([eps0 * 2.0 ** (-j) for j in range(rungs)])
+    rho = _integrate(w, t, grid, cfg.step_count)
+    return grid, rho * rho - t
+
+
 def melnikov_estimate(
-    F: BivarPoly,
     w: Form1Planar,
     t: float,
     orders: int,
@@ -238,14 +233,9 @@ def melnikov_estimate(
     variable eps/eps0 so the reported condition number reflects the model,
     not the units.  A fit that overflows float64 raises NonFiniteEstimate.
     """
-    _require_circle(F)
     if orders < 1:
         raise ValueError("orders must be >= 1")
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
-    grid = np.array([eps0 * 2.0 ** (-j) for j in range(2 * orders + 1)])
-    rho = _integrate(w, t, grid, cfg.step_count)
-    deltas = rho * rho - t
+    grid, deltas = _eps_ladder(w, t, eps0, 2 * orders + 1, cfg)
     u = grid / eps0
     design = np.vander(u, orders + 1, increasing=True)[:, 1:]
     scaled, _, rank, sv = np.linalg.lstsq(design, deltas, rcond=None)
@@ -264,7 +254,6 @@ def melnikov_estimate(
 
 
 def first_melnikov_richardson(
-    F: BivarPoly,
     w: Form1Planar,
     t: float,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
@@ -276,12 +265,10 @@ def first_melnikov_richardson(
     Alternative to the least-squares fit; successive columns cancel the
     eps^1, eps^2, ... corrections of Delta(t, eps)/eps.
     """
-    _require_circle(F)
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    grid = np.array([eps0 * 2.0 ** (-j) for j in range(levels + 1)])
-    rho = _integrate(w, t, grid, cfg.step_count)
-    table = list((rho * rho - t) / grid)
+    grid, deltas = _eps_ladder(w, t, eps0, levels + 1, cfg)
+    table = list(deltas / grid)
     for col in range(1, levels + 1):
         factor = 2.0**col
         table = [

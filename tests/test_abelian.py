@@ -9,14 +9,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from folint.abelian import (
-    CIRCLE,
-    OvalFamily,
-    PeriodPoly,
-    UnsupportedOvalFamily,
-    monomial_period,
-    period_of_form,
-)
+from folint.abelian import PeriodPoly, monomial_period, period_of_form
 from folint.algebra import BivarPoly, RationalFunction, X, Y
 from folint.exterior import Form1Planar, d_planar_scalar
 from helpers import AREA_FORM, random_form, random_poly, zero_period_form
@@ -149,13 +142,6 @@ def test_period_needs_polynomial_coefficients():
     w = Form1Planar(RationalFunction(X), RationalFunction(0))
     with pytest.raises(TypeError):
         period_of_form(w)
-
-
-def test_other_hamiltonians_rejected():
-    with pytest.raises(UnsupportedOvalFamily):
-        period_of_form(AREA_FORM, OvalFamily(X * X + 2 * (Y * Y)))
-    assert OvalFamily.circle() == CIRCLE
-    CIRCLE.require_circle()
 
 
 # ---------------------------------------------------------------------------

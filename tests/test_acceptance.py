@@ -91,7 +91,7 @@ def test_criterion_3_correspondence_round_trip():
             assert pair.G == seq.g(i) * sign
             assert pair.R == seq.r(i) * (sign * -i)
         for k in range(7):
-            omega = assemble_omega(F, w, gvp[: k + 1], k)
+            omega = assemble_omega(w, gvp[: k + 1], k)
             assert integrability_defect(omega, k).is_zero()
             fint = first_integral(F, seq, k)
             n = integrating_factor(omega, fint, k)
@@ -107,7 +107,7 @@ def test_criterion_3_correspondence_round_trip():
                 assert rec == list(seq.pairs[:k])
                 prev = BivarPoly.one()
                 for pair in rec:
-                    assert pair.verify(prev, w, F)
+                    assert pair.verify(prev, w)
                     prev = pair.g
     _report(3, "gv pairs, defect, unit factor and read-back for k <= 6")
 
@@ -201,16 +201,16 @@ def test_criterion_7_classical_gv_relations():
 
 
 def test_criterion_8_numeric_oracle():
-    est = melnikov_estimate(F, Form1Planar(Y, ZERO), 1.0, 3, DEFAULT_CONFIG)
+    est = melnikov_estimate(Form1Planar(Y, ZERO), 1.0, 3, DEFAULT_CONFIG)
     assert est[0] == pytest.approx(math.pi, rel=1e-6)
 
-    delta = holonomy_return(F, W_EXAMPLE1, 1.0, 1e-2, DEFAULT_CONFIG) - 1.0
+    delta = holonomy_return(W_EXAMPLE1, 1.0, 1e-2, DEFAULT_CONFIG) - 1.0
     assert abs(delta) < 1e-10
 
     # the rational fixture w = F dx / (1+x) has the first integral F (1+x)^eps
     spec = parse_problem(load_fixture("example3-oracle.json"))
     samples = displacement_table(
-        F, spec.omega, spec.t_samples, spec.eps_samples, HolonomyConfig(4000)
+        spec.omega, spec.t_samples, spec.eps_samples, HolonomyConfig(4000)
     )
     assert max(abs(s.delta) for s in samples) < 1e-8
     assert all(s.est_error <= 1e-12 for s in samples)
@@ -224,7 +224,7 @@ def test_criterion_8_numeric_oracle():
     closed = math.exp(0.8 * math.pi / math.sqrt(16 - 0.04)) - 1.0
     errors = [
         abs(
-            (holonomy_return(F, Form1Planar(Y, ZERO), 1.0, 0.2, HolonomyConfig(n)) - 1.0)
+            (holonomy_return(Form1Planar(Y, ZERO), 1.0, 0.2, HolonomyConfig(n)) - 1.0)
             - closed
         )
         for n in (100, 200)
@@ -245,7 +245,7 @@ def test_criterion_9_symbolic_numeric_cross_validation():
             symbolic = melnikov_sequence(CIRCLE, w, 1).melnikov[0].eval_float(1.0)
             if abs(symbolic) >= 0.02:
                 break
-        est = melnikov_estimate(F, w, 1.0, 3, cfg)
+        est = melnikov_estimate(w, 1.0, 3, cfg)
         rel = abs(est[0] - symbolic) / abs(symbolic)
         worst = max(worst, rel)
         assert rel <= 1e-4

@@ -250,11 +250,10 @@ def test_gv_verdicts_match_per_window_defects(monkeypatch, j0):
         cli, "integrating_factor", lambda omega, fint, k: EpsSeries([BivarPoly.one()], k)
     )
     rep = cmd_gv(spec, k)
-    F = spec.family.hamiltonian
     (pairs,) = seen
     reference = {
         str(j): integrability_defect(
-            assemble_omega(F, spec.omega, pairs[: j + 1], j), j
+            assemble_omega(spec.omega, pairs[: j + 1], j), j
         ).is_zero()
         for j in range(k + 1)
     }
@@ -601,6 +600,30 @@ def test_budget_admits_gv_k40_on_the_baseline(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, dict(SQUARE_DOC, omega={"dx": "x^3y^2 + y^2", "dy": "0"}))
     assert main(["gv", path, "--k", "40"]) == EXIT_INVALID
     assert orders == [41]
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["(x^100000) / (1 + x)", "(1 + x) / (y^100000)"],
+    ids=["numerator", "denominator"],
+)
+def test_main_rational_component_over_budget_is_invalid_input(
+    tmp_path, capsys, monkeypatch, component
+):
+    # the gcd reduction of a rational component grows with its degree, so the
+    # degree is checked before the RationalFunction is built
+    def refuse(*args):
+        raise AssertionError("RationalFunction built past the budget")
+
+    monkeypatch.setattr(cli, "RationalFunction", refuse)
+    doc = dict(LINEAR_DOC, omega={"dx": component, "dy": "0"})
+    assert main(["--steps", "100", "oracle", write_doc(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: rational omega component of degree 100000 is past the budget "
+        f"{cli.MAX_DEGREE_ORDER}\n"
+    )
 
 
 @pytest.mark.parametrize(

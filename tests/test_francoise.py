@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folint.abelian import CIRCLE, PeriodPoly, period_of_form
+from folint.abelian import (
+    CIRCLE,
+    OvalFamily,
+    PeriodPoly,
+    UnsupportedOvalFamily,
+    period_of_form,
+)
 from folint.algebra import BivarPoly, X, Y, grlex_key
 from folint.exterior import Form1Planar, d_planar_scalar
 from folint import francoise
@@ -54,7 +61,7 @@ def test_decompose_recovers_constructed_splits():
         w = DF.scale(g) + d_planar_scalar(r)
         pair = decompose(w)
         assert isinstance(pair, FrancoisePair)
-        assert pair.verify(BivarPoly.one(), w, F)
+        assert pair.verify(BivarPoly.one(), w)
         rebuilt = DF.scale(pair.g) + d_planar_scalar(pair.r)
         assert (rebuilt - w).is_zero()
 
@@ -83,7 +90,7 @@ def test_decompose_zero_period_inputs_always_split():
         w = zero_period_form(rng, 5)
         pair = decompose(w)
         assert isinstance(pair, FrancoisePair)
-        assert pair.verify(BivarPoly.one(), w, F)
+        assert pair.verify(BivarPoly.one(), w)
 
 
 def test_decompose_canonical_gauge_kills_pure_even_y_in_g():
@@ -308,9 +315,9 @@ def test_melnikov_sequence_computes_one_period_per_order(monkeypatch):
     calls = []
     real = francoise.period_of_form
 
-    def counting(w, family=CIRCLE):
+    def counting(w):
         calls.append(w)
-        return real(w, family)
+        return real(w)
 
     monkeypatch.setattr(francoise, "period_of_form", counting)
     res = melnikov_sequence(CIRCLE, Form1Planar(Y * Y, ZERO), 6)
@@ -329,13 +336,23 @@ def test_max_order_validation():
         melnikov_sequence(CIRCLE, Form1Planar(Y, ZERO), 0)
 
 
+@pytest.mark.parametrize("hamiltonian", [X * X + 2 * (Y * Y), X * X], ids=["ellipse", "x^2"])
+def test_melnikov_sequence_rejects_other_families(hamiltonian):
+    # the library's one family check; decompose, the periods, the GV assembly
+    # and the oracle are circle-only and take no family
+    with pytest.raises(UnsupportedOvalFamily, match="only the circle"):
+        melnikov_sequence(OvalFamily(hamiltonian), AREA_FORM, 2)
+    assert OvalFamily.circle() == CIRCLE
+    CIRCLE.require_circle()
+
+
 def test_pairs_certify_each_step():
     rng = random.Random(207)
     w = zero_period_form(rng, 4)
     res = melnikov_sequence(CIRCLE, w, 4)
     seq = res.sequence
     for i in range(1, len(seq) + 1):
-        assert seq.pairs[i - 1].verify(seq.g(i - 1), w, F)
+        assert seq.pairs[i - 1].verify(seq.g(i - 1), w)
         # Gelfand-Leray shape of the same identity
         assert (w.scale(seq.g(i - 1))).d() == d_planar_scalar(seq.g(i)).wedge(DF)
 
@@ -347,7 +364,7 @@ def test_second_order_value_matches_holonomy():
     res = melnikov_sequence(CIRCLE, w, 3)
     assert res.first_nonzero == 2
     exact = res.melnikov[1].eval_float(1.0)
-    est = melnikov_estimate(F, w, 1.0, 3, HolonomyConfig(step_count=2000))
+    est = melnikov_estimate(w, 1.0, 3, HolonomyConfig(step_count=2000))
     assert est[0] == pytest.approx(0.0, abs=1e-6)
     assert est[1] == pytest.approx(exact, rel=1e-3)
 
@@ -359,5 +376,13 @@ def test_sequence_length_finds_first_zero_g():
         FrancoisePair(g=ZERO, r=ZERO),
         FrancoisePair(g=Y * Y * X, r=ZERO),
     )
-    seq = FrancoiseSequence(family=CIRCLE, omega=Form1Planar(Y * Y, ZERO), pairs=pairs)
+    seq = FrancoiseSequence(omega=Form1Planar(Y * Y, ZERO), pairs=pairs)
     assert sequence_length(seq) == 1
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of the README, run as written
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["1 π·t", "None", "-1/6x^3"]

@@ -122,18 +122,18 @@ def test_first_integral_differential(square_seq):
 
 
 def test_deformation_form_components():
-    u = deformation_form(F, W_SQUARE, 2)
+    u = deformation_form(W_SQUARE, 2)
     assert u.component(DX) == EpsSeries([2 * X, Y * Y, ZERO], 2)
     assert u.component(DY) == EpsSeries([2 * Y, ZERO, ZERO], 2)
     assert u.component(DE).is_zero()
     assert u.exact
     with pytest.raises(ValueError):
-        deformation_form(F, W_SQUARE, 0)
+        deformation_form(W_SQUARE, 0)
 
 
 def test_assemble_omega_literal_components(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
-    om = assemble_omega(F, W_SQUARE, gvp[:2], 1)
+    om = assemble_omega(W_SQUARE, gvp[:2], 1)
     assert om.order == 2
     assert om.component(DX) == EpsSeries([2 * X, 2 * X * X + Y * Y, X * Y * Y], 2)
     assert om.component(DY) == EpsSeries([2 * Y, 2 * X * Y, ZERO], 2)
@@ -143,21 +143,21 @@ def test_assemble_omega_literal_components(square_seq):
 def test_assemble_omega_validation(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
     with pytest.raises(ValueError):
-        assemble_omega(F, W_SQUARE, gvp, -1)
+        assemble_omega(W_SQUARE, gvp, -1)
     with pytest.raises(ValueError, match="needs pairs"):
-        assemble_omega(F, W_SQUARE, gvp[:1], 2)
+        assemble_omega(W_SQUARE, gvp[:1], 2)
 
 
 def test_defect_vanishes_with_top_pair(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
     for k in range(4):
-        om = assemble_omega(F, W_SQUARE, gvp[: k + 1], k)
+        om = assemble_omega(W_SQUARE, gvp[: k + 1], k)
         assert integrability_defect(om, k).is_zero()
 
 
 def test_defect_without_top_pair_shows_obstruction(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
-    om = assemble_omega(F, W_SQUARE, gvp[:1], 1)
+    om = assemble_omega(W_SQUARE, gvp[:1], 1)
     d = integrability_defect(om, 1)
     assert not d.is_zero()
     assert d.to_text() == "(eps*(4xy^3)) dx*dy*deps"
@@ -166,14 +166,14 @@ def test_defect_without_top_pair_shows_obstruction(square_seq):
 def test_defect_flags_true_obstruction_at_order_one():
     # y dx has M_1 != 0; with no pairs at all the weight-1 defect is the
     # obstruction itself
-    om = assemble_omega(F, Form1Planar(Y, ZERO), [], 0)
+    om = assemble_omega(Form1Planar(Y, ZERO), [], 0)
     d = integrability_defect(om, 0)
     assert d.to_text() == "(2y^2) dx*dy*deps"
 
 
 def test_defect_validation(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
-    om = assemble_omega(F, W_SQUARE, gvp[:1], 0)
+    om = assemble_omega(W_SQUARE, gvp[:1], 0)
     with pytest.raises(ValueError):
         integrability_defect(om, -1)
     with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ def test_defect_random_zero_period_forms():
             continue
         gvp = gv_pairs_from_francoise(res.sequence)
         for k in range(3):
-            om = assemble_omega(F, w, gvp[: k + 1], k)
+            om = assemble_omega(w, gvp[: k + 1], k)
             assert integrability_defect(om, k).is_zero()
 
 
@@ -201,7 +201,7 @@ def test_defect_random_zero_period_forms():
 def test_integrating_factor_is_unit_series(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
     for k in (1, 2, 3):
-        om = assemble_omega(F, W_SQUARE, gvp[: k + 1], k)
+        om = assemble_omega(W_SQUARE, gvp[: k + 1], k)
         n = integrating_factor(om, first_integral(F, square_seq, k), k)
         assert n.coeffs[0] == ONE
         assert n.order == k
@@ -210,7 +210,7 @@ def test_integrating_factor_is_unit_series(square_seq):
 def test_integrating_factor_trivial_for_df_multiples(xdf_seq):
     gvp = gv_pairs_from_francoise(xdf_seq)
     k = 2
-    om = assemble_omega(F, W_XDF, gvp[: k + 1], k)
+    om = assemble_omega(W_XDF, gvp[: k + 1], k)
     fint = first_integral(F, xdf_seq, k)
     assert fint.series == EpsSeries([F, ZERO, ZERO], 2)
     n = integrating_factor(om, fint, k)
@@ -222,7 +222,7 @@ def test_integrating_factor_certifies_identity(square_seq):
     # weight <= k
     k = 2
     gvp = gv_pairs_from_francoise(square_seq)
-    om = assemble_omega(F, W_SQUARE, gvp[: k + 1], k)
+    om = assemble_omega(W_SQUARE, gvp[: k + 1], k)
     fint = first_integral(F, square_seq, k)
     n = integrating_factor(om, fint, k)
     dfe = fint.differential(om.order)
@@ -235,14 +235,14 @@ def test_integrating_factor_certifies_identity(square_seq):
 
 def test_integrating_factor_rejects_non_multiples():
     fint = FirstIntegral(EpsSeries([F, ZERO], 1))
-    om = deformation_form(F, Form1Planar(Y, ZERO), 1)
+    om = deformation_form(Form1Planar(Y, ZERO), 1)
     with pytest.raises(NoFactorExists, match="eps\\^1"):
         integrating_factor(om, fint, 1)
 
 
 def test_integrating_factor_checks_deps_slot(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
-    om = assemble_omega(F, W_SQUARE, gvp[:2], 1)
+    om = assemble_omega(W_SQUARE, gvp[:2], 1)
     junk = FormEps(2, {DE: EpsSeries([X * X, ZERO, ZERO], 2)})
     with pytest.raises(NoFactorExists, match="deps part"):
         integrating_factor(om + junk, first_integral(F, square_seq, 1), 1)
@@ -250,7 +250,7 @@ def test_integrating_factor_checks_deps_slot(square_seq):
 
 def test_integrating_factor_validation(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
-    om = assemble_omega(F, W_SQUARE, gvp[:2], 1)
+    om = assemble_omega(W_SQUARE, gvp[:2], 1)
     fint = first_integral(F, square_seq, 1)
     with pytest.raises(ValueError):
         integrating_factor(om, fint, -1)
@@ -391,7 +391,6 @@ def test_witness_trivial_at_k0(square_seq):
 
 def test_witness_rejects_inconsistent_sequences():
     fake = FrancoiseSequence(
-        family=CIRCLE,
         omega=W_SQUARE,
         pairs=(FrancoisePair(g=Y, r=ZERO),),
     )
