@@ -30,8 +30,9 @@ w = Form1Planar(Y, BivarPoly.zero())
 # sharp accuracy probe for the integrator.
 # ---------------------------------------------------------------------------
 
-for eps in (1e-1, 1e-2, 1e-3):
-    delta = holonomy_return(w, 1.0, eps, DEFAULT_CONFIG) - 1.0
+eps_lanes = (1e-1, 1e-2, 1e-3)
+returns = holonomy_return(w, 1.0, eps_lanes, DEFAULT_CONFIG)  # one lane per eps
+for eps, delta in zip(eps_lanes, returns - 1.0):
     closed = math.exp(4 * math.pi * eps / math.sqrt(16 - eps * eps)) - 1.0
     print(f"eps = {eps:7.0e}   delta = {delta:+.12e}   error = {abs(delta - closed):.1e}")
 print()

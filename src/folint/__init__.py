@@ -75,6 +75,7 @@ from .oracle import (
     NonFiniteEstimate,
     displacement_table,
     first_melnikov_richardson,
+    grid_estimates,
     holonomy_return,
     melnikov_estimate,
 )

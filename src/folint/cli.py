@@ -329,15 +329,19 @@ def cmd_oracle(
     cfg: oracle.HolonomyConfig = oracle.DEFAULT_CONFIG,
     richardson: bool = False,
 ) -> RunReport:
-    """Displacement table plus Melnikov estimates on the problem's grids."""
+    """Displacement table plus Melnikov estimates on the problem's grids.
+
+    One oracle.grid_estimates call integrates the table, fit and Richardson
+    lanes; richardson only decides whether richardson_m1 is reported.
+    """
     if not spec.t_samples:
         raise InvalidInput("the oracle needs a nonempty t grid")
     if not spec.eps_samples:
         raise InvalidInput("the oracle needs a nonempty eps grid")
     if spec.symbolic:
         _require_budget(spec.omega, 1)  # the M_1 cross-check
-    samples = oracle.displacement_table(
-        spec.omega, spec.t_samples, spec.eps_samples, cfg
+    samples, fits = oracle.grid_estimates(
+        spec.omega, spec.t_samples, spec.eps_samples, min(spec.max_order, 3), cfg
     )
     rows = [[s.t, s.eps, s.delta, s.est_error] for s in samples]
 
@@ -345,11 +349,9 @@ def cmd_oracle(
     if spec.symbolic:
         symbolic_m1 = melnikov_sequence(CIRCLE, spec.omega, 1).melnikov[0]
 
-    fit_orders = min(spec.max_order, 3)
     estimates = []
     cross = []
-    for t in spec.t_samples:
-        est = oracle.melnikov_estimate(spec.omega, t, fit_orders, cfg)
+    for t, (est, richardson_m1) in zip(spec.t_samples, fits):
         entry = {
             "t": t,
             "coefficients": list(est),
@@ -358,9 +360,7 @@ def cmd_oracle(
             "ill_conditioned": est.ill_conditioned,
         }
         if richardson:
-            entry["richardson_m1"] = oracle.first_melnikov_richardson(
-                spec.omega, t, cfg
-            )
+            entry["richardson_m1"] = richardson_m1
         estimates.append(entry)
         if symbolic_m1 is not None:
             sym = symbolic_m1.eval_float(t)

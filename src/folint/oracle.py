@@ -18,7 +18,10 @@ return is exact at any step count; convergence-order measurements therefore
 need a nonzero eps.  The integrator state is a numpy vector of (t, eps)
 lanes: each lane starts from its own rho(0) = sqrt(t) and must stay in its
 own annulus t/2 < rho^2 < 2t, so a whole displacement grid is one
-integration per step count.
+integration per step count.  An oracle report is one n-step and one
+2n-step integration: grid_estimates runs the table lanes and every t's eps
+ladder (shared by the least-squares fit and the Richardson extrapolation)
+at n steps, and the table lanes alone at 2n.
 
 The polar equation is the circle's, so no entry point takes a Hamiltonian;
 cli.parse_problem checks the F of a problem document.
@@ -45,6 +48,7 @@ __all__ = [
     "displacement_table",
     "melnikov_estimate",
     "first_melnikov_richardson",
+    "grid_estimates",
     "write_samples_csv",
     "CSV_COLUMNS",
 ]
@@ -160,6 +164,31 @@ def holonomy_return(
     return rho * rho
 
 
+def _table_lanes(t_values, eps_values):
+    """The row-major (t, eps) grid and its t and eps lane vectors."""
+    grid = [(t, eps) for t in t_values for eps in eps_values]
+    t_lane, eps_lane = np.array(grid, dtype=float).reshape(-1, 2).T
+    return grid, t_lane, eps_lane
+
+
+def _table(w, grid, t_lane, eps_lane, coarse, cfg) -> list[DisplacementSample]:
+    """Samples from coarse, the cfg-step Delta of every grid lane, and one
+    2*cfg-step run over the same lanes.
+
+    Delta is the doubled-step value; est_error is its distance from coarse.
+    """
+    fine = (
+        holonomy_return(w, t_lane, eps_lane, HolonomyConfig(2 * cfg.step_count))
+        - t_lane
+    )
+    return [
+        DisplacementSample(t=t, eps=eps, delta=delta, est_error=err)
+        for (t, eps), delta, err in zip(
+            grid, fine.tolist(), np.abs(fine - coarse).tolist()
+        )
+    ]
+
+
 def displacement_table(
     w: Form1Planar,
     t_values,
@@ -171,21 +200,11 @@ def displacement_table(
     Delta is the doubled-step return; est_error is its difference from the
     cfg run.  Each step count is one integration over every grid point.
     """
-    grid = [(t, eps) for t in t_values for eps in eps_values]
+    grid, t_lane, eps_lane = _table_lanes(t_values, eps_values)
     if not grid:  # zero lanes would still step through two revolutions
         return []
-    t_lane, eps_lane = np.array(grid, dtype=float).reshape(-1, 2).T
     coarse = holonomy_return(w, t_lane, eps_lane, cfg) - t_lane
-    fine = (
-        holonomy_return(w, t_lane, eps_lane, HolonomyConfig(2 * cfg.step_count))
-        - t_lane
-    )
-    return [
-        DisplacementSample(t=t, eps=eps, delta=delta, est_error=err)
-        for (t, eps), delta, err in zip(
-            grid, fine.tolist(), np.abs(fine - coarse).tolist()
-        )
-    ]
+    return _table(w, grid, t_lane, eps_lane, coarse, cfg)
 
 
 class MelnikovEstimates(list):
@@ -210,32 +229,23 @@ class MelnikovEstimates(list):
         )
 
 
-def _eps_ladder(w: Form1Planar, t: float, eps0: float, rungs: int, cfg):
-    """The grid eps_j = eps0 * 2^-j, j < rungs, and Delta(t, eps_j) on it."""
+# the defaults of melnikov_estimate's eps0 and first_melnikov_richardson's
+# levels, which grid_estimates applies too
+_EPS0 = 1e-3
+_LEVELS = 4
+
+
+def _eps_ladder(eps0: float, rungs: int) -> np.ndarray:
+    """The grid eps_j = eps0 * 2^-j, j < rungs, that both estimators sample."""
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
-    grid = np.array([eps0 * 2.0 ** (-j) for j in range(rungs)])
-    rho = _integrate(w, t, grid, cfg.step_count)
-    return grid, rho * rho - t
+    return np.array([eps0 * 2.0 ** (-j) for j in range(rungs)])
 
 
-def melnikov_estimate(
-    w: Form1Planar,
-    t: float,
-    orders: int,
-    cfg: HolonomyConfig = DEFAULT_CONFIG,
-    eps0: float = 1e-3,
-) -> MelnikovEstimates:
-    """Least-squares jet of Delta(t, .): coefficients of eps^1..eps^orders.
-
-    Samples the geometric grid eps_j = eps0 * 2^-j for j = 0..2*orders and
-    fits the model without constant term; the fit runs in the rescaled
-    variable eps/eps0 so the reported condition number reflects the model,
-    not the units.  A fit that overflows float64 raises NonFiniteEstimate.
-    """
-    if orders < 1:
-        raise ValueError("orders must be >= 1")
-    grid, deltas = _eps_ladder(w, t, eps0, 2 * orders + 1, cfg)
+def _fit(t: float, orders: int, eps0: float, grid, deltas) -> MelnikovEstimates:
+    """melnikov_estimate's fit on the first 2*orders+1 rungs of the ladder."""
+    rungs = 2 * orders + 1
+    grid, deltas = grid[:rungs], deltas[:rungs]
     u = grid / eps0
     design = np.vander(u, orders + 1, increasing=True)[:, 1:]
     scaled, _, rank, sv = np.linalg.lstsq(design, deltas, rcond=None)
@@ -253,12 +263,45 @@ def melnikov_estimate(
     )
 
 
+def _richardson(grid, deltas, levels: int) -> float:
+    """first_melnikov_richardson's extrapolation on the first levels+1 rungs."""
+    table = list(deltas[: levels + 1] / grid[: levels + 1])
+    for col in range(1, levels + 1):
+        factor = 2.0**col
+        table = [
+            (factor * table[i + 1] - table[i]) / (factor - 1.0)
+            for i in range(len(table) - 1)
+        ]
+    return float(table[0])
+
+
+def melnikov_estimate(
+    w: Form1Planar,
+    t: float,
+    orders: int,
+    cfg: HolonomyConfig = DEFAULT_CONFIG,
+    eps0: float = _EPS0,
+) -> MelnikovEstimates:
+    """Least-squares jet of Delta(t, .): coefficients of eps^1..eps^orders.
+
+    Samples the geometric grid eps_j = eps0 * 2^-j for j = 0..2*orders and
+    fits the model without constant term; the fit runs in the rescaled
+    variable eps/eps0 so the reported condition number reflects the model,
+    not the units.  A fit that overflows float64 raises NonFiniteEstimate.
+    """
+    if orders < 1:
+        raise ValueError("orders must be >= 1")
+    grid = _eps_ladder(eps0, 2 * orders + 1)
+    rho = _integrate(w, t, grid, cfg.step_count)
+    return _fit(t, orders, eps0, grid, rho * rho - t)
+
+
 def first_melnikov_richardson(
     w: Form1Planar,
     t: float,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
-    eps0: float = 1e-3,
-    levels: int = 4,
+    eps0: float = _EPS0,
+    levels: int = _LEVELS,
 ) -> float:
     """M_1(t) by Richardson extrapolation of Delta/eps on a halving grid.
 
@@ -267,15 +310,45 @@ def first_melnikov_richardson(
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    grid, deltas = _eps_ladder(w, t, eps0, levels + 1, cfg)
-    table = list(deltas / grid)
-    for col in range(1, levels + 1):
-        factor = 2.0**col
-        table = [
-            (factor * table[i + 1] - table[i]) / (factor - 1.0)
-            for i in range(len(table) - 1)
-        ]
-    return float(table[0])
+    grid = _eps_ladder(eps0, levels + 1)
+    rho = _integrate(w, t, grid, cfg.step_count)
+    return _richardson(grid, rho * rho - t, levels)
+
+
+def grid_estimates(
+    w: Form1Planar,
+    t_values,
+    eps_values,
+    orders: int,
+    cfg: HolonomyConfig = DEFAULT_CONFIG,
+) -> tuple[list[DisplacementSample], list[tuple[MelnikovEstimates, float]]]:
+    """The table and per-t estimates of an oracle report, integrated twice.
+
+    Equals displacement_table(w, t_values, eps_values, cfg) and, per t,
+    melnikov_estimate(w, t, orders, cfg) with
+    first_melnikov_richardson(w, t, cfg), all at their default eps0 and
+    levels.  The cfg-step run takes the table lanes first, then one eps
+    ladder per t whose leading rungs both estimators read; the 2*cfg-step
+    run takes the table lanes.  Lanes do not interact, so every number is
+    the separate call's.  Returns the table and one (estimates,
+    richardson_m1) pair per t.
+    """
+    if orders < 1:
+        raise ValueError("orders must be >= 1")
+    if not len(t_values):  # zero lanes would still step through a revolution
+        return [], []
+    grid, t_table, eps_table = _table_lanes(t_values, eps_values)
+    ladder = _eps_ladder(_EPS0, max(2 * orders + 1, _LEVELS + 1))
+    t_lane = np.concatenate([t_table, np.repeat(t_values, ladder.size)])
+    eps_lane = np.concatenate([eps_table, np.tile(ladder, len(t_values))])
+    deltas = holonomy_return(w, t_lane, eps_lane, cfg) - t_lane
+    n = len(grid)
+    samples = _table(w, grid, t_table, eps_table, deltas[:n], cfg) if grid else []
+    fits = [
+        (_fit(t, orders, _EPS0, ladder, row), _richardson(ladder, row, _LEVELS))
+        for t, row in zip(t_values, deltas[n:].reshape(len(t_values), -1))
+    ]
+    return samples, fits
 
 
 def write_samples_csv(samples, fileobj) -> None:

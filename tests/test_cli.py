@@ -491,6 +491,19 @@ def test_main_integrator_blowup_is_invalid_input(tmp_path, capsys):
     assert "LeafEscapedAnnulus" in capsys.readouterr().err
 
 
+def test_main_oracle_names_the_escaping_table_lane(tmp_path, capsys):
+    # the table lanes come first in the integration that also runs the eps
+    # ladders, so the lane named is the table's eps = 3
+    path = write_doc(tmp_path, LINEAR_DOC)
+    code = main(["--steps", "100", "oracle", path, "--eps", "0.001,3"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: LeafEscapedAnnulus: ")
+    assert "eps=3" in captured.err
+
+
 def test_main_internal_error_exit(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, SQUARE_DOC)
     def boom(spec, k):

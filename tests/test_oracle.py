@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -182,6 +182,65 @@ def test_table_integrates_once_per_step_count(monkeypatch, n_t, n_eps):
     rows = displacement_table(W_LINEAR, t_values, eps_values, HolonomyConfig(100))
     assert len(rows) == n_t * n_eps
     assert calls == ([100, 200] if rows else [])
+
+
+FUSED_T, FUSED_EPS = (0.25, 0.5), (1e-2, 5e-3, 1e-3)
+
+
+@pytest.mark.parametrize("max_order", [1, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [cli.ProblemSpec(W_CUBIC, True, 3, (), ()), example3_oracle()],
+    ids=["cubic", "rational"],
+)
+def test_fused_report_equals_library_calls(spec, max_order):
+    # at max_order 1 the shared ladder (5 rungs for Richardson) is longer than
+    # the fit's 3 rungs, so the fit must read only its own leading rungs
+    cfg = HolonomyConfig(step_count=100)
+    spec = replace(spec, max_order=max_order, t_samples=FUSED_T, eps_samples=FUSED_EPS)
+    report = cli.cmd_oracle(spec, cfg, richardson=True)
+    table = displacement_table(spec.omega, FUSED_T, FUSED_EPS, cfg)
+    assert report.oracle_table["rows"] == [
+        [s.t, s.eps, s.delta, s.est_error] for s in table
+    ]
+    assert len(report.estimates) == len(FUSED_T)
+    for t, entry in zip(FUSED_T, report.estimates):
+        est = melnikov_estimate(spec.omega, t, max_order, cfg)
+        assert entry["t"] == t
+        assert entry["coefficients"] == list(est)
+        assert entry["residual"] == est.residual
+        assert entry["condition_number"] == est.condition_number
+        assert entry["ill_conditioned"] == est.ill_conditioned
+        assert entry["richardson_m1"] == first_melnikov_richardson(spec.omega, t, cfg)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("n_t,n_eps", [(1, 1), (2, 3), (4, 2)])
+def test_oracle_report_integrates_twice(monkeypatch, n_t, n_eps, richardson):
+    calls, lanes = [], []
+    integrate = oracle._integrate
+
+    def counting(w, t, eps, steps):
+        calls.append(steps)
+        lanes.append(list(zip(np.ravel(t).tolist(), np.ravel(eps).tolist())))
+        return integrate(w, t, eps, steps)
+
+    monkeypatch.setattr(oracle, "_integrate", counting)
+    spec = cli.ProblemSpec(
+        W_LINEAR,
+        True,
+        3,
+        tuple(0.5 + 0.1 * i for i in range(n_t)),
+        tuple(1e-3 * (i + 1) for i in range(n_eps)),
+    )
+    report = cli.cmd_oracle(spec, HolonomyConfig(100), richardson=richardson)
+    assert len(report.oracle_table["rows"]) == n_t * n_eps
+    assert len(report.estimates) == n_t
+    assert calls == [100, 200]
+    # table lanes lead the n-step run: at equal steps a failing one is named
+    table = [(t, e) for t in spec.t_samples for e in spec.eps_samples]
+    assert lanes[0][: len(table)] == lanes[1] == table
+    assert len(lanes[0]) == len(table) + n_t * 7  # 2 * 3 + 1 rungs per t
 
 
 def test_table_names_the_escaping_lane():
