@@ -8,13 +8,12 @@ The monomial order used everywhere (printing, pivoting, leading terms) is
 graded lexicographic with x > y: compare total degree first, then the x
 exponent.
 
-Rational functions are reduced fractions of BivarPoly with the denominator
-normalized to have graded-lex leading coefficient 1.  Gcds are computed by a
+Rational functions are fractions of BivarPoly kept as written, with the
+denominator normalized to have graded-lex leading coefficient 1; equality
+cross-multiplies, so no operation needs a gcd.  poly_gcd computes one by a
 primitive pseudo-remainder sequence in x with univariate Euclid over Q[y] for
-the contents, so no external computer-algebra dependency is involved.  A gcd
-runs only when a RationalFunction is built: the eps-series layer works over
-polynomials, and callers that know their denominator in advance build each
-quotient once, at the end.
+the contents, so no external computer-algebra dependency is involved; the
+only caller that wants a reduced fraction reduces its own.
 
 Truncated power series in a deformation parameter eps (EpsSeries) have
 BivarPoly coefficients: every series of the pipeline lives in
@@ -502,7 +501,8 @@ def _grlex_monic(p: BivarPoly) -> BivarPoly:
 
 
 class RationalFunction:
-    """Reduced fraction of BivarPoly with a graded-lex-monic denominator."""
+    """Fraction of BivarPoly as written (no common factor is cancelled) with a
+    graded-lex-monic denominator; == cross-multiplies, and there is no hash."""
 
     __slots__ = ("num", "den")
 
@@ -512,17 +512,10 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = BivarPoly.zero(), BivarPoly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g != ONE:
-                num = divexact(num, g)
-                den = divexact(den, g)
-            _, lc = den.leading_term()
-            if lc != 1:
-                inv = BivarPoly.constant(1 / lc)
-                num = num * inv
-                den = den * inv
+            den = ONE
+        _, lc = den.leading_term()
+        if lc != 1:
+            num, den = num * (1 / lc), den * (1 / lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -581,32 +574,17 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den == ONE
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (BivarPoly, int, Fraction)):
-            return self == RationalFunction(_coerce(other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        other = _coerce_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
 
     def eval(self, x, y) -> Fraction:
         d = self.den.eval(x, y)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval(x, y) / d
-
-    def as_callable(self) -> Callable:
-        fn, fd = self.num.as_callable(), self.den.as_callable()
-
-        def f(x, y):
-            return fn(x, y) / fd(x, y)
-
-        return f
 
     def to_text(self) -> str:
         if self.den == ONE:

@@ -61,7 +61,7 @@ _RATIONAL_TEXT = re.compile(r"^\(([^()]*)\)\s*/\s*\(([^()]*)\)$")
 # Budget of a symbolic run, deg(omega) times the Melnikov order it reaches; a
 # run past it exits 2 before melnikov_sequence.  gv --k 40 on (x^3y^2 + y^2) dx
 # is 5 * 41 = 205.  The same bound, at order 1, caps the degree of each side of
-# a rational omega component before its gcd reduction runs.
+# a rational omega component, which the oracle evaluates as written.
 MAX_DEGREE_ORDER = 400
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import factorial
 
 from .abelian import CIRCLE
-from .algebra import BivarPoly, EpsSeries, RationalFunction, divexact
+from .algebra import BivarPoly, EpsSeries, RationalFunction, divexact, poly_gcd
 from .exterior import (
     DE,
     DX,
@@ -314,8 +314,8 @@ def classical_gv_forms(
     [r_1, 2c_2, 3c_3, ...] into r_1 times the unit series
     [1, 2c_2, 3c_3 r_1, ...], whose inverse P is polynomial; then
     eta_i = i! N_i / r_1^{i+1} with N_i = sum_j dc_j r_1^j P_{i-j}, and
-    eta~_i = i! N_i / r_1^2 for i >= 2.  Each component is reduced once,
-    when its RationalFunction is built.
+    eta~_i = i! N_i / r_1^2 for i >= 2.  Each component is divided by its
+    gcd once; folint reduces no other fraction.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -348,7 +348,7 @@ def classical_gv_forms(
         return acc.scale(factorial(i))
 
     def over(num: Form1Planar, den: BivarPoly) -> Form1Planar:
-        return Form1Planar(RationalFunction(num.p, den), RationalFunction(num.q, den))
+        return Form1Planar(_reduced(num.p, den), _reduced(num.q, den))
 
     if normalization == NORMALIZATION_PRIMARY:
         eta = [over(numerator(i), r1_pow[i + 1]) for i in range(m + 1)]
@@ -362,6 +362,14 @@ def classical_gv_forms(
     for i in range(2, m + 1):
         rescaled.append(over(numerator(i), r1_pow[2]))
     return GVClassicalSequence(eta=tuple(rescaled), normalization=normalization)
+
+
+def _reduced(num: BivarPoly, den: BivarPoly) -> RationalFunction:
+    """num / den in lowest terms."""
+    g = poly_gcd(num, den)
+    if g != BivarPoly.one():
+        num, den = divexact(num, g), divexact(den, g)
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ integration per step count.  An oracle report is one n-step and one
 ladder (shared by the least-squares fit and the Richardson extrapolation)
 at n steps, and the table lanes alone at 2n.
 
+A rational component N / D is evaluated as written, N(x, y) / D(x, y), and
+D must keep its theta = 0 sign at every stage, so a pole on the leaf raises
+DenominatorVanished even when a step jumps over it.  Nothing cancels a
+common factor: a removable one that vanishes on the annulus is a pole too.
+
 The polar equation is the circle's, so no entry point takes a Hamiltonian;
 cli.parse_problem checks the F of a problem document.
 """
@@ -35,6 +40,7 @@ from math import cos, sin, pi
 
 import numpy as np
 
+from .algebra import RationalFunction
 from .exterior import Form1Planar
 
 __all__ = [
@@ -63,7 +69,8 @@ class LeafEscapedAnnulus(RuntimeError):
 
 
 class DenominatorVanished(RuntimeError):
-    """The d rho coefficient of dF + eps*w reached zero; leaf not a graph."""
+    """The d rho coefficient of dF + eps*w reached zero, so the leaf is not a
+    graph, or the denominator of a rational component of w changed sign."""
 
 
 class NonFiniteEstimate(RuntimeError):
@@ -98,7 +105,10 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
     """rho(2pi) for every (t, eps) lane; t and eps broadcast together.
 
     Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
-    t/2 < rho^2 < 2t.  The result has the broadcast shape of t and eps.
+    t/2 < rho^2 < 2t.  The denominator of a rational component must keep
+    its theta = 0 sign at every stage; the check sees only the stages'
+    samples, so a pole crossed twice between two of them still escapes.
+    The result has the broadcast shape of t and eps.
     """
     t, eps = np.broadcast_arrays(
         np.asarray(t, dtype=float), np.asarray(eps, dtype=float)
@@ -107,8 +117,6 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
     t, eps = t.ravel(), eps.ravel()
     if not np.all(t > 0):
         raise ValueError("t must be positive")
-    p_fn = w.p.as_callable()
-    q_fn = w.q.as_callable()
     lo, hi = 0.5 * t, 2.0 * t
     h = 2.0 * pi / steps
 
@@ -117,7 +125,11 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
         x = rho * c
         y = rho * s
         pv = p_fn(x, y)
+        if p_den is not None:
+            pv = pv / p_den(x, y, theta)
         qv = q_fn(x, y)
+        if q_den is not None:
+            qv = qv / q_den(x, y, theta)
         den = 2.0 * rho + eps * (pv * c + qv * s)
         ok = den > 0.0  # false on NaN too
         if not ok.all():
@@ -131,6 +143,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
     rho = np.sqrt(t)
     # the guards stop every non-finite lane, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p_fn, p_den = _component(w.p, "dx", rho, t, eps)
+        q_fn, q_den = _component(w.q, "dy", rho, t, eps)
         for i in range(steps):
             theta = i * h
             k1 = slope(theta, rho)
@@ -147,6 +161,35 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
                     f"{theta + h:.6f}, t={t[j]:g}, eps={eps[j]:g}"
                 )
     return rho.reshape(shape)
+
+
+def _component(f, name: str, rho0, t, eps):
+    """Numerator evaluator and checked denominator of one component of w.
+
+    A polynomial has no denominator (None).  A rational num / den gets one
+    mapping (x, y, theta) to den(x, y), after checking that each lane keeps
+    the sign den has at its theta = 0 point (rho0, 0); a zero there fails at
+    once.
+    """
+    if not isinstance(f, RationalFunction):
+        return f.as_callable(), None
+    fd = f.den.as_callable()
+
+    def den(x, y, theta):
+        dv = fd(x, y)
+        ok = dv * sign > 0.0  # false on NaN too
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise DenominatorVanished(
+                f"denominator {f.den} of the {name} component vanished or "
+                f"changed sign at theta={theta:.6f}, t={t[j]:g}, eps={eps[j]:g} "
+                f"(the fraction is not reduced, so a common factor counts)"
+            )
+        return dv
+
+    sign = np.sign(fd(rho0, 0.0))
+    den(rho0, 0.0, 0.0)
+    return f.num.as_callable(), den
 
 
 def holonomy_return(

@@ -274,10 +274,45 @@ def test_poly_gcd_matches_sympy():
 # ---------------------------------------------------------------------------
 
 
-def test_rational_reduces_on_construction():
+def test_rational_keeps_fraction_as_written():
     r = RationalFunction(X * X - Y * Y, X - Y)
+    assert r.to_text() == "(x^2 - y^2) / (x - y)"
     assert r == RationalFunction(X + Y)
-    assert r.is_poly()
+    with pytest.raises(TypeError):
+        hash(r)
+
+
+def test_rational_equality_matches_sympy_cancel():
+    # pairs over a planted common factor: cross-multiplied == against an
+    # independent cancellation of the difference
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    rng = random.Random(37)
+
+    def to_sympy(u):
+        return sum(
+            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
+             for (a, b), c in u.terms.items()),
+            sp.Integer(0),
+        )
+
+    def quotient(r):
+        return to_sympy(r.num) / to_sympy(r.den)
+
+    seen = set()
+    for _ in range(40):
+        # each factor has a term the random part cannot cancel, so none is 0
+        g = random_poly(rng, 2) * Y + X
+        h = random_poly(rng, 1) * X + 2
+        u = random_poly(rng, 2) * X + 1
+        v = random_poly(rng, 2) * X + Y
+        other = u * h if rng.random() < 0.5 else u * h + X
+        a = RationalFunction(u * g, v * g)
+        b = RationalFunction(other, v * h)
+        want = sp.cancel(quotient(a) - quotient(b)) == 0
+        assert (a == b) is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_rational_denominator_is_monic():
@@ -319,12 +354,6 @@ def test_rational_eval_and_pole():
     assert r.eval(1, 0) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         r.eval(-1, 0)
-
-
-def test_rational_as_callable():
-    r = RationalFunction(X * X + Y * Y, ONE + X)
-    f = r.as_callable()
-    assert math.isclose(f(0.5, 0.5), (0.25 + 0.25) / 1.5, rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------

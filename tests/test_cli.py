@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from folint import cli, oracle
+from folint import algebra, cli, oracle
 from folint.algebra import BivarPoly, EpsSeries, PolyParseError, RationalFunction, X
 from folint.cli import (
     EXIT_INTERNAL,
@@ -574,6 +574,48 @@ def test_main_pole_hit_prints_one_line(tmp_path, capsys):
     assert captured.err.startswith("error: DenominatorVanished: ")
 
 
+@pytest.mark.parametrize("steps", ["100", "400", "2000"])
+def test_main_pole_between_stages_is_invalid_input(tmp_path, capsys, steps):
+    # the leaf through t = 1 crosses x = 1/2 near theta = pi/3; no stage lands
+    # on the pole, but the denominator changes sign across it
+    doc = dict(LINEAR_DOC, omega={"dx": "(1) / (x - 1/2)", "dy": "0"})
+    path = write_doc(tmp_path, doc)
+    assert main(["--steps", steps, "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "error: DenominatorVanished: denominator x - 1/2 of the dx component "
+    )
+
+
+def test_main_removable_factor_on_the_annulus_is_invalid_input(tmp_path, capsys):
+    # (x - 1/2) / (x - 1/2) is 1, but the oracle takes the fraction as written
+    doc = dict(LINEAR_DOC, omega={"dx": "0", "dy": "(x - 1/2) / (x - 1/2)"})
+    path = write_doc(tmp_path, doc)
+    assert main(["--steps", "100", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "denominator x - 1/2 of the dy component" in captured.err
+    assert "the fraction is not reduced" in captured.err
+
+
+def test_parse_component_runs_no_gcd(monkeypatch):
+    # a bivariate gcd at these degrees ran for minutes; parsing needs none
+    calls = []
+    gcd = algebra.poly_gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(algebra, "poly_gcd", counted)
+    rat = parse_component("(x^400 + 3y^399 + xy) / (y^400 + x^399 + 2)")
+    assert isinstance(rat, RationalFunction)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "omega, max_order, argv, cost",
     [
@@ -623,8 +665,8 @@ def test_budget_admits_gv_k40_on_the_baseline(tmp_path, capsys, monkeypatch):
 def test_main_rational_component_over_budget_is_invalid_input(
     tmp_path, capsys, monkeypatch, component
 ):
-    # the gcd reduction of a rational component grows with its degree, so the
-    # degree is checked before the RationalFunction is built
+    # the degree cap is input validation: it runs before the RationalFunction
+    # is built
     def refuse(*args):
         raise AssertionError("RationalFunction built past the budget")
 
