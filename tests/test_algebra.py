@@ -6,10 +6,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folint import oracle
 from folint.algebra import (
     ONE,
     ZERO,
@@ -274,7 +276,9 @@ def test_poly_gcd_matches_sympy():
 # ---------------------------------------------------------------------------
 
 
-def test_rational_keeps_fraction_as_written():
+def test_rational_reduces_on_construction():
+    # construction keeps the fraction as written; only equality sees the
+    # common factor, by cross-multiplication
     r = RationalFunction(X * X - Y * Y, X - Y)
     assert r.to_text() == "(x^2 - y^2) / (x - y)"
     assert r == RationalFunction(X + Y)
@@ -354,6 +358,18 @@ def test_rational_eval_and_pole():
     assert r.eval(1, 0) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         r.eval(-1, 0)
+
+
+def test_rational_as_callable():
+    # a rational component is evaluated as num(x, y) / den(x, y) by the oracle
+    lane = np.array([1.0])
+    num, den = oracle._component(
+        RationalFunction(X * X + Y * Y, ONE + X), "dx", lane, lane, lane
+    )
+    x = y = np.array([0.5])
+    value = float((num(x, y) / den(x, y, 0.0))[0])
+    assert math.isclose(value, (0.25 + 0.25) / 1.5, rel_tol=1e-15)
+    assert oracle._component(X, "dy", lane, lane, lane)[1] is None
 
 
 # ---------------------------------------------------------------------------

@@ -378,17 +378,6 @@ def test_darboux_fixture_silent():
     }
 
 
-def test_rational_component_evaluates_num_over_den():
-    lane = np.array([1.0])
-    num, den = oracle._component(
-        RationalFunction(X * X + Y * Y, BivarPoly.one() + X), "dx", lane, lane, lane
-    )
-    x = y = np.array([0.5])
-    value = float((num(x, y) / den(x, y, 0.0))[0])
-    assert math.isclose(value, (0.25 + 0.25) / 1.5, rel_tol=1e-15)
-    assert oracle._component(X, "dy", lane, lane, lane)[1] is None
-
-
 def test_rational_coefficients_integrate():
     w = Form1Planar(RationalFunction(F, BivarPoly.one() + X), RationalFunction(0))
     # first integral F (1+x)^eps: the return value solves r = t (1+sqrt(r))^-eps (1+sqrt(t))^eps;
