@@ -247,18 +247,6 @@ class BivarPoly:
             acc += c * Fraction(x) ** a * Fraction(y) ** b
         return acc
 
-    def as_callable(self) -> Callable:
-        """Float evaluator usable with scalars or numpy arrays."""
-        compiled = [(a, b, float(c)) for (a, b), c in self.terms.items()]
-
-        def f(x, y):
-            acc = 0.0 * (x + y)
-            for a, b, c in compiled:
-                acc = acc + c * x**a * y**b
-            return acc
-
-        return f
-
     # -- printing --------------------------------------------------------------------
 
     def to_text(self) -> str:

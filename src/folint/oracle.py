@@ -23,10 +23,24 @@ integration per step count.  An oracle report is one n-step and one
 ladder (shared by the least-squares fit and the Richardson extrapolation)
 at n steps, and the table lanes alone at 2n.
 
-A rational component N / D is evaluated as written, N(x, y) / D(x, y), and
-D must keep its theta = 0 sign at every stage, so a pole on the leaf raises
-DenominatorVanished even when a step jumps over it.  Nothing cancels a
-common factor: a removable one that vanishes on the annulus is a pole too.
+The stages read node tables instead of evaluating w.  On the circle a
+polynomial is sum_k rho^k of its degree-k homogeneous part at (cos, sin),
+so at each half-step node theta_j = j h / 2 the coefficients of
+A = Q cos - P sin and B = P cos + Q sin are numbers; a stage multiplies its
+node's table (a row per quantity, a column per power of rho that occurs) by
+the lanes' powers rho^k and sums over k.
+The tables are built one chunk of _CHUNK_STEPS steps at a time, so their
+memory does not grow with the step count.
+
+A rational component N / D is taken as written: with w = (Np / Dp) dx +
+(Nq / Dq) dy the tables hold the exact products Nq Dp cos - Np Dq sin,
+Np Dq cos + Nq Dp sin and Dp Dq, and the d rho coefficient
+2 rho Dp Dq + eps B must have the sign of Dp Dq.  Each denominator Dp and
+Dq also has its own table row and must keep its theta = 0 sign at every
+stage, so a pole on the leaf raises DenominatorVanished even when a step
+jumps over it, and even when Dp and Dq flip together and leave Dp Dq
+unchanged.  Nothing cancels a common factor: a removable one that vanishes
+on the annulus is a pole too.
 
 The polar equation is the circle's, so no entry point takes a Hamiltonian;
 cli.parse_problem checks the F of a problem document.
@@ -36,11 +50,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import cos, sin, pi
+from fractions import Fraction
+from math import inf, pi
 
 import numpy as np
 
-from .algebra import RationalFunction
+from .algebra import ONE, X, Y, RationalFunction
 from .exterior import Form1Planar
 
 __all__ = [
@@ -105,10 +120,17 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
     """rho(2pi) for every (t, eps) lane; t and eps broadcast together.
 
     Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
-    t/2 < rho^2 < 2t.  The denominator of a rational component must keep
-    its theta = 0 sign at every stage; the check sees only the stages'
-    samples, so a pole crossed twice between two of them still escapes.
-    The result has the broadcast shape of t and eps.
+    t/2 < rho^2 < 2t.  The stages read node tables (see _Rows) built one
+    chunk of _CHUNK_STEPS steps at a time, so table memory does not grow
+    with the step count.  A stage multiplies its node's table by the lanes'
+    powers rho^k and sums over k, elementwise in a fixed order, so no lane's
+    result depends on the other lanes or on the chunk size.  A rational
+    omega divides through by D = Dp Dq, so the d rho coefficient
+    2 rho D + eps B must have D's sign; each denominator Dp and Dq must keep
+    its own theta = 0 sign at every stage, since a sign test on D alone
+    misses both flipping together.  The checks see only the stages' samples,
+    so a pole crossed twice between two of them still escapes.  The result
+    has the broadcast shape of t and eps.
     """
     t, eps = np.broadcast_arrays(
         np.asarray(t, dtype=float), np.asarray(eps, dtype=float)
@@ -119,77 +141,146 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
         raise ValueError("t must be positive")
     lo, hi = 0.5 * t, 2.0 * t
     h = 2.0 * pi / steps
+    rows = _Rows(w)
+    neg_half_eps = -0.5 * eps
+    # rho^0 .. rho^top per lane; row 0 stays 1
+    powers = np.ones((rows.top + 1, 1, t.size))
 
-    def slope(theta: float, rho: np.ndarray) -> np.ndarray:
-        c, s = cos(theta), sin(theta)
-        x = rho * c
-        y = rho * s
-        pv = p_fn(x, y)
-        if p_den is not None:
-            pv = pv / p_den(x, y, theta)
-        qv = q_fn(x, y)
-        if q_den is not None:
-            qv = qv / q_den(x, y, theta)
-        den = 2.0 * rho + eps * (pv * c + qv * s)
-        ok = den > 0.0  # false on NaN too
-        if not ok.all():
-            j = int(np.argmin(ok))
+    def values(j: int, rho: np.ndarray) -> np.ndarray:
+        """Every row at node j of the chunk, one per lane."""
+        powers[1:, 0] = rho
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        return np.add.reduce(nodes[j] * powers.take(rows.degrees, axis=0), axis=0)
+
+    def slope(j: int, rho: np.ndarray) -> np.ndarray:
+        v = values(j, rho)
+        if rows.dens:
+            for (name, poly), dv, sign in zip(rows.dens, v[3:], signs):
+                dv = dv * sign
+                if not _positive(dv):
+                    k = int(np.argmin(dv > 0.0))
+                    raise DenominatorVanished(
+                        f"denominator {poly} of the {name} component vanished "
+                        f"or changed sign at theta={thetas[j]:.6f}, t={t[k]:g}, "
+                        f"eps={eps[k]:g} (the fraction is not reduced, so a "
+                        f"common factor counts)"
+                    )
+            den = rho * v[2] + eps * v[1]
+            signed = den * sign_d  # positive where den has the sign of D
+        else:
+            den = signed = rho + eps * v[1]
+        if not _positive(signed):
+            k = int(np.argmin(signed > 0.0))
             raise DenominatorVanished(
-                f"d rho coefficient vanished at theta={theta:.6f}, "
-                f"t={t[j]:g}, eps={eps[j]:g}"
+                f"d rho coefficient vanished at theta={thetas[j]:.6f}, "
+                f"t={t[k]:g}, eps={eps[k]:g}"
             )
-        return -eps * rho * (qv * c - pv * s) / den
+        # half the numerator over half the d rho coefficient (v[1] is B / 2):
+        # the same bits as -eps rho A / (2 rho D + eps B), one product fewer
+        return neg_half_eps * rho * v[0] / den
 
     rho = np.sqrt(t)
     # the guards stop every non-finite lane, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p_fn, p_den = _component(w.p, "dx", rho, t, eps)
-        q_fn, q_den = _component(w.q, "dy", rho, t, eps)
-        for i in range(steps):
-            theta = i * h
-            k1 = slope(theta, rho)
-            k2 = slope(theta + 0.5 * h, rho + 0.5 * h * k1)
-            k3 = slope(theta + 0.5 * h, rho + 0.5 * h * k2)
-            k4 = slope(theta + h, rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            sq = rho * rho
-            inside = (sq > lo) & (sq < hi)  # false on NaN too
-            if not inside.all():
-                j = int(np.argmin(inside))
-                raise LeafEscapedAnnulus(
-                    f"leaf left the annulus ({lo[j]:g}, {hi[j]:g}) at theta="
-                    f"{theta + h:.6f}, t={t[j]:g}, eps={eps[j]:g}"
-                )
+        for start in range(0, steps, _CHUNK_STEPS):
+            stop = min(start + _CHUNK_STEPS, steps)
+            thetas = np.arange(2 * start, 2 * stop + 1) * (0.5 * h)
+            nodes = rows.tabulate(thetas)
+            if start == 0:
+                # each denominator's sign at the lane's theta = 0 point
+                signs = np.sign(values(0, rho)[3:])
+                sign_d = signs.prod(axis=0)
+            for i in range(start, stop):
+                j = 2 * (i - start)
+                k1 = slope(j, rho)
+                k2 = slope(j + 1, rho + 0.5 * h * k1)
+                k3 = slope(j + 1, rho + 0.5 * h * k2)
+                k4 = slope(j + 2, rho + h * k3)
+                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                sq = rho * rho
+                inside = (sq > lo) & (sq < hi)  # false on NaN too
+                if not np.logical_and.reduce(inside):
+                    k = int(np.argmin(inside))
+                    raise LeafEscapedAnnulus(
+                        f"leaf left the annulus ({lo[k]:g}, {hi[k]:g}) at theta="
+                        f"{thetas[j + 2]:.6f}, t={t[k]:g}, eps={eps[k]:g}"
+                    )
     return rho.reshape(shape)
 
 
-def _component(f, name: str, rho0, t, eps):
-    """Numerator evaluator and checked denominator of one component of w.
+# RK4 steps per node table: a table holds the 2 * _CHUNK_STEPS + 1 half-step
+# nodes of its steps, so its size does not depend on the step count
+_CHUNK_STEPS = 64
 
-    A polynomial has no denominator (None).  A rational num / den gets one
-    mapping (x, y, theta) to den(x, y), after checking that each lane keeps
-    the sign den has at its theta = 0 point (rho0, 0); a zero there fails at
-    once.
+
+def _positive(x: np.ndarray) -> bool:
+    """Every entry is > 0; false on NaN too (minimum propagates it)."""
+    return np.minimum.reduce(x, initial=inf) > 0.0
+
+
+def _powers(base: np.ndarray, top: int) -> np.ndarray:
+    """base^0 .. base^top stacked on a new first axis, by repeated products."""
+    out = np.empty((top + 1, *base.shape))
+    out[0] = 1.0
+    out[1:] = base
+    return np.multiply.accumulate(out, axis=0, out=out)
+
+
+class _Rows:
+    """The rows of the node tables, as exact homogeneous parts.
+
+    On the circle x = rho c, y = rho s, so a polynomial is sum_k rho^k of
+    its degree-k part at (c, s).  With w = (Np / Dp) dx + (Nq / Dq) dy (a
+    polynomial component has denominator 1) the rows are
+    A = (x Nq Dp - y Np Dq) / rho and B / 2 = (x Np Dq + y Nq Dp) / (2 rho),
+    from the numerators of Q c - P s and P c + Q s; a rational omega adds
+    D = Dp Dq and then each rational component's own denominator, for the
+    sign checks.  The products are exact; a table entry is the float sum of
+    its part's terms at the node.
     """
-    if not isinstance(f, RationalFunction):
-        return f.as_callable(), None
-    fd = f.den.as_callable()
 
-    def den(x, y, theta):
-        dv = fd(x, y)
-        ok = dv * sign > 0.0  # false on NaN too
-        if not ok.all():
-            j = int(np.argmin(ok))
-            raise DenominatorVanished(
-                f"denominator {f.den} of the {name} component vanished or "
-                f"changed sign at theta={theta:.6f}, t={t[j]:g}, eps={eps[j]:g} "
-                f"(the fraction is not reduced, so a common factor counts)"
-            )
-        return dv
+    def __init__(self, w: Form1Planar) -> None:
+        (num_p, den_p), (num_q, den_q) = (
+            (f.num, f.den) if isinstance(f, RationalFunction) else (f, ONE)
+            for f in (w.p, w.q)
+        )
+        self.dens = [
+            (name, f.den)
+            for name, f in (("dx", w.p), ("dy", w.q))
+            if isinstance(f, RationalFunction)
+        ]
+        rows = [
+            {k - 1: part for k, part in poly.homogeneous_parts().items()}
+            for poly in (X * num_q * den_p - Y * num_p * den_q,
+                         (X * num_p * den_q + Y * num_q * den_p) * Fraction(1, 2))
+        ]
+        if self.dens:
+            rows += [
+                poly.homogeneous_parts()
+                for poly in (den_p * den_q, *(den for _, den in self.dens))
+            ]
+        # one table column per power of rho that some row has
+        self.degrees = np.array(sorted({k for row in rows for k in row}), dtype=int)
+        self.top = int(self.degrees[-1]) if self.degrees.size else -1
+        column = {k: col for col, k in enumerate(self.degrees.tolist())}
+        self.size = len(rows)
+        # (row, column, exponents of c, exponents of s, coefficients)
+        self.entries = [
+            (r, column[k], *np.array(list(part.terms), dtype=int).T,
+             np.array([float(c) for c in part.terms.values()]))
+            for r, row in enumerate(rows)
+            for k, part in row.items()
+        ]
 
-    sign = np.sign(fd(rho0, 0.0))
-    den(rho0, 0.0, 0.0)
-    return f.num.as_callable(), den
+    def tabulate(self, thetas: np.ndarray) -> np.ndarray:
+        """The table at every node: shape (nodes, columns, rows, 1)."""
+        # a part of the column for rho^k has degree at most k + 1
+        cos = _powers(np.cos(thetas), self.top + 1)
+        sin = _powers(np.sin(thetas), self.top + 1)
+        table = np.zeros((thetas.size, self.degrees.size, self.size, 1))
+        for r, col, a, b, coef in self.entries:
+            table[:, col, r, 0] = (coef[:, None] * cos[a] * sin[b]).sum(axis=0)
+        return table
 
 
 def holonomy_return(

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import cos, pi, sin
 
-from folint.algebra import BivarPoly, X, Y
+import numpy as np
+
+from folint.algebra import BivarPoly, RationalFunction, X, Y
 from folint.exterior import Form1Planar
 from folint.abelian import period_of_form
 
@@ -52,3 +55,51 @@ def remove_period(w: Form1Planar) -> Form1Planar:
     fixed = w - correction
     assert period_of_form(fixed).is_zero()
     return fixed
+
+
+def as_callable(p: BivarPoly):
+    """Float evaluator of p, usable with scalars or numpy arrays."""
+    compiled = [(a, b, float(c)) for (a, b), c in p.terms.items()]
+
+    def f(x, y):
+        acc = 0.0 * (x + y)
+        for a, b, c in compiled:
+            acc = acc + c * x**a * y**b
+        return acc
+
+    return f
+
+
+def _component(f):
+    """Float evaluator of a polynomial or a rational num / den, as written."""
+    if not isinstance(f, RationalFunction):
+        return as_callable(f)
+    num, den = as_callable(f.num), as_callable(f.den)
+    return lambda x, y: num(x, y) / den(x, y)
+
+
+def reference_rho(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
+    """rho(2pi) per (t, eps) lane by RK4 on the polar equation, evaluating
+    each component at x = rho cos, y = rho sin at every stage.
+
+    The independent reference for the oracle's node tables: no table, no
+    guard, the slope exactly as the module docstring writes it.
+    """
+    t, eps = np.broadcast_arrays(np.asarray(t, float), np.asarray(eps, float))
+    p, q = _component(w.p), _component(w.q)
+    h = 2.0 * pi / steps
+
+    def slope(theta, rho):
+        c, s = cos(theta), sin(theta)
+        pv, qv = p(rho * c, rho * s), q(rho * c, rho * s)
+        return -eps * rho * (qv * c - pv * s) / (2.0 * rho + eps * (pv * c + qv * s))
+
+    rho = np.sqrt(t)
+    for i in range(steps):
+        theta = i * h
+        k1 = slope(theta, rho)
+        k2 = slope(theta + 0.5 * h, rho + 0.5 * h * k1)
+        k3 = slope(theta + 0.5 * h, rho + 0.5 * h * k2)
+        k4 = slope(theta + h, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho

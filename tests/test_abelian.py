@@ -12,14 +12,14 @@ from scipy.integrate import quad
 from folint.abelian import PeriodPoly, monomial_period, period_of_form
 from folint.algebra import BivarPoly, RationalFunction, X, Y
 from folint.exterior import Form1Planar, d_planar_scalar
-from helpers import AREA_FORM, random_form, random_poly, zero_period_form
+from helpers import AREA_FORM, as_callable, random_form, random_poly, zero_period_form
 
 
 def quad_period(w: Form1Planar, t: float) -> float:
     """Numerical period over x = sqrt(t) cos, y = sqrt(t) sin, counterclockwise."""
     r = math.sqrt(t)
-    p = w.p.as_callable()
-    q = w.q.as_callable()
+    p = as_callable(w.p)
+    q = as_callable(w.q)
 
     def integrand(theta: float) -> float:
         x, y = r * math.cos(theta), r * math.sin(theta)

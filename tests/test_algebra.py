@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folint import oracle
 from folint.algebra import (
     ONE,
     ZERO,
@@ -28,7 +27,9 @@ from folint.algebra import (
     parse_poly,
     poly_gcd,
 )
-from helpers import random_poly
+from folint.exterior import Form1Planar
+from folint.oracle import HolonomyConfig, holonomy_return
+from helpers import as_callable, random_poly, reference_rho
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_as_callable_matches_eval():
     rng = random.Random(3)
     for _ in range(10):
         p = random_poly(rng, 4)
-        f = p.as_callable()
+        f = as_callable(p)
         # dyadic points are exact in binary, so the comparison is tight
         for x, y in [(0.25, -0.75), (1.5, 0.125), (0.0, 0.0)]:
             exact = float(p.eval(Fraction(x), Fraction(y)))
@@ -361,15 +362,12 @@ def test_rational_eval_and_pole():
 
 
 def test_rational_as_callable():
-    # a rational component is evaluated as num(x, y) / den(x, y) by the oracle
-    lane = np.array([1.0])
-    num, den = oracle._component(
-        RationalFunction(X * X + Y * Y, ONE + X), "dx", lane, lane, lane
-    )
-    x = y = np.array([0.5])
-    value = float((num(x, y) / den(x, y, 0.0))[0])
-    assert math.isclose(value, (0.25 + 0.25) / 1.5, rel_tol=1e-15)
-    assert oracle._component(X, "dy", lane, lane, lane)[1] is None
+    # the oracle takes a rational component as written: its return on
+    # (x^2 + y^2) / (1 + x) dx matches direct num / den evaluation per stage
+    w = Form1Planar(RationalFunction(X * X + Y * Y, ONE + X), ZERO)
+    t, eps = np.array([0.25, 0.5]), np.array([1e-2, 1e-3])
+    got = np.sqrt(holonomy_return(w, t, eps, HolonomyConfig(200)))
+    np.testing.assert_allclose(got, reference_rho(w, t, eps, 200), rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,20 @@ def test_main_pole_between_stages_is_invalid_input(tmp_path, capsys, steps):
     )
 
 
+def test_main_pole_in_both_components_names_dx(tmp_path, capsys):
+    # Dp Dq = (x - 1/2)^2 keeps its sign across the pole; each denominator's
+    # own sign check must still stop the run
+    doc = dict(LINEAR_DOC, omega={"dx": "(1) / (x - 1/2)", "dy": "(1) / (x - 1/2)"})
+    path = write_doc(tmp_path, doc)
+    assert main(["--steps", "100", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "error: DenominatorVanished: denominator x - 1/2 of the dx component "
+    )
+
+
 def test_main_removable_factor_on_the_annulus_is_invalid_input(tmp_path, capsys):
     # (x - 1/2) / (x - 1/2) is 1, but the oracle takes the fraction as written
     doc = dict(LINEAR_DOC, omega={"dx": "0", "dy": "(x - 1/2) / (x - 1/2)"})

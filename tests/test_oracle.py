@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import io
 import math
+import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -36,6 +38,7 @@ from folint.oracle import (
     melnikov_estimate,
     write_samples_csv,
 )
+from helpers import random_form, reference_rho
 
 F = X * X + Y * Y
 ZERO = BivarPoly.zero()
@@ -384,3 +387,70 @@ def test_rational_coefficients_integrate():
     # to first order Delta ~ 0, checked tightly by the fixture above
     out = holonomy_return(w, 0.25, 1e-2, CFG)
     assert out == pytest.approx(0.25, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# node tables against direct evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_forms():
+    """Seeded polynomial forms of degree <= 5 and two rational forms.
+
+    The second rational form has both components rational, and its D is
+    negative on every annulus the lanes reach.
+    """
+    rng = random.Random(1212)
+    forms = [random_form(rng, deg) for deg in (1, 2, 3, 4, 5, 5)]
+    forms.append(example3_oracle().omega)
+    forms.append(
+        Form1Planar(
+            RationalFunction(Y, X - 2), RationalFunction(X * X - Y, 3 + Y * Y)
+        )
+    )
+    return forms
+
+
+REFERENCE_FORMS = reference_forms()
+REFERENCE_T = np.linspace(0.25, 0.8, 20)  # example3 has a pole at x = -1
+REFERENCE_EPS = np.geomspace(1e-4, 2e-3, 20)
+
+
+@pytest.mark.parametrize("steps", [100, 400])
+@pytest.mark.parametrize("index", range(len(REFERENCE_FORMS)))
+def test_node_tables_match_direct_evaluation(index, steps):
+    w = REFERENCE_FORMS[index]
+    want = reference_rho(w, REFERENCE_T, REFERENCE_EPS, steps)
+    for lanes in (1, 8, 20):
+        got = np.sqrt(
+            holonomy_return(
+                w, REFERENCE_T[:lanes], REFERENCE_EPS[:lanes], HolonomyConfig(steps)
+            )
+        )
+        np.testing.assert_allclose(got, want[:lanes], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("index", range(len(REFERENCE_FORMS)))
+def test_chunk_size_does_not_change_a_bit(monkeypatch, index):
+    w, steps = REFERENCE_FORMS[index], 100
+    want = oracle._integrate(w, REFERENCE_T, REFERENCE_EPS, steps)
+    for chunk in (1, 7, steps + 1):
+        monkeypatch.setattr(oracle, "_CHUNK_STEPS", chunk)
+        got = oracle._integrate(w, REFERENCE_T, REFERENCE_EPS, steps)
+        assert np.array_equal(got, want)
+
+
+def test_table_memory_does_not_grow_with_steps():
+    # one chunk of tables at a time: unchunked, the cos and the sin power
+    # tables alone would each hold 62 x 40001 floats (20 MB) at 20000 steps
+    w = Form1Planar(X**60 + Y, X * Y**59)
+    peaks = []
+    for steps in (2000, 20000):
+        tracemalloc.start()
+        try:
+            oracle._integrate(w, 1.0, 1e-3, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 2_000_000
