@@ -198,10 +198,14 @@ def period_of_form(w: Form1Planar) -> PeriodPoly:
         raise TypeError("period_of_form needs polynomial coefficients")
     sums: dict[int, Fraction] = {}  # power of t -> coefficient
     for basis, poly in (("dx", p), ("dy", q)):
-        for (a, b), c in poly.terms.items():
+        # the int numerators first, the common denominator once per power
+        part: dict[int, Fraction] = {}
+        for (a, b), c in poly.nums.items():
             mono = monomial_period(a, b, basis)
             if not mono.is_zero():
                 power = mono.degree()
-                sums[power] = sums.get(power, 0) + c * mono.coeffs[power]
+                part[power] = part.get(power, 0) + c * mono.coeffs[power]
+        for power, c in part.items():
+            sums[power] = sums.get(power, 0) + c / poly.den
     top = max(sums, default=-1)
     return PeriodPoly(tuple(sums.get(m, 0) for m in range(top + 1)))

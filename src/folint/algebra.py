@@ -1,9 +1,13 @@
 """Exact arithmetic for bivariate polynomials, rational functions and eps-jets.
 
-Polynomials in Q[x, y] are stored sparsely as a dict mapping exponent pairs
-(a, b) to nonzero Fraction coefficients; the zero polynomial is the empty dict.
-The BivarPoly constructor alone keeps this invariant, so arithmetic hands it
-raw sums and never tests for cancellation itself.
+Polynomials in Q[x, y] are stored sparsely as int numerators over one common
+denominator: a dict mapping exponent pairs (a, b) to nonzero ints, and one
+positive int den with gcd(den, every numerator) = 1 (a primitive part times a
+content, as in Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
+ch. 2).  The zero polynomial is the empty dict over 1.  The BivarPoly
+constructor alone keeps this invariant, so arithmetic runs on plain ints,
+hands the constructor raw sums and never tests for cancellation or a common
+factor itself; the coefficients as Fractions are a read-only view.
 The monomial order used everywhere (printing, pivoting, leading terms) is
 graded lexicographic with x > y: compare total degree first, then the x
 exponent.
@@ -24,8 +28,11 @@ different orders raises SeriesOrderMismatch rather than silently coercing.
 
 from __future__ import annotations
 
+import numbers
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -80,23 +87,68 @@ def grlex_key(exp: Exponent) -> tuple[int, int]:
 class BivarPoly:
     """Sparse exact polynomial in Q[x, y].  Treated as immutable.
 
-    The constructor owns normalisation: it rejects negative exponents,
-    coerces every coefficient to Fraction and drops the zero ones, so terms
-    maps exponents to nonzero Fractions whatever the caller passed.
+    Stored as a primitive part over a content: nums maps exponent pairs to
+    nonzero int numerators and den is one positive int denominator, with
+    gcd(den, every numerator) = 1.  Equal polynomials therefore have equal
+    storage, and == and hash compare it directly.  The constructor alone
+    normalises: it rejects negative exponents and coefficients that are not
+    rational, brings int and Fraction coefficients (over an optional extra
+    int denominator) to that form and drops the zero ones, so arithmetic
+    hands it raw int sums and never cancels a term or a common factor itself.
+    terms is the same polynomial as a read-only exponent -> Fraction mapping
+    in lowest terms, built on first use.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("nums", "den", "_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Exponent, CoefLike] | None = None) -> None:
-        clean: dict[Exponent, Fraction] = {}
+    def __init__(
+        self, terms: Mapping[Exponent, CoefLike] | None = None, den: int = 1
+    ) -> None:
+        if type(den) is not int:
+            raise TypeError(f"polynomial denominator must be an int, got {den!r}")
+        if not den:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        nums: dict[Exponent, int] = {}
         if terms:
+            plain = True
             for (a, b), c in terms.items():
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent in monomial {(a, b)}")
-                if c:
-                    clean[(a, b)] = c if isinstance(c, Fraction) else Fraction(c)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+                if type(c) is not int:
+                    plain = False
+            if plain:
+                nums = {e: c for e, c in terms.items() if c}
+            else:
+                fracs = {e: _rational(e, c) for e, c in terms.items()}
+                scale = lcm(*[c.denominator for c in fracs.values()])
+                nums = {
+                    e: c.numerator * (scale // c.denominator)
+                    for e, c in fracs.items()
+                    if c
+                }
+                den *= scale
+        if den < 0:
+            den = -den
+            nums = {e: -c for e, c in nums.items()}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        self.nums = nums
+        self.den = den
+        self._terms = None
+        self._hash = None
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only exponent -> nonzero Fraction view, in storage order."""
+        t = self._terms
+        if t is None:
+            den = self.den
+            t = MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
+            self._terms = t
+        return t
 
     # -- construction helpers -------------------------------------------------
 
@@ -106,7 +158,7 @@ class BivarPoly:
 
     @classmethod
     def one(cls) -> "BivarPoly":
-        return cls({(0, 0): Fraction(1)})
+        return cls({(0, 0): 1})
 
     @classmethod
     def constant(cls, c: CoefLike) -> "BivarPoly":
@@ -130,15 +182,23 @@ class BivarPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, 0) + c
-        return BivarPoly(out)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.nums)
+            for exp, c in other.nums.items():
+                out[exp] = out.get(exp, 0) + c
+            return BivarPoly(out, d1)
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        out = {exp: c * m1 for exp, c in self.nums.items()}
+        for exp, c in other.nums.items():
+            out[exp] = out.get(exp, 0) + c * m2
+        return BivarPoly(out, d1 * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({e: -c for e, c in self.terms.items()})
+        return BivarPoly({e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: "BivarPoly | CoefLike") -> "BivarPoly":
         other = _coerce(other)
@@ -153,12 +213,13 @@ class BivarPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        out: dict[Exponent, int] = {}
+        get = out.get
+        for (a1, b1), c1 in self.nums.items():
+            for (a2, b2), c2 in other.nums.items():
                 exp = (a1 + a2, b1 + b2)
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return BivarPoly(out)
+                out[exp] = get(exp, 0) + c1 * c2
+        return BivarPoly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -175,55 +236,57 @@ class BivarPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BivarPoly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == BivarPoly.constant(other).terms
+            other = BivarPoly.constant(other)
+        if isinstance(other, BivarPoly):
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant hashes as the number it equals
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
+            if self.is_constant():
+                h = hash(self.constant_term())
+            else:
+                h = hash((self.den, frozenset(self.nums.items())))
+            self._hash = h
         return h
 
     # -- queries ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.terms)
+        return all(e == (0, 0) for e in self.nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self.nums.get((0, 0), 0), self.den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(a + b for a, b in self.terms)
+        return max((a + b for a, b in self.nums), default=-1)
 
     def coefficient(self, a: int, b: int) -> Fraction:
-        return self.terms.get((a, b), Fraction(0))
+        return Fraction(self.nums.get((a, b), 0), self.den)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Graded-lex leading exponent and coefficient (poly must be nonzero)."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self.nums, key=grlex_key)
+        return exp, Fraction(self.nums[exp], self.den)
 
     def sorted_terms(self, reverse: bool = True) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
 
     def homogeneous_parts(self) -> dict[int, "BivarPoly"]:
         """Split into { total degree: homogeneous component }."""
-        parts: dict[int, dict[Exponent, Fraction]] = {}
-        for (a, b), c in self.terms.items():
+        parts: dict[int, dict[Exponent, int]] = {}
+        for (a, b), c in self.nums.items():
             parts.setdefault(a + b, {})[(a, b)] = c
-        return {d: BivarPoly(t) for d, t in sorted(parts.items())}
+        return {d: BivarPoly(t, self.den) for d, t in sorted(parts.items())}
 
     # -- calculus -----------------------------------------------------------------
 
@@ -231,36 +294,37 @@ class BivarPoly:
         """Exact partial derivative with respect to "x" or "y"."""
         if var not in ("x", "y"):
             raise ValueError(f"unknown variable {var!r}")
-        out: dict[Exponent, Fraction] = {}
-        for (a, b), c in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for (a, b), c in self.nums.items():
             if var == "x" and a > 0:
                 out[(a - 1, b)] = c * a
             elif var == "y" and b > 0:
                 out[(a, b - 1)] = c * b
-        return BivarPoly(out)
+        return BivarPoly(out, self.den)
 
     # -- evaluation -----------------------------------------------------------------
 
     def eval(self, x: Fraction | int, y: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for (a, b), c in self.terms.items():
-            acc += c * Fraction(x) ** a * Fraction(y) ** b
-        return acc
+        x, y = Fraction(x), Fraction(y)
+        acc = sum((c * x**a * y**b for (a, b), c in self.nums.items()), Fraction(0))
+        return acc / self.den
 
     # -- printing --------------------------------------------------------------------
 
     def to_text(self) -> str:
         """Deterministic text form; round-trips through parse_poly."""
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces: list[str] = []
-        for (a, b), c in self.sorted_terms():
+        for (a, b), c in sorted(
+            self.nums.items(), key=lambda t: grlex_key(t[0]), reverse=True
+        ):
             mono = ""
             if a:
                 mono += "x" if a == 1 else f"x^{a}"
             if b:
                 mono += "y" if b == 1 else f"y^{b}"
-            mag = abs(c)
+            mag = Fraction(abs(c), self.den)
             if mono and mag == 1:
                 body = mono
             elif mono:
@@ -278,6 +342,18 @@ class BivarPoly:
 
     def __repr__(self) -> str:
         return f"BivarPoly({self.to_text()!r})"
+
+
+def _rational(exp: Exponent, c) -> Fraction:
+    """Coefficient c as a Fraction; a float or a non-number is a TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, numbers.Rational):
+        return Fraction(c)
+    raise TypeError(
+        f"coefficient of monomial {exp} must be an int or a Fraction, "
+        f"got {type(c).__name__} {c!r}"
+    )
 
 
 def _coerce(value) -> BivarPoly:

@@ -20,6 +20,14 @@ system splits into two bidiagonal chains solved by an O(d) sweep:
   equations, and the canonical gauge g_{d-1} = 0 starts it: dy_d gives
   r_{d+1} = q_d/(d+1) and dx_{d-1} gives r_{d-1} = p_{d-1}/2.
 
+Every step of either chain has the form v = (a - m u) / k, with a the
+coefficient of the equation, u the previous unknown of the chain and small
+positive ints m and k.  The sweep reads a and its block's common denominator
+straight from BivarPoly's int numerators, keeps each value as a reduced
+(numerator, denominator) int pair, at one gcd per value (a shared
+denominator skips the cross products), and brings g and r over one common
+denominator only at the block's output; no Fraction is built on the way.
+
 Canonical representative.  The kernel of a block is the s(F)-shift
 (g, r) -> (g + c F^m, r - c F^{m+1}/(m+1)) with d = 2m+1, so it exists only
 for odd d and moves the y^{d-1} coefficient of g (F^m has y^{2m} with
@@ -44,7 +52,7 @@ family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from .abelian import CIRCLE, OvalFamily, PeriodPoly, period_of_form
@@ -144,36 +152,86 @@ def _block_solve(
     Returns the canonical (g, r), or None when the odd chain's consistency
     equation fails (the block's period is nonzero).  Index j is the power of
     y: p_j, q_j multiply x^{d-j} y^j, g_j multiplies x^{d-1-j} y^j and r_j
-    multiplies x^{d+1-j} y^j.
+    multiplies x^{d+1-j} y^j.  Values are reduced (numerator, denominator)
+    int pairs; the chains read the numerators of p and q over their common
+    denominators directly.
     """
-    pc = [Fraction(0)] * (d + 1)
-    qc = [Fraction(0)] * (d + 1)
-    for (_, j), c in p.terms.items():
-        pc[j] = c
-    for (_, j), c in q.terms.items():
-        qc[j] = c
-    g = [Fraction(0)] * (d + 1)  # g[d]: g_d = 0, or dx_d's residual for odd d
-    r = [Fraction(0)] * (d + 2)
+    pn, qn = [0] * (d + 1), [0] * (d + 1)
+    for (_, j), c in p.nums.items():
+        pn[j] = c
+    for (_, j), c in q.nums.items():
+        qn[j] = c
+    pd, qd = p.den, q.den
+    g = [(0, 1)] * d
+    r = [(0, 1)] * (d + 2)
 
-    # even chain, backward; for odd d the gauge g_{d-1} = 0 leaves dy_d alone
-    if d % 2:
-        r[d + 1] = qc[d] / (d + 1)
-    for j in range(d - d % 2, -1, -2):
-        if j < d - 1:
-            g[j] = (qc[j + 1] - (j + 2) * r[j + 2]) / 2  # dy_{j+1}
-        r[j] = (pc[j] - 2 * g[j]) / (d + 1 - j)  # dx_j
-
-    # odd chain, forward from r_1 = q_0; for odd d it ends in dx_d
-    for j in range(1, d + 2, 2):
-        r[j] = (qc[j - 1] - (2 * g[j - 2] if j > 1 else 0)) / j  # dy_{j-1}
-        if j <= d:
-            g[j] = (pc[j] - (d + 1 - j) * r[j]) / 2  # dx_j
-    if g[d]:
+    # odd chain, forward from r_1 = q_0: dy_j gives r_{j+1} for even j and
+    # dx_j gives g_j for odd j; for odd d it ends in dx_d, whose residual
+    # would be g_d
+    odd = _chain([
+        (qn[j], qd, 2, j + 1) if j % 2 == 0 else (pn[j], pd, d + 1 - j, 2)
+        for j in range(d + 1)
+    ])
+    if d % 2 and odd[-1][0]:
         return None
+    for j, v in enumerate(odd[: d + 1 - d % 2]):
+        if j % 2:
+            g[j] = v
+        else:
+            r[j + 1] = v
 
-    g_terms = {(d - 1 - j, j): g[j] for j in range(d) if g[j]}
-    r_terms = {(d + 1 - j, j): r[j] for j in range(d + 1, -1, -1) if r[j]}
-    return BivarPoly(g_terms), BivarPoly(r_terms)
+    # even chain, backward: dx_j gives r_j for even j and dy_j gives g_{j-1}
+    # for odd j; for odd d the gauge g_{d-1} = 0 starts it at dx_{d-1} and
+    # leaves dy_d alone
+    top = d - d % 2
+    even = _chain([
+        (pn[j], pd, 2, d + 1 - j) if j % 2 == 0 else (qn[j], qd, j + 1, 2)
+        for j in range(top, -1, -1)
+    ])
+    for j, v in zip(range(top, -1, -1), even):
+        if j % 2:
+            g[j - 1] = v
+        else:
+            r[j] = v
+    if d % 2:
+        r[d + 1] = _chain([(qn[d], qd, 0, d + 1)])[0]
+
+    g_den = lcm(*[b for _, b in g])
+    r_den = lcm(*[b for _, b in r])
+    g_nums = {(d - 1 - j, j): a * (g_den // b) for j, (a, b) in enumerate(g) if a}
+    r_nums = {
+        (d + 1 - j, j): r[j][0] * (r_den // r[j][1])
+        for j in range(d + 1, -1, -1)
+        if r[j][0]
+    }
+    return BivarPoly(g_nums, g_den), BivarPoly(r_nums, r_den)
+
+
+def _chain(steps: list[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
+    """Values v_i = (a_i - m_i v_{i-1}) / k_i from v_{-1} = 0, each a reduced
+    int pair, for steps (numerator of a_i, denominator of a_i, m_i, k_i) with
+    positive denominators and k_i; a shared denominator skips the cross
+    products, and each value costs one gcd."""
+    out = []
+    vn, vd = 0, 1
+    for an, ad, m, k in steps:
+        if ad == vd:
+            n, dd = an - m * vn, ad * k
+        else:
+            n, dd = an * vd - m * vn * ad, ad * vd * k
+        c = gcd(n, dd)
+        vn, vd = n // c, dd // c
+        out.append((vn, vd))
+    return out
+
+
+def _join(parts: list[BivarPoly]) -> BivarPoly:
+    """Sum of polynomials with pairwise disjoint supports, over one
+    denominator."""
+    den = lcm(*[part.den for part in parts])
+    return BivarPoly(
+        {e: c * (den // part.den) for part in parts for e, c in part.nums.items()}, den
+    )
 
 
 def _blocks(w: Form1Planar) -> list[tuple[int, list[BivarPoly]]]:
@@ -195,7 +253,7 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
     module docstring (no minimality claim).
     """
     # blocks have disjoint degrees, so their terms never collide
-    g_terms, r_terms = {}, {}
+    g_parts, r_parts = [], []
     for d, (pdx, pdy) in _blocks(w):
         solved = _block_solve(pdx, pdy, d)
         if solved is None:
@@ -206,10 +264,10 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
                     "degree bounds violated"
                 )
             return NoSolution(witness=period)
-        g_terms.update(solved[0].terms)
-        r_terms.update(solved[1].terms)
+        g_parts.append(solved[0])
+        r_parts.append(solved[1])
 
-    pair = FrancoisePair(g=BivarPoly(g_terms), r=BivarPoly(r_terms))
+    pair = FrancoisePair(g=_join(g_parts), r=_join(r_parts))
     if not pair.verify(BivarPoly.one(), w):
         raise InternalSolverError("resubstitution of decomposition failed")
     return pair

@@ -61,6 +61,118 @@ def test_constructor_rejects_negative_exponents():
         BivarPoly({(-1, 0): 1})
 
 
+def test_constructor_rejects_float_coefficients():
+    # a float is not exact: it would enter as its binary expansion
+    with pytest.raises(TypeError, match=r"\(1, 0\)"):
+        BivarPoly({(1, 0): 0.1})
+    with pytest.raises(TypeError, match=r"\(0, 2\)"):
+        BivarPoly({(0, 0): 1, (0, 2): np.float64(2.0)})
+    with pytest.raises(TypeError):
+        BivarPoly({(0, 0): "1/2"})
+    assert BivarPoly({(1, 0): np.int64(3)}) == X * 3
+
+
+@pytest.mark.parametrize("c", [0, 1, Fraction(1, 2), Fraction(-7, 3)])
+def test_constant_hashes_as_its_number(c):
+    # == with a number implies equal hashes, so sets and dicts agree with ==
+    p = BivarPoly.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+    assert p in {c} and c in {p}
+    assert {c: "v"}[p] == "v" and {p: "v"}[c] == "v"
+
+
+def test_hash_and_zero_constants():
+    assert hash(ZERO) == 0 and hash(ONE) == hash(1)
+    assert len({ONE, 1, ZERO, 0, X, X + 0}) == 3
+    assert hash(X * Fraction(1, 3)) == hash(BivarPoly({(1, 0): Fraction(2, 6)}))
+
+
+def test_storage_is_int_numerators_over_one_reduced_denominator():
+    p = BivarPoly({(1, 0): Fraction(1, 6), (0, 1): Fraction(-1, 4), (0, 0): 0})
+    assert p.nums == {(1, 0): 2, (0, 1): -3} and p.den == 12
+    assert BivarPoly({(2, 0): 4, (0, 0): 6}, den=-8).nums == {(2, 0): -2, (0, 0): -3}
+    assert BivarPoly({(2, 0): 4, (0, 0): 6}, den=-8).den == 4
+    assert ZERO.den == 1 and (X * Fraction(1, 3) - X * Fraction(1, 3)).den == 1
+    with pytest.raises(ZeroDivisionError):
+        BivarPoly({(0, 0): 1}, den=0)
+    with pytest.raises(TypeError):
+        BivarPoly({(0, 0): 1}, den=Fraction(1, 2))
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = Fraction(1)
+
+
+def _big_rational_poly(rng: random.Random, max_deg: int, primes) -> BivarPoly:
+    """Sparse polynomial whose coefficients have distinct large denominators."""
+    terms = {}
+    for a in range(max_deg + 1):
+        for b in range(max_deg + 1 - a):
+            if rng.random() < 0.5:
+                den = rng.choice(primes) * rng.choice((1, rng.choice(primes)))
+                terms[(a, b)] = Fraction(rng.randint(-10**12, 10**12) or 1, den)
+    return BivarPoly(terms)
+
+
+def _assert_canonical(p: BivarPoly) -> None:
+    assert p.den > 0 and all(type(c) is int and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert list(p.terms) == list(p.nums)
+    for c in p.terms.values():
+        assert type(c) is Fraction and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
+
+
+def test_int_core_matches_sympy():
+    # int numerators over large coprime denominators, against sympy.Poly,
+    # including sums that cancel to zero or down to a few terms
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    rng = random.Random(13)
+    primes = [1_000_003, 998_244_353, 1_000_000_007, 999_983, 65_537, 2_147_483_647]
+
+    def to_sympy(u):
+        return sp.Poly(sum(
+            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
+             for (a, b), c in u.terms.items()),
+            sp.Integer(0),
+        ), x, y)
+
+    def same(u, want):
+        _assert_canonical(u)
+        got = to_sympy(u)
+        assert got == sp.Poly(want, x, y), (u, want)
+
+    for _ in range(12):
+        a = _big_rational_poly(rng, 4, primes)
+        b = _big_rational_poly(rng, 4, primes)
+        c = _big_rational_poly(rng, 3, primes)
+        # c minus part of itself cancels exactly on the shared terms
+        part = BivarPoly({e: v for e, v in c.terms.items() if rng.random() < 0.5})
+        sa, sb, sc = to_sympy(a), to_sympy(b), to_sympy(c)
+        same(a + b, sa + sb)
+        same(a - b, sa - sb)
+        same(a * b, sa * sb)
+        same(a ** 3, sa ** 3)
+        same(a - a, sp.Integer(0))
+        same((a + b) - b - a, sp.Integer(0))
+        same(c - part, sc - to_sympy(part))
+        same(a.partial("x"), sa.diff(x))
+        same(b.partial("y"), sb.diff(y))
+        parts = a.homogeneous_parts()
+        assert sorted(parts) == sorted({i + j for (i, j), _ in sa.terms()})
+        for d, h in parts.items():
+            same(h, sum((v * x**i * y**j for (i, j), v in sa.terms() if i + j == d),
+                        sp.Integer(0)))
+        px, py = Fraction(rng.randint(-9, 9), rng.choice(primes)), Fraction(rng.randint(1, 9), 7)
+        want = sa.eval({x: sp.Rational(px.numerator, px.denominator),
+                        y: sp.Rational(py.numerator, py.denominator)})
+        assert a.eval(px, py) == Fraction(int(want.p), int(want.q))
+        # the same polynomial built two ways has the same storage and hash
+        left, right = (a + b) * c, a * c + b * c
+        assert left == right and hash(left) == hash(right)
+        assert left.terms == right.terms and left.den == right.den
+
+
 def test_binomial_square():
     assert (X + Y) ** 2 == X * X + X * Y * 2 + Y * Y
 

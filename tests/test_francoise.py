@@ -222,6 +222,26 @@ def test_sweep_matches_dense_on_single_blocks_up_to_degree_60():
         assert (DF.scale(g) + d_planar_scalar(r) - w).is_zero(), d
 
 
+def test_sweep_matches_dense_on_large_prime_denominators():
+    # coefficients over distinct large primes, so the chains' int pairs carry
+    # big coprime denominators and the shared-denominator shortcut rarely fires
+    rng = random.Random(210)
+    primes = [1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647, 999_983]
+    for d in (40, 41, 46, 47):
+        def part():
+            return BivarPoly({
+                (d - j, j): Fraction(rng.randint(-10**9, 10**9), rng.choice(primes))
+                for j in range(d + 1)
+            })
+        w = remove_period(Form1Planar(part(), part()))
+        solved = _block_solve(w.p, w.q, d)
+        assert solved is not None
+        assert solved == dense_block_solve(w.p, w.q, d), d
+        g, r = solved
+        assert g.den > 10**18 and r.den > 10**18
+        assert (DF.scale(g) + d_planar_scalar(r) - w).is_zero(), d
+
+
 def test_sweep_rejects_odd_block_with_nonzero_period():
     rng = random.Random(209)
     for d in (1, 3, 7, 15):
