@@ -14,10 +14,13 @@ exponent.
 
 Rational functions are fractions of BivarPoly kept as written, with the
 denominator normalized to have graded-lex leading coefficient 1; equality
-cross-multiplies, so no operation needs a gcd.  poly_gcd computes one by a
-primitive pseudo-remainder sequence in x with univariate Euclid over Q[y] for
-the contents, so no external computer-algebra dependency is involved; the
-only caller that wants a reduced fraction reduces its own.
+cross-multiplies, so no operation needs a gcd.  poly_gcd computes one on the
+int numerators by a single primitive pseudo-remainder sequence that recurses
+on the variable: x over Z[y], with the contents in Z[y] found by the same
+sequence in y over Z, whose contents are math.gcds.  Taking primitive parts
+at every step bounds the coefficient growth, and no Fraction is built; no
+external computer-algebra dependency is involved, and the only caller that
+wants a reduced fraction reduces its own.
 
 Truncated power series in a deformation parameter eps (EpsSeries) have
 BivarPoly coefficients: every series of the pipeline lives in
@@ -278,9 +281,6 @@ class BivarPoly:
         exp = max(self.nums, key=grlex_key)
         return exp, Fraction(self.nums[exp], self.den)
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
-
     def homogeneous_parts(self) -> dict[int, "BivarPoly"]:
         """Split into { total degree: homogeneous component }."""
         parts: dict[int, dict[Exponent, int]] = {}
@@ -471,92 +471,91 @@ def divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     return BivarPoly(q)
 
 
-def _y_coeffs(p: BivarPoly) -> dict[int, BivarPoly]:
-    """View p as a polynomial in x whose coefficients live in Q[y]."""
-    out: dict[int, dict[Exponent, Fraction]] = {}
-    for (a, b), c in p.terms.items():
-        out.setdefault(a, {})[(0, b)] = c
-    return {a: BivarPoly(t) for a, t in out.items()}
+def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    """Gcd in Q[x, y], normalized to graded-lex leading coefficient 1.
 
-
-def _deg_x(p: BivarPoly) -> int:
-    return max((a for a, _ in p.terms), default=-1)
-
-
-def _lc_x(p: BivarPoly) -> BivarPoly:
-    d = _deg_x(p)
-    return BivarPoly({(0, b): c for (a, b), c in p.terms.items() if a == d})
-
-
-def _gcd_univar_y(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Monic gcd of two polynomials in Q[y] (given as y-only BivarPoly).
-
-    On y-only polynomials the total degree is the y-degree and the graded-lex
-    leading coefficient is the one of the top power of y.
+    One primitive pseudo-remainder sequence on the int numerators, x the main
+    variable over Z[y] (Geddes, Czapor & Labahn, ch. 7); each content in Z[y]
+    is a gcd by the same sequence in y over Z, whose contents are math.gcds.
     """
-    a, b = p, q
-    while not b.is_zero():
-        # ordinary remainder over the field Q
-        while a.degree() >= b.degree() and not a.is_zero():
-            da, db = a.degree(), b.degree()
-            ca = a.coefficient(0, da)
-            cb = b.coefficient(0, db)
-            a = a - b * BivarPoly.monomial(0, da - db, ca / cb)
-        a, b = b, a
-    return _grlex_monic(a)
+    g = _gcd(p.nums, q.nums, 0)
+    return BivarPoly(g, g[max(g, key=grlex_key)]) if g else BivarPoly()
 
 
-def _content_x(p: BivarPoly) -> BivarPoly:
-    g = BivarPoly.zero()
-    for coef in _y_coeffs(p).values():
-        g = _gcd_univar_y(g, coef) if not g.is_zero() else _grlex_monic(coef)
-        if g == ONE:
+def _gcd(p: dict, q: dict, v: int) -> dict:
+    """Gcd, up to sign, of int polynomials (exponent -> int dicts) by the
+    primitive PRS in x (v = 0, over Z[y]) or in y (v = 1, x-free inputs)."""
+    if not p or not q:
+        return p or q
+    (cp, p), (cq, q) = _primitive(p, v), _primitive(q, v)
+    q, p = sorted((p, q), key=lambda u: _deg(u, v))
+    while _deg(q, v) > 0:
+        r = _prem(p, q, v)
+        p, q = q, r and _primitive(r, v)[1]
+    # a nonzero q of degree 0 is a primitive constant, a unit
+    return _dot(({(0, 0): 1} if q else p, _content([cp, cq], v)))
+
+
+def _primitive(p: dict, v: int) -> tuple[dict, dict]:
+    """Content of p as a polynomial in variable v, and p divided by it."""
+    rows: dict[int, dict] = {}
+    for e, n in p.items():
+        rows.setdefault(e[v], {})[(0, 0 if v else e[1])] = n
+    c = _content(list(rows.values()), v)
+    return c, _quo(p, c)
+
+
+def _content(cs: list[dict], v: int) -> dict:
+    """Gcd of polynomials free of variable v, shortest first: a unit ends it."""
+    if v:
+        return {(0, 0): gcd(*[n for c in cs for n in c.values()])}
+    g: dict = {}
+    for c in sorted(cs, key=len):
+        if (g := _gcd(g, c, 1)) == {(0, 0): 1}:
             break
     return g
 
 
-def _prem_x(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Pseudo-remainder of p by q with respect to x."""
-    dq = _deg_x(q)
-    lq = _lc_x(q)
-    r = p
-    while not r.is_zero() and _deg_x(r) >= dq:
-        dr = _deg_x(r)
-        lr = _lc_x(r)
-        r = r * lq - q * (lr * BivarPoly.monomial(dr - dq, 0))
-    return r
+def _quo(p: dict, c: dict) -> dict:
+    """Exact quotient of p by c, a polynomial in y alone, by long division."""
+    (_, dc), lc = max(c.items())
+    if len(c) == 1:
+        return {(a, b - dc): n // lc for (a, b), n in p.items()}
+    p, out, top_a = dict(p), {}, _deg(p, 0)
+    for b in range(_deg(p, 1), dc - 1, -1):
+        for a in range(top_a + 1):
+            if n := p.get((a, b), 0) // lc:
+                out[(a, b - dc)] = n
+                for (_, e), m in c.items():
+                    p[(a, b - dc + e)] = p.get((a, b - dc + e), 0) - n * m
+    return out
 
 
-def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Gcd in Q[x, y], normalized to graded-lex leading coefficient 1."""
-    if p.is_zero():
-        return _grlex_monic(q)
-    if q.is_zero():
-        return _grlex_monic(p)
-    if _deg_x(p) == 0 and _deg_x(q) == 0:
-        return _grlex_monic(_gcd_univar_y(p, q))
-    if _deg_x(p) < _deg_x(q):
-        p, q = q, p
-    cp, cq = _content_x(p), _content_x(q)
-    a = _grlex_monic(divexact(p, cp))
-    b = _grlex_monic(divexact(q, cq))
-    # primitive pseudo-remainder sequence in x; the content division leaves a
-    # rational scalar, and without the monic rescaling the coefficients grow
-    while not b.is_zero():
-        r = _prem_x(a, b)
-        if not r.is_zero():
-            r = _grlex_monic(divexact(r, _content_x(r)))
-        a, b = b, r
-    g = divexact(a, _content_x(a))
-    g = g * _gcd_univar_y(cp, cq)
-    return _grlex_monic(g)
+def _prem(p: dict, q: dict, v: int) -> dict:
+    """Sparse pseudo-remainder of p by q in variable v."""
+    dq = _deg(q, v)
+    s, t = (0, dq) if v else (dq, 0)
+    lq = {(a - s, b - t): n for (a, b), n in q.items() if (a, b)[v] == dq}
+    while (d := _deg(p, v)) >= dq:
+        lp = {(a - s, b - t): -n for (a, b), n in p.items() if (a, b)[v] == d}
+        p = _dot((lq, p), (lp, q))
+    return p
 
 
-def _grlex_monic(p: BivarPoly) -> BivarPoly:
-    if p.is_zero():
-        return p
-    _, lc = p.leading_term()
-    return p * BivarPoly.constant(1 / lc)
+def _dot(*pairs: tuple[dict, dict]) -> dict:
+    """Sum of the products f g over the pairs (f, g) of int polynomials."""
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for f, g in pairs:
+        for (a, b), m in f.items():
+            for (c, d), n in g.items():
+                e = (a + c, b + d)
+                out[e] = get(e, 0) + m * n
+    return {e: n for e, n in out.items() if n}
+
+
+def _deg(p: dict, v: int) -> int:
+    return max((e[v] for e in p), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -579,9 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every call of
+# main, and no call leaves the parser's reference cycles to the collector
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     cfg = oracle.DEFAULT_CONFIG
     if args.steps is not None:
         try:
@@ -594,7 +598,7 @@ def main(argv=None) -> int:
         if args.verify_all:
             return run_verify_all(cfg)
         if args.command is None:
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             print("error: a subcommand or --verify-all is required", file=sys.stderr)
             return EXIT_INVALID
 

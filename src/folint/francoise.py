@@ -285,11 +285,12 @@ def melnikov_sequence(
 ) -> MelnikovResult:
     """Iterate M_{k+1} = (-1)^{k+1} period(g_k w) until nonzero or max_order.
 
-    While the Melnikov values vanish the sequence is extended with
-    decompose(g_k w), whose resubstitution check is exactly the pair's
-    defining identity g_k w = g_{k+1} dF + d r_{k+1}; the first nonzero value
-    stops the iteration and leaves the pair list one short of the stopping
-    index.
+    decompose(g_k w) decides each order.  A pair means M_{k+1} = 0 and extends
+    the sequence; its resubstitution check is exactly the pair's defining
+    identity g_k w = g_{k+1} dF + d r_{k+1}.  A NoSolution carries the period
+    as its witness: the first nonzero value stops the iteration and leaves
+    the pair list one short of the stopping index.  No period is computed on
+    the orders where it vanishes.
     """
     family.require_circle()
     if max_order < 1:
@@ -299,15 +300,13 @@ def melnikov_sequence(
     g_prev = BivarPoly.one()
     first_nonzero: int | None = None
     for k in range(max_order):
-        current = w.scale(g_prev)
-        period = period_of_form(current)
-        m = period if (k + 1) % 2 == 0 else -period
-        melnikov.append(m)
-        if not m.is_zero():
+        solved = decompose(w.scale(g_prev))
+        if isinstance(solved, NoSolution):
+            period = solved.witness
+            melnikov.append(period if (k + 1) % 2 == 0 else -period)
             first_nonzero = k + 1
             break
-        # the period is zero, so decompose returns a pair or raises
-        solved = decompose(current)
+        melnikov.append(PeriodPoly.zero())
         pairs.append(solved)
         g_prev = solved.g
     seq = FrancoiseSequence(omega=w, pairs=tuple(pairs))

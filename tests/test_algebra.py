@@ -344,11 +344,29 @@ def test_poly_gcd_divides_both():
         assert divexact(q * g, d) * d == q * g
 
 
+def sympy_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    """sympy's gcd of p and q, normalised to graded-lex leading coefficient 1."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+
+    def to_sympy(u):
+        return sum(
+            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
+             for (a, b), c in u.terms.items()),
+            sp.Integer(0),
+        )
+
+    g = sp.gcd(to_sympy(p), to_sympy(q))
+    if g == 0:
+        return ZERO
+    g = BivarPoly({m: Fraction(int(c.p), int(c.q)) for m, c in sp.Poly(g, x, y).terms()})
+    _, lc = g.leading_term()
+    return g * BivarPoly.constant(1 / lc)
+
+
 def test_poly_gcd_matches_sympy():
     # rational pairs with a planted common factor, against an independent gcd;
     # both sides are compared after graded-lex-monic normalisation
-    sp = pytest.importorskip("sympy")
-    x, y = sp.symbols("x y")
     rng = random.Random(31)
 
     def rational_poly(max_deg):
@@ -359,29 +377,45 @@ def test_poly_gcd_matches_sympy():
                     terms[(a, b)] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
         return BivarPoly(terms)
 
-    def to_sympy(u):
-        return sum(
-            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
-             for (a, b), c in u.terms.items()),
-            sp.Integer(0),
-        )
-
-    def from_sympy(expr):
-        return BivarPoly({
-            m: Fraction(int(c.p), int(c.q))
-            for m, c in sp.Poly(expr, x, y).terms()
-        })
-
-    def monic(u):
-        _, lc = u.leading_term()
-        return u * BivarPoly.constant(1 / lc)
-
     for _ in range(40):
         g = rational_poly(2) + X
         p = rational_poly(3) + 1
         q = rational_poly(3) + Y
-        want = monic(from_sympy(sp.gcd(to_sympy(p * g), to_sympy(q * g))))
-        assert poly_gcd(p * g, q * g) == want
+        assert poly_gcd(p * g, q * g) == sympy_gcd(p * g, q * g)
+
+
+# a common factor of total degree 3 that is not a monomial, over Q
+CUBIC = parse_poly("x^2y - 2/3xy^2 + 5/7y + 1/2")
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (6 * Y * (X + 2 * Y + 1), 4 * Y * Y * (X + 2 * Y + 1)),
+        (parse_poly("y^3 - y + 3y^2 - 3"), parse_poly("2y^3 - 1/2y^2 - 2y + 1/2")),
+        (parse_poly("6y^4 + 4y^2"), parse_poly("9y^3")),
+        (parse_poly("x^4 - x^3 - 2x^2 + 2x"), parse_poly("3x^4 + 5x^3 - 6x^2 - 10x")),
+        (parse_poly("x^5"), parse_poly("2/3x^2 + 4/3x")),
+        (BivarPoly.constant(6), BivarPoly.constant(4)),
+        (BivarPoly.constant(Fraction(3, 4)), X * Y + 1),
+        (ZERO, CUBIC * (X + 1)),
+        (CUBIC * 3, ZERO),
+        (ZERO, ZERO),
+        (CUBIC * parse_poly("x^2 + y"), CUBIC * parse_poly("xy - 3")),
+        (CUBIC * CUBIC * X, CUBIC * (Y * Y - X)),
+        (CUBIC * parse_poly("y^2 + 1/3"), CUBIC * parse_poly("2xy^2 + 2/3x + y^2 + 1/3")),
+        (parse_poly("x^25 + 3y^24 + xy"), parse_poly("y^25 + x^24 + 2")),
+    ],
+    ids=[
+        "integer-contents", "y-only", "y-only-monomial-gcd", "x-only", "x-only-monomial-gcd",
+        "constants", "constant-and-poly", "zero-first", "zero-second", "both-zero",
+        "cubic-factor", "cubic-factor-squared", "cubic-times-y-content", "coprime-25",
+    ],
+)
+def test_poly_gcd_cases_match_sympy(p, q):
+    want = sympy_gcd(p, q)
+    assert poly_gcd(p, q) == want
+    assert poly_gcd(q, p) == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -502,6 +505,35 @@ def test_main_oracle_names_the_escaping_table_lane(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: LeafEscapedAnnulus: ")
     assert "eps=3" in captured.err
+
+
+def test_main_calls_in_one_process_match_separate_runs(tmp_path, capsys):
+    # main reuses one parser, so no option of a call may leak into the next:
+    # the last gv must see neither the first one's --k 2 nor the --steps 0
+    # that made the one before it exit 2
+    path = write_doc(tmp_path, load_fixture("example1.json"))
+    argvs = [
+        ["gv", "--k", "2", path],
+        ["melnikov", path],
+        ["--steps", "200", "oracle", path, "--richardson"],
+        ["--steps", "0", "gv", path],
+        ["gv", path],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, want in zip(argvs, in_process):
+        run = subprocess.run(
+            [sys.executable, "-m", "folint", *argv],
+            capture_output=True, text=True, encoding="utf-8", env=env, check=False,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == want
+    assert [code for code, _, _ in in_process] == [EXIT_OK] * 3 + [EXIT_INVALID, EXIT_OK]
+    assert in_process[0][1] != in_process[4][1]
 
 
 def test_main_internal_error_exit(tmp_path, capsys, monkeypatch):

@@ -330,8 +330,7 @@ def test_corrupted_block_solve_fails_resubstitution(monkeypatch):
         melnikov_sequence(CIRCLE, Form1Planar(Y * Y, ZERO), 2)
 
 
-def test_melnikov_sequence_computes_one_period_per_order(monkeypatch):
-    # decompose runs only on zero-period forms, where the sweep needs no period
+def count_period_calls(monkeypatch) -> list:
     calls = []
     real = francoise.period_of_form
 
@@ -340,9 +339,25 @@ def test_melnikov_sequence_computes_one_period_per_order(monkeypatch):
         return real(w)
 
     monkeypatch.setattr(francoise, "period_of_form", counting)
+    return calls
+
+
+def test_melnikov_sequence_computes_no_period_on_a_silent_form(monkeypatch):
+    # the sweep decides every order; a period is only the witness of a failure
+    calls = count_period_calls(monkeypatch)
     res = melnikov_sequence(CIRCLE, Form1Planar(Y * Y, ZERO), 6)
     assert res.first_nonzero is None
-    assert len(calls) == 6
+    assert calls == []
+
+
+def test_melnikov_sequence_computes_one_period_at_the_first_nonzero_order(monkeypatch):
+    # x^2 dx + x^2 dy: M_1 = 0 and M_2 = pi t^2 / 4, the witness of order 2
+    calls = count_period_calls(monkeypatch)
+    res = melnikov_sequence(CIRCLE, Form1Planar(X * X, X * X), 6)
+    assert res.first_nonzero == 2
+    assert res.melnikov == (PeriodPoly.zero(), PeriodPoly((0, 0, Fraction(1, 4))))
+    assert len(res.sequence) == 1
+    assert len(calls) == 1
 
 
 def test_decompose_inconsistent_block_with_zero_period_is_internal(monkeypatch):

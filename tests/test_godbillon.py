@@ -290,6 +290,43 @@ def test_eta_texts_are_reduced(square_seq):
     ]
 
 
+BASELINE_ETA_M1 = {
+    NORMALIZATION_PRIMARY: [
+        (
+            "(24) / (x^5 + 3x^3y^2 + 8x^2 + 12y^2)",
+            "(24y) / (x^6 + 3x^4y^2 + 8x^3 + 12xy^2)",
+        ),
+        (
+            "(12/5x^10 + 12x^8y^2 + 36x^6y^4 + 216/7x^7 + 108x^5y^2 + 180x^3y^4"
+            " + 48x^4 + 96x^2y^2 + 144y^4) / (x^11 + 6x^9y^2 + 9x^7y^4 + 16x^8"
+            " + 72x^6y^2 + 72x^4y^4 + 64x^5 + 192x^3y^2 + 144xy^4)",
+            "(12/5x^8y + 216/7x^5y + 48x^2y) / (x^10 + 6x^8y^2 + 9x^6y^4 + 16x^7"
+            " + 72x^5y^2 + 72x^3y^4 + 64x^4 + 192x^2y^2 + 144y^4)",
+        ),
+    ],
+    NORMALIZATION_RESCALED: [
+        ("2x", "2y"),
+        (
+            "(3/5x^11 + 3x^9y^2 + 48/7x^8 + 24x^6y^2 + 36x^5 + 72x^3y^2 + 48x^2"
+            " + 24y^2) / (x^6 + 3x^4y^2 + 8x^3 + 12xy^2)",
+            "(3/5x^9y + 3x^7y^3 + 48/7x^6y + 24x^4y^3 + 36x^3y + 48xy^3 + 48y)"
+            " / (x^5 + 3x^3y^2 + 8x^2 + 12y^2)",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("normalization", sorted(BASELINE_ETA_M1))
+def test_baseline_eta_texts_are_pinned(normalization):
+    # (x^3y^2 + y^2) dx at m = 1: r_1 = x (x^5 + 3x^3y^2 + 8x^2 + 12y^2) / 12,
+    # and each component is reduced by its gcd with the power of r_1 (1, x or x^2)
+    w = Form1Planar(X**3 * Y**2 + Y**2, ZERO)
+    res = melnikov_sequence(CIRCLE, w, 2)
+    fint = first_integral(CIRCLE.hamiltonian, res.sequence, 2)
+    eta = classical_gv_forms(fint, 1, normalization).eta
+    assert [(e.p.to_text(), e.q.to_text()) for e in eta] == BASELINE_ETA_M1[normalization]
+
+
 def test_eta_matches_sympy_taylor_expansion(square_seq):
     # eta_i = i! [eps^i] dF_eps / (dF_eps/deps), i.e. the i-th eps-derivative
     # of the quotient at eps = 0, computed by an independent algebra system
