@@ -450,13 +450,22 @@ def _parse_term(body: str, col: int) -> tuple[Exponent, Fraction]:
 def divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     """Exact quotient p/d; raises ValueError if d does not divide p.
 
-    Repeated graded-lex leading-term reduction: for an exact multiple this
-    terminates with zero remainder in any monomial order.
+    A monomial d shifts every exponent of p and scales its numerators in one
+    pass.  Otherwise repeated graded-lex leading-term reduction: for an exact
+    multiple this terminates with zero remainder in any monomial order.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return BivarPoly.zero()
+    if len(d.nums) == 1:
+        (((da, db), dc),) = d.nums.items()
+        q = {}
+        for (a, b), c in p.nums.items():
+            if a < da or b < db:
+                raise ValueError("inexact polynomial division")
+            q[a - da, b - db] = c * d.den
+        return BivarPoly(q, p.den * dc)
     (da, db), dc = d.leading_term()
     q: dict[Exponent, Fraction] = {}
     rem = p

@@ -18,19 +18,26 @@ return is exact at any step count; convergence-order measurements therefore
 need a nonzero eps.  The integrator state is a numpy vector of (t, eps)
 lanes: each lane starts from its own rho(0) = sqrt(t) and must stay in its
 own annulus t/2 < rho^2 < 2t, so a whole displacement grid is one
-integration per step count.  An oracle report is one n-step and one
-2n-step integration: grid_estimates runs the table lanes and every t's eps
-ladder (shared by the least-squares fit and the Richardson extrapolation)
-at n steps, and the table lanes alone at 2n.
+integration.  est_error comes from step doubling: the table lanes run at n
+and at 2n steps, and the 2n-step copies of the lanes ride in the same lane
+vector and the same loop.  An oracle report is therefore one integration:
+grid_estimates runs the table lanes and every t's eps ladder (shared by the
+least-squares fit and the Richardson extrapolation) at n steps, and the
+table lanes again at 2n.
 
 The stages read node tables instead of evaluating w.  On the circle a
 polynomial is sum_k rho^k of its degree-k homogeneous part at (cos, sin),
-so at each half-step node theta_j = j h / 2 the coefficients of
-A = Q cos - P sin and B = P cos + Q sin are numbers; a stage multiplies its
-node's table (a row per quantity, a column per power of rho that occurs) by
-the lanes' powers rho^k and sums over k.
+so at each node the coefficients of A = Q cos - P sin and
+B = P cos + Q sin are numbers; a stage multiplies its node's table (a row
+per quantity, a column per power of rho that occurs) by the lanes' powers
+rho^k and sums over k.  The nodes are the half steps theta_j = j h / 2 of
+the n-step run, or its quarter steps when 2n-step lanes ride along: the
+half steps of the 2n-step run, whose even nodes are the n-step run's.  An
+n-step step then evaluates every lane at quarter nodes 0, 2, 2 and 4 and
+the 2n-step lanes alone at 1, 1, 3 and 3, 8 stages where two runs take 12.
 The tables are built one chunk of _CHUNK_STEPS steps at a time, so their
-memory does not grow with the step count.
+memory does not grow with the step count.  The stages and steps write their
+guard values into chunk buffers, checked once per chunk.
 
 A rational component N / D is taken as written: with w = (Np / Dp) dx +
 (Nq / Dq) dy the tables hold the exact products Nq Dp cos - Np Dq sin,
@@ -51,7 +58,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, pi
+from math import pi
 
 import numpy as np
 
@@ -108,7 +115,8 @@ DEFAULT_CONFIG = HolonomyConfig()
 
 @dataclass(frozen=True)
 class DisplacementSample:
-    """One measured Delta(t, eps); est_error compares n and 2n step runs."""
+    """One measured Delta(t, eps) at 2n steps; est_error is its distance
+    from the n-step value, both from one integration (step doubling)."""
 
     t: float
     eps: float
@@ -116,21 +124,36 @@ class DisplacementSample:
     est_error: float
 
 
-def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
-    """rho(2pi) for every (t, eps) lane; t and eps broadcast together.
+def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
+    """rho(2pi) after `steps` RK4 steps for every (t, eps) lane; t and eps
+    broadcast together.  With fine > 0 the first `fine` lanes also run at
+    2 * steps steps in the same loop, and the result is the pair (n-step
+    rho, 2n-step rho of those lanes).
 
     Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
-    t/2 < rho^2 < 2t.  The stages read node tables (see _Rows) built one
-    chunk of _CHUNK_STEPS steps at a time, so table memory does not grow
-    with the step count.  A stage multiplies its node's table by the lanes'
-    powers rho^k and sums over k, elementwise in a fixed order, so no lane's
-    result depends on the other lanes or on the chunk size.  A rational
-    omega divides through by D = Dp Dq, so the d rho coefficient
+    t/2 < rho^2 < 2t.  The lane vector is every n-step lane followed by the
+    2n-step copies.  The stages read node tables (see _Rows) built one chunk
+    of _CHUNK_STEPS n-step steps at a time, so table memory does not grow
+    with the step count; with fine > 0 the nodes are the quarter steps
+    theta = m h / 4, the half steps of the 2n-step run.  Per n-step step
+    every lane is evaluated at nodes 0, 2, 2 and 4 and the 2n-step lanes
+    alone at nodes 1, 1, 3 and 3: 8 stages where two runs take 12.  As
+    0.5 * (2 pi / n) == 2 pi / (2 n) in floats, each stage input, node and
+    update is the float expression of the separate run.  A stage multiplies
+    its node's table by the lanes' powers rho^k and sums over k, elementwise
+    in a fixed order, so no lane's result depends on the other lanes or on
+    the chunk size.
+
+    A rational omega divides through by D = Dp Dq, so the d rho coefficient
     2 rho D + eps B must have D's sign; each denominator Dp and Dq must keep
     its own theta = 0 sign at every stage, since a sign test on D alone
-    misses both flipping together.  The checks see only the stages' samples,
-    so a pole crossed twice between two of them still escapes.  The result
-    has the broadcast shape of t and eps.
+    misses both flipping together.  The stages write these signed values,
+    and the steps their rho, into chunk buffers, and one vectorised check per
+    chunk raises the first failure in (step, stage, row, lane) order, an
+    n-step lane's before any 2n-step lane's, as if the n-step run had run
+    first.  The checks see only the stages' samples, so a pole crossed twice
+    between two of them still escapes.  The n-step result has the broadcast
+    shape of t and eps.
     """
     t, eps = np.broadcast_arrays(
         np.asarray(t, dtype=float), np.asarray(eps, dtype=float)
@@ -139,83 +162,164 @@ def _integrate(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
     t, eps = t.ravel(), eps.ravel()
     if not np.all(t > 0):
         raise ValueError("t must be positive")
+    n = t.size
+    t, eps = np.concatenate([t, t[:fine]]), np.concatenate([eps, eps[:fine]])
     lo, hi = 0.5 * t, 2.0 * t
     h = 2.0 * pi / steps
+    hf = 2.0 * pi / (2 * steps)  # the 2n-step run's h, == 0.5 * h
+    sub = 4 if fine else 2  # table nodes per n-step step
+    mid = sub // 2
+    # the table node of each check of a step (see _STAGE_CHECKS)
+    node_of = (0, 1, 1, mid, mid, mid, 3, 3, sub, sub)
     rows = _Rows(w)
     neg_half_eps = -0.5 * eps
+    chunk = min(_CHUNK_STEPS, steps)
+    # per step of a chunk: each stage's signed guard rows (denominators, then
+    # d rho), and the rho of each step end (the 2n-step lanes' middle one,
+    # then every lane's)
+    guards = np.zeros((chunk, len(_STAGE_CHECKS), len(rows.dens) + 1, t.size))
+    ends = np.zeros((chunk, len(_STEP_CHECKS), t.size))
+    # which lanes each stage and step end checks: the 2n-step lanes all of
+    # them, the n-step lanes their own
+    stage_mask = np.zeros((len(_STAGE_CHECKS), 1, t.size), dtype=bool)
+    stage_mask[_EVERY_LANE_STAGES] = True
+    stage_mask[..., n:] = True
+    step_mask = np.ones((len(_STEP_CHECKS), t.size), dtype=bool)
+    step_mask[0, :n] = False
+    x = np.empty(t.size)  # an every-lane stage's input
+    # k[0] .. k[3]: the slopes k1 .. k4 of each lane's step, for a 2n-step
+    # lane its second of the two in an n-step step
+    k = np.empty((4, t.size))
+    # h and h / 6 per lane: the every-lane expressions rho + h k3 and
+    # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4)
+    h_lane = np.concatenate([np.full(n, h), np.full(fine, hf)])
+    h6_lane = np.concatenate([np.full(n, h / 6.0), np.full(fine, hf / 6.0)])
     # rho^0 .. rho^top per lane; row 0 stays 1
     powers = np.ones((rows.top + 1, 1, t.size))
+    powers_fine = np.ones((rows.top + 1, 1, fine))
 
-    def values(j: int, rho: np.ndarray) -> np.ndarray:
+    def values(j: int, rho: np.ndarray, powers: np.ndarray) -> np.ndarray:
         """Every row at node j of the chunk, one per lane."""
         powers[1:, 0] = rho
         np.multiply.accumulate(powers, axis=0, out=powers)
         return np.add.reduce(nodes[j] * powers.take(rows.degrees, axis=0), axis=0)
 
-    def slope(j: int, rho: np.ndarray) -> np.ndarray:
-        v = values(j, rho)
+    def slope(j: int, rho: np.ndarray, g: np.ndarray, lanes, out=None) -> np.ndarray:
+        """The slope at node j of the lanes `lanes`; their guard rows go to g."""
+        eps, neg_half_eps, powers, signs, sign_d = lanes
+        v = values(j, rho, powers)
         if rows.dens:
-            for (name, poly), dv, sign in zip(rows.dens, v[3:], signs):
-                dv = dv * sign
-                if not _positive(dv):
-                    k = int(np.argmin(dv > 0.0))
-                    raise DenominatorVanished(
-                        f"denominator {poly} of the {name} component vanished "
-                        f"or changed sign at theta={thetas[j]:.6f}, t={t[k]:g}, "
-                        f"eps={eps[k]:g} (the fraction is not reduced, so a "
-                        f"common factor counts)"
-                    )
+            np.multiply(v[3:], signs, out=g[:-1])
             den = rho * v[2] + eps * v[1]
-            signed = den * sign_d  # positive where den has the sign of D
+            np.multiply(den, sign_d, out=g[-1])  # > 0 where den has D's sign
         else:
-            den = signed = rho + eps * v[1]
-        if not _positive(signed):
-            k = int(np.argmin(signed > 0.0))
-            raise DenominatorVanished(
-                f"d rho coefficient vanished at theta={thetas[j]:.6f}, "
-                f"t={t[k]:g}, eps={eps[k]:g}"
-            )
+            den = np.add(rho, eps * v[1], out=g[-1])
         # half the numerator over half the d rho coefficient (v[1] is B / 2):
         # the same bits as -eps rho A / (2 rho D + eps B), one product fewer
-        return neg_half_eps * rho * v[0] / den
+        return np.divide(neg_half_eps * rho * v[0], den, out=out)
+
+    def failure(bad: np.ndarray, first_lane: int) -> RuntimeError | None:
+        """The first failure flagged in bad, (step, check, row, lane)."""
+        if not bad.any():
+            return None
+        i, check, row, k = np.unravel_index(np.argmax(bad), bad.shape)
+        k += first_lane
+        theta = thetas[sub * i + node_of[check]]
+        if check in _STEP_CHECKS:
+            return LeafEscapedAnnulus(
+                f"leaf left the annulus ({lo[k]:g}, {hi[k]:g}) at theta="
+                f"{theta:.6f}, t={t[k]:g}, eps={eps[k]:g}"
+            )
+        if row < len(rows.dens):
+            name, poly = rows.dens[row]
+            return DenominatorVanished(
+                f"denominator {poly} of the {name} component vanished "
+                f"or changed sign at theta={theta:.6f}, t={t[k]:g}, "
+                f"eps={eps[k]:g} (the fraction is not reduced, so a "
+                f"common factor counts)"
+            )
+        return DenominatorVanished(
+            f"d rho coefficient vanished at theta={theta:.6f}, "
+            f"t={t[k]:g}, eps={eps[k]:g}"
+        )
 
     rho = np.sqrt(t)
-    # the guards stop every non-finite lane, so numpy's warnings add nothing
+    late = None  # the first failure of a 2n-step lane
+    # the checks stop every non-finite lane, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, steps, _CHUNK_STEPS):
-            stop = min(start + _CHUNK_STEPS, steps)
-            thetas = np.arange(2 * start, 2 * stop + 1) * (0.5 * h)
+        for start in range(0, steps, chunk):
+            stop = min(start + chunk, steps)
+            thetas = np.arange(sub * start, sub * stop + 1) * (h / sub)
             nodes = rows.tabulate(thetas)
             if start == 0:
                 # each denominator's sign at the lane's theta = 0 point
-                signs = np.sign(values(0, rho)[3:])
+                signs = np.sign(values(0, rho, powers)[3:])
                 sign_d = signs.prod(axis=0)
-            for i in range(start, stop):
-                j = 2 * (i - start)
-                k1 = slope(j, rho)
-                k2 = slope(j + 1, rho + 0.5 * h * k1)
-                k3 = slope(j + 1, rho + 0.5 * h * k2)
-                k4 = slope(j + 2, rho + h * k3)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                sq = rho * rho
-                inside = (sq > lo) & (sq < hi)  # false on NaN too
-                if not np.logical_and.reduce(inside):
-                    k = int(np.argmin(inside))
-                    raise LeafEscapedAnnulus(
-                        f"leaf left the annulus ({lo[k]:g}, {hi[k]:g}) at theta="
-                        f"{thetas[j + 2]:.6f}, t={t[k]:g}, eps={eps[k]:g}"
-                    )
-    return rho.reshape(shape)
+                every = (eps, neg_half_eps, powers, signs, sign_d)
+                part = (eps[n:], neg_half_eps[n:], powers_fine, signs[:, n:],
+                        sign_d[n:])
+            for i in range(stop - start):
+                j, g, end = sub * i, guards[i], ends[i]
+                slope(j, rho, g[0], every, k[0])  # node 0: k1
+                if fine:  # the 2n-step lanes' first step: k2, k3 at node 1
+                    r = rho[n:]
+                    f2 = slope(j + 1, r + 0.5 * hf * k[0, n:], g[1, :, n:], part)
+                    acc = k[0, n:] + 2.0 * f2
+                    # k3 in k1's place, so that one input serves every lane
+                    slope(j + 1, r + 0.5 * hf * f2, g[2, :, n:], part, k[0, n:])
+                    acc = acc + 2.0 * k[0, n:]
+                # node 2: the n-step k2 and the 2n-step k4 (0.5 * h == hf)
+                np.add(rho, 0.5 * h * k[0], out=x)
+                slope(j + mid, x, g[3], every, k[1])
+                if fine:  # the first step's end; rho becomes [n-step rho, r]
+                    r = np.add(r, (hf / 6.0) * (acc + k[1, n:]), out=end[0, n:])
+                    end[0, :n] = rho[:n]
+                    rho = end[0]
+                # node 2: the n-step k3 and the second step's k1
+                np.add(rho[:n], 0.5 * h * k[1, :n], out=x[:n])
+                if fine:
+                    x[n:] = r
+                slope(j + mid, x, g[4], every, k[2])
+                if fine:  # the second step's k1, k2, k3 into k[0], k[1], k[2]
+                    k[0, n:] = k[2, n:]
+                    slope(j + 3, r + 0.5 * hf * k[0, n:], g[5, :, n:], part,
+                          k[1, n:])
+                    slope(j + 3, r + 0.5 * hf * k[1, n:], g[6, :, n:], part,
+                          k[2, n:])
+                np.add(rho, h_lane * k[2], out=x)  # node 4: every lane's k4
+                slope(j + sub, x, g[7], every, k[3])
+                rho = np.add(
+                    rho, h6_lane * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=end[1]
+                )
+            count = stop - start
+            bad = np.zeros((count, len(node_of), *guards.shape[2:]), dtype=bool)
+            # not > 0, so NaN fails too
+            bad[:, _STAGE_CHECKS] = ~(guards[:count] > 0.0) & stage_mask
+            sq = ends[:count] * ends[:count]
+            bad[:, _STEP_CHECKS, 0] = ~((sq > lo) & (sq < hi)) & step_mask
+            error = failure(bad[..., :n], 0)
+            if error is not None:
+                raise error
+            if late is None:
+                late = failure(bad[..., n:], n)
+    if late is not None:
+        raise late
+    return (rho[:n].reshape(shape), rho[n:]) if fine else rho.reshape(shape)
 
 
 # RK4 steps per node table: a table holds the 2 * _CHUNK_STEPS + 1 half-step
-# nodes of its steps, so its size does not depend on the step count
+# nodes of its steps (4 * _CHUNK_STEPS + 1 quarter-step nodes when the
+# 2n-step lanes run too), so its size does not depend on the step count
 _CHUNK_STEPS = 64
 
-
-def _positive(x: np.ndarray) -> bool:
-    """Every entry is > 0; false on NaN too (minimum propagates it)."""
-    return np.minimum.reduce(x, initial=inf) > 0.0
+# The checks of one n-step step, in the order of the separate runs: eight
+# stages, every lane at nodes 0, 2, 2 and 4 (slots 0, 3, 4 and 7) and the
+# 2n-step lanes alone at 1, 1, 3 and 3, and two step ends, the 2n-step
+# lanes' middle one and every lane's last.  An n-step lane's order is its
+# own run's; a 2n-step lane's is its two steps in turn.
+_STAGE_CHECKS = [0, 1, 2, 3, 5, 6, 7, 8]
+_STEP_CHECKS = [4, 9]
+_EVERY_LANE_STAGES = [0, 3, 4, 7]
 
 
 def _powers(base: np.ndarray, top: int) -> np.ndarray:
@@ -305,16 +409,13 @@ def _table_lanes(t_values, eps_values):
     return grid, t_lane, eps_lane
 
 
-def _table(w, grid, t_lane, eps_lane, coarse, cfg) -> list[DisplacementSample]:
-    """Samples from coarse, the cfg-step Delta of every grid lane, and one
-    2*cfg-step run over the same lanes.
+def _table(grid, t_lane, coarse, rho_fine) -> list[DisplacementSample]:
+    """Samples from coarse, the n-step Delta of every grid lane, and
+    rho_fine, their 2n-step rho(2pi).
 
     Delta is the doubled-step value; est_error is its distance from coarse.
     """
-    fine = (
-        holonomy_return(w, t_lane, eps_lane, HolonomyConfig(2 * cfg.step_count))
-        - t_lane
-    )
+    fine = rho_fine * rho_fine - t_lane
     return [
         DisplacementSample(t=t, eps=eps, delta=delta, est_error=err)
         for (t, eps), delta, err in zip(
@@ -332,13 +433,13 @@ def displacement_table(
     """Samples for the whole (t, eps) grid, row-major in the given order.
 
     Delta is the doubled-step return; est_error is its difference from the
-    cfg run.  Each step count is one integration over every grid point.
+    cfg run.  Both runs are one integration over every grid point.
     """
     grid, t_lane, eps_lane = _table_lanes(t_values, eps_values)
-    if not grid:  # zero lanes would still step through two revolutions
+    if not grid:  # zero lanes would still step through a revolution
         return []
-    coarse = holonomy_return(w, t_lane, eps_lane, cfg) - t_lane
-    return _table(w, grid, t_lane, eps_lane, coarse, cfg)
+    rho, rho_fine = _integrate(w, t_lane, eps_lane, cfg.step_count, fine=len(grid))
+    return _table(grid, t_lane, rho * rho - t_lane, rho_fine)
 
 
 class MelnikovEstimates(list):
@@ -456,16 +557,16 @@ def grid_estimates(
     orders: int,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
 ) -> tuple[list[DisplacementSample], list[tuple[MelnikovEstimates, float]]]:
-    """The table and per-t estimates of an oracle report, integrated twice.
+    """The table and per-t estimates of an oracle report, in one integration.
 
     Equals displacement_table(w, t_values, eps_values, cfg) and, per t,
     melnikov_estimate(w, t, orders, cfg) with
     first_melnikov_richardson(w, t, cfg), all at their default eps0 and
-    levels.  The cfg-step run takes the table lanes first, then one eps
-    ladder per t whose leading rungs both estimators read; the 2*cfg-step
-    run takes the table lanes.  Lanes do not interact, so every number is
-    the separate call's.  Returns the table and one (estimates,
-    richardson_m1) pair per t.
+    levels.  The cfg-step lanes are the table lanes first, then one eps
+    ladder per t whose leading rungs both estimators read; the table lanes
+    also run at 2*cfg steps in the same loop.  Lanes do not interact, so
+    every number is the separate call's.  Returns the table and one
+    (estimates, richardson_m1) pair per t.
     """
     if orders < 1:
         raise ValueError("orders must be >= 1")
@@ -475,9 +576,11 @@ def grid_estimates(
     ladder = _eps_ladder(_EPS0, max(2 * orders + 1, _LEVELS + 1))
     t_lane = np.concatenate([t_table, np.repeat(t_values, ladder.size)])
     eps_lane = np.concatenate([eps_table, np.tile(ladder, len(t_values))])
-    deltas = holonomy_return(w, t_lane, eps_lane, cfg) - t_lane
     n = len(grid)
-    samples = _table(w, grid, t_table, eps_table, deltas[:n], cfg) if grid else []
+    rho = _integrate(w, t_lane, eps_lane, cfg.step_count, fine=n)
+    rho, rho_fine = rho if n else (rho, None)
+    deltas = rho * rho - t_lane
+    samples = _table(grid, t_table, deltas[:n], rho_fine) if n else []
     fits = [
         (_fit(t, orders, _EPS0, ladder, row), _richardson(ladder, row, _LEVELS))
         for t, row in zip(t_values, deltas[n:].reshape(len(t_values), -1))

@@ -314,6 +314,19 @@ def test_divexact_round_trip():
         assert divexact(p * d, d) == p
 
 
+def test_divexact_by_a_monomial():
+    rng = random.Random(29)
+    for _ in range(25):
+        p = random_poly(rng, 3)
+        c = Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 6))
+        d = BivarPoly.monomial(rng.randint(0, 3), rng.randint(0, 3), c)
+        assert divexact(p * d, d) == p
+    assert divexact(3 * X**3 * Y**2, Fraction(-2, 3) * X * Y) == Fraction(-9, 2) * X**2 * Y
+    for p, d in ((X * Y + Y, X), (X**2 * Y, X**3), (X * Y**2, Y**3), (X, 2 * X * Y)):
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            divexact(p, d)
+
+
 def test_divexact_rejects_nondivisor():
     with pytest.raises(ValueError):
         divexact(X, Y)

@@ -17,6 +17,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,21 +171,31 @@ def test_table_matches_scalar_returns(w):
         assert s.est_error == abs(fine - coarse)
 
 
-@pytest.mark.parametrize("n_t,n_eps", [(1, 1), (2, 3), (4, 2), (0, 2)])
-def test_table_integrates_once_per_step_count(monkeypatch, n_t, n_eps):
+def recording(monkeypatch):
+    """Record each oracle._integrate call as (steps, fine, its (t, eps) lanes)."""
     calls = []
     integrate = oracle._integrate
 
-    def counting(w, t, eps, steps):
-        calls.append(steps)
-        return integrate(w, t, eps, steps)
+    def record(w, t, eps, steps, fine=0):
+        lanes = zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(t, eps)))
+        calls.append((steps, fine, list(lanes)))
+        return integrate(w, t, eps, steps, fine=fine)
 
-    monkeypatch.setattr(oracle, "_integrate", counting)
+    monkeypatch.setattr(oracle, "_integrate", record)
+    return calls
+
+
+@pytest.mark.parametrize("n_t,n_eps", [(1, 1), (2, 3), (4, 2), (0, 2)])
+def test_table_integrates_once_per_step_count(monkeypatch, n_t, n_eps):
+    # both step counts in one call: every grid lane at n steps, and again at
+    # 2n steps as the call's fine lanes
+    calls = recording(monkeypatch)
     t_values = [0.5 + 0.1 * i for i in range(n_t)]
     eps_values = [1e-3 * (i + 1) for i in range(n_eps)]
     rows = displacement_table(W_LINEAR, t_values, eps_values, HolonomyConfig(100))
     assert len(rows) == n_t * n_eps
-    assert calls == ([100, 200] if rows else [])
+    table = [(t, e) for t in t_values for e in eps_values]
+    assert calls == ([(100, n_t * n_eps, table)] if rows else [])
 
 
 FUSED_T, FUSED_EPS = (0.25, 0.5), (1e-2, 5e-3, 1e-3)
@@ -220,15 +231,17 @@ def test_fused_report_equals_library_calls(spec, max_order):
 @pytest.mark.parametrize("richardson", [False, True])
 @pytest.mark.parametrize("n_t,n_eps", [(1, 1), (2, 3), (4, 2)])
 def test_oracle_report_integrates_twice(monkeypatch, n_t, n_eps, richardson):
-    calls, lanes = [], []
-    integrate = oracle._integrate
+    # the n-step and the 2n-step integration are one _integrate call, whose
+    # node tables are built once per chunk of n-step steps
+    calls = recording(monkeypatch)
+    tables = []
+    tabulate = oracle._Rows.tabulate
 
-    def counting(w, t, eps, steps):
-        calls.append(steps)
-        lanes.append(list(zip(np.ravel(t).tolist(), np.ravel(eps).tolist())))
-        return integrate(w, t, eps, steps)
+    def counting(self, thetas):
+        tables.append(thetas.size)
+        return tabulate(self, thetas)
 
-    monkeypatch.setattr(oracle, "_integrate", counting)
+    monkeypatch.setattr(oracle._Rows, "tabulate", counting)
     spec = cli.ProblemSpec(
         W_LINEAR,
         True,
@@ -239,11 +252,15 @@ def test_oracle_report_integrates_twice(monkeypatch, n_t, n_eps, richardson):
     report = cli.cmd_oracle(spec, HolonomyConfig(100), richardson=richardson)
     assert len(report.oracle_table["rows"]) == n_t * n_eps
     assert len(report.estimates) == n_t
-    assert calls == [100, 200]
-    # table lanes lead the n-step run: at equal steps a failing one is named
+    ((steps, fine, lanes),) = calls
+    assert (steps, fine) == (100, n_t * n_eps)
+    # the table lanes lead, so they are the 2n-step lanes and a failing one
+    # is named before any ladder lane's
     table = [(t, e) for t in spec.t_samples for e in spec.eps_samples]
-    assert lanes[0][: len(table)] == lanes[1] == table
-    assert len(lanes[0]) == len(table) + n_t * 7  # 2 * 3 + 1 rungs per t
+    assert lanes[: len(table)] == table
+    assert len(lanes) == len(table) + n_t * 7  # 2 * 3 + 1 rungs per t
+    # two chunks of quarter-step nodes: 64 steps, then the last 36
+    assert tables == [4 * 64 + 1, 4 * 36 + 1]
 
 
 def test_table_names_the_escaping_lane():
@@ -440,17 +457,93 @@ def test_chunk_size_does_not_change_a_bit(monkeypatch, index):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("steps", [100, 130])  # 130 ends in a partial chunk
+@pytest.mark.parametrize("index", range(len(REFERENCE_FORMS)))
+def test_fused_runs_match_separate_runs_bit_for_bit(monkeypatch, index, steps):
+    w = REFERENCE_FORMS[index]
+    for lanes in (1, 8, 20):
+        t, eps = REFERENCE_T[:lanes], REFERENCE_EPS[:lanes]
+        coarse = oracle._integrate(w, t, eps, steps)
+        fine = oracle._integrate(w, t, eps, 2 * steps)
+        for chunk in (1, 7, steps + 1):
+            monkeypatch.setattr(oracle, "_CHUNK_STEPS", chunk)
+            for k in sorted({1, lanes}):
+                rho, rho_fine = oracle._integrate(w, t, eps, steps, fine=k)
+                assert np.array_equal(rho, coarse)
+                assert np.array_equal(rho_fine, fine[:k])
+
+
+def outcome(call):
+    """The class and message of the oracle error that call() raises."""
+    with pytest.raises((LeafEscapedAnnulus, DenominatorVanished)) as exc:
+        call()
+    return exc.type, str(exc.value)
+
+
+POLE = RationalFunction(BivarPoly.one(), X - Fraction(1, 2))
+
+
+def fine_only_pole(steps: int) -> Form1Planar:
+    """dx = 1 / (a x + b y - c): the unit circle enters the band a x + b y > c
+    only within h / 8 of the quarter node 21 h / 4, a node of the 2n-step
+    stages alone."""
+    h = 2.0 * math.pi / steps
+    phi, half_width = 21 * h / 4, h / 8
+    band = (
+        Fraction(math.cos(phi)) * X
+        + Fraction(math.sin(phi)) * Y
+        - Fraction(math.cos(half_width))
+    )
+    return Form1Planar(RationalFunction(BivarPoly.one(), band), ZERO)
+
+
+PARITY_CASES = {
+    "escape": (W_LINEAR, (1.0, 1.0), (1e-3, 3.0), 2),
+    "pole-dx": (Form1Planar(POLE, ZERO), (1.0, 0.2), (1e-3, 1e-3), 2),
+    "pole-both": (Form1Planar(POLE, POLE), (0.2, 1.0), (1e-3, 1e-3), 2),
+    # the n-step lane passes, its 2n-step copy meets the pole
+    "fine-only": (fine_only_pole(100), (1.0,), (1e-9,), 1),
+    # the 2n-step lane meets the pole at theta 0.33, before the n-step lane
+    # t = 1.2 leaves the band at 0.75; the n-step run ran first, so it wins
+    "fine-first": (fine_only_pole(100), (1.0, 1.2), (1e-9, 1e-9), 1),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_fused_errors_match_separate_runs(monkeypatch, case, chunk):
+    w, t, eps, k = PARITY_CASES[case]
+    t, eps, steps = np.array(t), np.array(eps), 100
+    monkeypatch.setattr(oracle, "_CHUNK_STEPS", chunk)
+    want = outcome(
+        lambda: (
+            oracle._integrate(w, t, eps, steps),
+            oracle._integrate(w, t[:k], eps[:k], 2 * steps),
+        )
+    )
+    assert outcome(lambda: oracle._integrate(w, t, eps, steps, fine=k)) == want
+    if case == "fine-only":
+        oracle._integrate(w, t, eps, steps)  # the n-step run alone passes
+        assert "theta=0.329867" in want[1]
+    if case == "fine-first":
+        assert "theta=0.753982, t=1.2" in want[1]
+    if case == "pole-both":
+        assert "of the dx component" in want[1]
+
+
 def test_table_memory_does_not_grow_with_steps():
-    # one chunk of tables at a time: unchunked, the cos and the sin power
-    # tables alone would each hold 62 x 40001 floats (20 MB) at 20000 steps
+    # one chunk of tables and guard buffers at a time: unchunked, the cos and
+    # the sin power tables alone would each hold 62 x 40001 floats (20 MB) at
+    # 20000 steps; the 2n-step lanes (fine=1) double the nodes of a chunk
     w = Form1Planar(X**60 + Y, X * Y**59)
-    peaks = []
-    for steps in (2000, 20000):
-        tracemalloc.start()
-        try:
-            oracle._integrate(w, 1.0, 1e-3, steps)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[1] < 2_000_000
+    for fine, step_counts in ((0, (2000, 20000)), (1, (200, 2000))):
+        peaks = []
+        for steps in step_counts:
+            tracemalloc.start()
+            try:
+                oracle._integrate(w, 1.0, 1e-3, steps, fine=fine)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 2_000_000
