@@ -56,6 +56,7 @@ from .godbillon import (
     GVPair,
     NoFactorExists,
     assemble_omega,
+    check_first_integral,
     classical_gv_forms,
     deformation_form,
     first_integral,

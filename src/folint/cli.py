@@ -38,17 +38,10 @@ from .algebra import (
     RationalFunction,
     parse_poly,
 )
-from .exterior import Form1Planar, is_zero_mod_weight, series_to_text
+from .exterior import Form1Planar, series_to_text
 from .abelian import CIRCLE
-from .francoise import InternalSolverError, melnikov_sequence, sequence_length
-from .godbillon import (
-    assemble_omega,
-    first_integral,
-    gv_pairs_from_francoise,
-    integrability_defect,
-    integrating_factor,
-    length_two_witness,
-)
+from .francoise import melnikov_sequence, sequence_length
+from .godbillon import check_first_integral, first_integral, gv_pairs_from_francoise
 from . import oracle
 
 EXIT_OK = 0
@@ -268,15 +261,17 @@ def cmd_melnikov(spec: ProblemSpec) -> RunReport:
 
 
 def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
-    """Godbillon-Vey data through order k with the defect and factor checks.
+    """Godbillon-Vey data through order k, certified by one exact check.
 
-    The order-k assembly consumes pairs 1..k+1 (pair k+1 fills the top dε
-    slot, which is exactly what makes the weight-(k+1) defect vanish), so a
-    nonzero Melnikov value at any order mu <= k+1 ends the run: the report
-    then carries M_1..M_mu and obstruction = {"order": mu, "witness": M_mu}.
-    Otherwise each verdict j <= k is the order-k defect's vanishing through
-    weight j+1, and witness_ok records that length_two_witness found
-    G (dF + eps w) closed.
+    The run consumes pairs 1..k+1 (pair k+1 fills the top deps slot of
+    Omega), so a nonzero Melnikov value at any order mu <= k+1 ends it: the
+    report then carries M_1..M_mu and obstruction = {"order": mu, "witness":
+    M_mu}.  Otherwise check_first_integral verifies Omega - d(F_eps) on this
+    run's gv_pairs and first integral (taken through eps^{k+1}, printed
+    through eps^k) and raises on any mismatch.  All three remaining fields
+    rest on that one check, as the godbillon module docstring derives: every
+    defect_zero verdict j <= k is true, the integrating factor is 1 and the
+    length-two witness G (dF + eps w) is closed.
     """
     w = _symbolic_omega(spec)
     if k < 0:
@@ -294,16 +289,8 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
         )
     seq = result.sequence
     gvp = gv_pairs_from_francoise(seq)
-
-    omega_full = assemble_omega(w, gvp, k)
-    defect = integrability_defect(omega_full, k)
-    defect_zero = {str(j): is_zero_mod_weight(defect, j + 1) for j in range(k + 1)}
-
-    fint = first_integral(CIRCLE.hamiltonian, seq, k)
-    n_series = integrating_factor(omega_full, fint, k)
-    if n_series.coeffs[0] != BivarPoly.one():
-        raise InternalSolverError("integrating factor is not a unit at eps^0")
-    length_two_witness(seq, k)
+    fint = first_integral(CIRCLE.hamiltonian, seq, k + 1)
+    check_first_integral(w, gvp, fint, k)
 
     return RunReport(
         command="gv",
@@ -317,9 +304,9 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
             for i, pair in enumerate(gvp, start=1)
         ),
         length=sequence_length(seq),
-        first_integral=fint.to_text(),
-        defect_zero=defect_zero,
-        integrating_factor=series_to_text(n_series),
+        first_integral=series_to_text(fint.series.truncate(k)),
+        defect_zero={str(j): True for j in range(k + 1)},
+        integrating_factor="1",
         witness_ok=True,
     )
 
@@ -399,7 +386,9 @@ def _check_fixture(doc: dict, cfg: oracle.HolonomyConfig) -> list[tuple[str, boo
     (list of report texts), gv_k (order for the gv run), obstruction_at (int),
     witness (period text), max_abs_delta (bound over the oracle table).
     Missing keys skip their check; the structural checks (defect verdicts,
-    unit factor, witness closedness, cross-check agreement) always run.  The
+    unit factor, witness closedness, cross-check agreement) always run, and
+    the first three rest on the one exact check of the gv run's pairs and
+    first integral that cmd_gv makes before it reports them.  The
     gv run is compared with obstruction_at either way: an obstruction that
     was not expected, or an expected one that did not come, fails the check.
     """

@@ -39,7 +39,6 @@ __all__ = [
     "d_planar_scalar",
     "term_weight",
     "truncate_weight",
-    "is_zero_mod_weight",
     "series_to_text",
 ]
 
@@ -359,13 +358,6 @@ def truncate_weight(u: FormEps, w: int) -> FormEps:
     _guard_bound(u, w)
     out: dict[int, EpsSeries] = {}
     for basis, s in u.comps.items():
-        shift = 1 if basis & DE else 0
-        coeffs = [c if i + shift <= w else ZERO for i, c in enumerate(s.coeffs)]
+        coeffs = [c if term_weight(i, basis) <= w else ZERO for i, c in enumerate(s.coeffs)]
         out[basis] = EpsSeries(coeffs, s.order)
     return FormEps(u.order, out, u.exact)
-
-
-def is_zero_mod_weight(u: FormEps, w: int) -> bool:
-    """True iff every term of weight <= w (w >= 0) has zero coefficient."""
-    _guard_bound(u, w)
-    return all(term_weight(i, basis) > w for i, basis, _ in u.terms())

@@ -7,29 +7,55 @@ The sign bookkeeping
 turns the decomposition steps g_{i-1} w = g_i dF + d r_i into the one-form
 
     Omega = R deps + (dF + eps w) G,
-    G = 1 + sum_{i=1}^k eps^i G_i,     R = sum_{i=0}^{k} eps^i R_{i+1},
+    G = 1 + sum_{i=1}^k eps^i G_i,     R = sum_{i=0}^{k} eps^i R_{i+1}.
 
-whose planar part telescopes to d(F_eps) plus a single top-order straggler,
-where F_eps = F + sum (-1)^{i+1} eps^i r_i.  Omega is therefore integrable
-(Omega ^ dOmega = 0) through weight k+1 in the grading that counts eps and
-deps with weight one, provided the eps^k slot of R is filled with R_{k+1};
-without that extra pair the defect exhibits the order-(k+1) obstruction
-instead of hiding it.
+With F_eps = F + sum_{i=1}^{k+1} eps^i c_i and c_i = (-1)^{i+1} r_i, step i
+reads, for i = 1..k+1,
 
-One Omega answers every order j <= k.  d and the wedge product preserve the
-weight, so the weight <= j+1 part of Omega ^ dOmega depends only on the
-weight <= j+1 part of Omega; there the order-k and order-j assemblies differ
-only by the planar term eps^{j+1} G_{j+1} dF, which meets only the weight-0
-part dF, and dF ^ d(eps^{j+1} G_{j+1} dF) = 0.  The order-j verdict is
-therefore the order-k defect's vanishing through weight j+1.
+    G_i dF + G_{i-1} w = d c_i   (planar, eps^i),    R_i = i c_i   (deps, eps^{i-1}).
 
-The module also recovers the data in the opposite direction (pairs from a
-first integral), produces the integrating factor N with Omega = N d(F_eps),
-extracts the classical Godbillon-Vey forms eta_i from the Taylor expansion
-of d(F_eps)/(dF_eps/deps), and handles the length-two witness in two steps:
+The planar eps^{k+1} coefficient of Omega is G_k w alone, so these steps make
+Omega equal to d(F_eps) up to one top-order straggler:
+
+    Omega - d(F_eps) = eps^{k+1} (G_k w - d c_{k+1}) = -eps^{k+1} G_{k+1} dF.
+
+check_first_integral verifies exactly these equations, and dF = d c_0, on
+the pairs and the first integral that a gv report prints; gv reports three
+fields, and each rests on that one exact check of the run's data:
+
+* defect_zero.  Omega ^ dOmega vanishes through weight k+1 in the grading
+  that counts eps and deps with weight one.  For S = -eps^{k+1} G_{k+1} dF,
+  d d = 0 gives Omega ^ dOmega = (d(F_eps) + S) ^ dS.  Every term of dS has
+  weight k+1 or more and carries the factor dF, so a product term of weight
+  <= k+1 pairs dS with the weight-0 part of d(F_eps) + S, which is dF, and
+  dF ^ dF = 0 kills it.  The
+  i = k+1 planar check is what makes the straggler a multiple of dF, so it
+  is what makes the weight-(k+1) defect vanish.  The eps^k slot of R must
+  hold R_{k+1} (checked against (k+1) c_{k+1}): left empty it adds
+  -eps^k R_{k+1} deps to Omega, and the defect then exhibits the
+  order-(k+1) obstruction instead of hiding it.  One Omega answers every
+  order j <= k: d and the wedge product preserve the weight, and below
+  weight j+2 the order-j assembly differs from the order-k one only by the
+  planar term T = eps^{j+1} G_{j+1} dF, whose one contribution there,
+  dF ^ dT, vanishes.  So the order-j verdict is the order-k defect's
+  vanishing through weight j+1.
+* integrating_factor.  S has weight k+1, so Omega = 1 * d(F_eps) through
+  weight k, where the order-k truncation of F_eps (the printed one) has the
+  same coefficients.  The factor N with Omega = N d(F_eps) is unique, since
+  each n_w is fixed by division by dF, so N = 1.
+* witness_ok.  The eps^i coefficient of G (dF + eps w) is
+  G_i dF + G_{i-1} w = d c_i for i <= k, an exact form, so G (dF + eps w)
+  is closed through eps^k.
+
+The library functions re-derive these facts from general FormEps data:
+assemble_omega and integrability_defect build Omega ^ dOmega,
+integrating_factor solves Omega = N d(F_eps) order by order, and
 length_two_witness checks that G (dF + eps w) is closed for the unit series
-G = sum (-1)^i eps^i g_i and returns G, and witness_theta builds from it the
-closed one-form theta = -dG/G.
+G = sum (-1)^i eps^i g_i and returns G, from which witness_theta builds the
+closed one-form theta = -dG/G.  The module also recovers the data in the
+opposite direction (pairs from a first integral) and extracts the classical
+Godbillon-Vey forms eta_i from the Taylor expansion of
+d(F_eps)/(dF_eps/deps).
 """
 
 from __future__ import annotations
@@ -67,6 +93,7 @@ __all__ = [
     "assemble_omega",
     "integrability_defect",
     "first_integral",
+    "check_first_integral",
     "integrating_factor",
     "classical_gv_forms",
     "length_two_witness",
@@ -177,6 +204,29 @@ def first_integral(F: BivarPoly, seq: FrancoiseSequence, k: int) -> FirstIntegra
     return FirstIntegral(EpsSeries(coeffs, k))
 
 
+def check_first_integral(
+    w: Form1Planar, gvp: list[GVPair], fint: FirstIntegral, k: int
+) -> None:
+    """Check Omega - d(F_eps) = -eps^{k+1} G_{k+1} dF coefficient by coefficient.
+
+    Omega is assembled from gvp at order k, F_eps = sum eps^i c_i is fint
+    through eps^{k+1}, G_{-1} = 0 and G_0 = 1.  The dx, dy part at eps^i,
+    i = 0..k+1, checks G_i dF + G_{i-1} w = d c_i and the deps part at
+    eps^{i-1} checks R_i = i c_i; the module docstring derives every field of
+    a gv report from these.  The first mismatch raises InternalSolverError.
+    """
+    if k < 0 or len(gvp) <= k or fint.series.order <= k:
+        raise ValueError(f"order {k} needs pairs and first integral through {k + 1}")
+    c = fint.series.coeffs
+    dF = d_planar_scalar(CIRCLE.hamiltonian)
+    G = [BivarPoly.zero(), BivarPoly.one()] + [pair.G for pair in gvp[: k + 1]]
+    for i in range(k + 2):
+        if not (dF.scale(G[i + 1]) + w.scale(G[i]) - d_planar_scalar(c[i])).is_zero():
+            raise InternalSolverError(f"Omega - d(F_eps) mismatch in dx, dy at eps^{i}")
+        if i and gvp[i - 1].R != c[i] * i:
+            raise InternalSolverError(f"Omega - d(F_eps) mismatch in deps at eps^{i - 1}")
+
+
 # ---------------------------------------------------------------------------
 # Omega and its integrability defect
 # ---------------------------------------------------------------------------
@@ -221,7 +271,7 @@ def integrability_defect(omega: FormEps, k: int) -> FormEps:
 
     The weight <= j+1 part of the order-k defect is the defect of the
     order-j assembly for every j <= k (see the module docstring), so
-    is_zero_mod_weight(defect, j + 1) gives each lower order's verdict.
+    truncate_weight(defect, j + 1).is_zero() gives each lower order's verdict.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -12,8 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from folint import algebra, cli, oracle
-from folint.algebra import BivarPoly, EpsSeries, PolyParseError, RationalFunction, X
+from folint import algebra, cli, exterior, godbillon, oracle
+from folint.abelian import CIRCLE
+from folint.algebra import (
+    BivarPoly,
+    EpsSeries,
+    PolyParseError,
+    RationalFunction,
+    X,
+    parse_poly,
+)
 from folint.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -31,13 +41,27 @@ from folint.cli import (
     parse_problem,
     run_verify_all,
 )
+from folint.exterior import Form1Planar, FormEps, series_to_text, truncate_weight
+from folint.francoise import (
+    FrancoisePair,
+    FrancoiseSequence,
+    InternalSolverError,
+    melnikov_sequence,
+)
 from folint.godbillon import (
+    FirstIntegral,
     GVPair,
     NoFactorExists,
     assemble_omega,
+    check_first_integral,
+    first_integral,
+    gv_pairs_from_francoise,
     integrability_defect,
+    integrating_factor,
+    length_two_witness,
 )
 from folint.oracle import HolonomyConfig
+from helpers import random_form
 
 CHEAP = HolonomyConfig(step_count=500)
 
@@ -199,20 +223,20 @@ def test_gv_obstruction_below_requested_order():
 
 
 def test_gv_never_inverts_G(monkeypatch):
-    # the report needs the closedness check, run once, not theta = -dG/G
+    # the report needs the one identity check, run once, not theta = -dG/G
     inverted, checked = [], []
-    invert, check = EpsSeries.invert, cli.length_two_witness
+    invert, check = EpsSeries.invert, cli.check_first_integral
 
     def counting_invert(self):
         inverted.append(self)
         return invert(self)
 
-    def counting_check(seq, k):
+    def counting_check(w, gvp, fint, k):
         checked.append(k)
-        return check(seq, k)
+        return check(w, gvp, fint, k)
 
     monkeypatch.setattr(EpsSeries, "invert", counting_invert)
-    monkeypatch.setattr(cli, "length_two_witness", counting_check)
+    monkeypatch.setattr(cli, "check_first_integral", counting_check)
     rep = cmd_gv(parse_problem(SQUARE_DOC), 4)
     assert rep.witness_ok is True
     assert inverted == []
@@ -221,47 +245,183 @@ def test_gv_never_inverts_G(monkeypatch):
     assert checked == [4]
 
 
-def test_gv_assembles_one_omega(monkeypatch):
-    calls = {"assemble_omega": 0, "integrability_defect": 0}
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(cli, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(cli, name, counting)
+LIBRARY_CHECKS = (
+    "assemble_omega", "integrability_defect", "integrating_factor", "length_two_witness",
+)
+
+
+def test_gv_runs_one_identity_check(monkeypatch):
+    # cli imports none of the four library re-derivations, no call reaches
+    # them, and the one check builds no FormEps and takes no wedge
+    for name in LIBRARY_CHECKS + ("is_zero_mod_weight",):
+        assert not hasattr(cli, name)
+    assert not hasattr(exterior, "is_zero_mod_weight")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gv reached a library re-derivation")
+
+    for name in LIBRARY_CHECKS + ("wedge", "d_total"):
+        monkeypatch.setattr(godbillon, name, refuse)
+    for name in ("wedge", "d_total", "truncate_weight"):
+        monkeypatch.setattr(exterior, name, refuse)
+    built = []
+    init = FormEps.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormEps, "__init__", counting_init)
     rep = cmd_gv(parse_problem(SQUARE_DOC), 4)
     assert rep.defect_zero == {str(j): True for j in range(5)}
-    assert calls == {"assemble_omega": 1, "integrability_defect": 1}
+    assert (rep.integrating_factor, rep.witness_ok) == ("1", True)
+    assert built == []
 
 
-@pytest.mark.parametrize("j0", range(4))
-def test_gv_verdicts_match_per_window_defects(monkeypatch, j0):
-    # corrupting G_{j0+1} breaks integrability from window j0+1 on; the one
-    # order-k defect must give every window's verdict, including the False ones
-    k = 4
-    spec = parse_problem(SQUARE_DOC)
-    pairs_of = cli.gv_pairs_from_francoise
-    seen = []
+def _library_fields(w, gvp, fint, k):
+    """(defect_zero, integrating_factor, witness_ok) by the four library checks.
 
-    def corrupted(seq):
-        pairs = pairs_of(seq)
-        pairs[j0] = GVPair(G=pairs[j0].G + X, R=pairs[j0].R)
-        seen.append(pairs)
-        return pairs
-
-    monkeypatch.setattr(cli, "gv_pairs_from_francoise", corrupted)
-    monkeypatch.setattr(
-        cli, "integrating_factor", lambda omega, fint, k: EpsSeries([BivarPoly.one()], k)
+    The witness runs on the g_i = (-1)^i G_i read back from gvp, so that a
+    corrupted G_i reaches it too, and the factor on the order-k truncation
+    of fint, the first integral a report prints.  A check that raises
+    reads as a flag.
+    """
+    omega = assemble_omega(w, gvp, k)
+    defect = integrability_defect(omega, k)
+    defect_zero = {str(j): truncate_weight(defect, j + 1).is_zero() for j in range(k + 1)}
+    try:
+        factor = series_to_text(
+            integrating_factor(omega, FirstIntegral(fint.series.truncate(k)), k)
+        )
+    except NoFactorExists:
+        factor = None
+    signs = [1 if i % 2 == 0 else -1 for i in range(1, k + 1)]
+    seq = FrancoiseSequence(
+        omega=w,
+        pairs=tuple(
+            FrancoisePair(g=pair.G * s, r=BivarPoly.zero()) for pair, s in zip(gvp, signs)
+        ),
     )
-    rep = cmd_gv(spec, k)
-    (pairs,) = seen
-    reference = {
-        str(j): integrability_defect(
-            assemble_omega(spec.omega, pairs[: j + 1], j), j
-        ).is_zero()
-        for j in range(k + 1)
-    }
-    assert reference == {str(j): j <= j0 for j in range(k + 1)}
-    assert rep.defect_zero == reference
+    try:
+        length_two_witness(seq, k)
+        witness_ok = True
+    except InternalSolverError:
+        witness_ok = False
+    return defect_zero, factor, witness_ok
+
+
+def _library_flags(fields, k) -> bool:
+    return fields != ({str(j): True for j in range(k + 1)}, "1", True)
+
+
+MUTATED_FORMS = {
+    "square": SQUARE_DOC["omega"],
+    "baseline": {"dx": "x^3y^2 + y^2", "dy": "0"},
+}
+
+
+@pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
+def test_gv_check_catches_every_corruption(tmp_path, capsys, monkeypatch, form):
+    # each G_i, R_i and c_i (i <= k+1) is corrupted after melnikov_sequence
+    # ran, by a term with a nonzero differential and by a constant; the one
+    # check must raise wherever the library path flags the corruption, and
+    # main must then exit 3 with one line on stderr and nothing on stdout
+    k = 4
+    doc = dict(SQUARE_DOC, omega=MUTATED_FORMS[form], max_order=k + 1)
+    w = parse_problem(doc).omega
+    result = melnikov_sequence(CIRCLE, w, k + 1)
+    gvp = gv_pairs_from_francoise(result.sequence)
+    fint = first_integral(CIRCLE.hamiltonian, result.sequence, k + 1)
+    check_first_integral(w, gvp, fint, k)
+    assert not _library_flags(_library_fields(w, gvp, fint, k), k)
+    monkeypatch.setattr(cli, "melnikov_sequence", lambda family, w, order: result)
+    path = write_doc(tmp_path, doc)
+
+    missed = []
+    for i in range(1, k + 2):
+        for delta in (X, BivarPoly.one()):
+            bad_G, bad_R = list(gvp), list(gvp)
+            bad_G[i - 1] = GVPair(G=gvp[i - 1].G + delta, R=gvp[i - 1].R)
+            bad_R[i - 1] = GVPair(G=gvp[i - 1].G, R=gvp[i - 1].R + delta)
+            coeffs = list(fint.series.coeffs)
+            coeffs[i] = coeffs[i] + delta
+            bad_c = FirstIntegral(EpsSeries(coeffs, k + 1))
+            for label, pairs, integral in (
+                ("G", bad_G, fint), ("R", bad_R, fint), ("c", gvp, bad_c)
+            ):
+                with pytest.raises(InternalSolverError):
+                    check_first_integral(w, pairs, integral, k)
+                if not _library_flags(_library_fields(w, pairs, integral, k), k):
+                    missed.append(f"{label}_{i}+{delta}")
+                monkeypatch.setattr(cli, "gv_pairs_from_francoise", lambda seq, p=pairs: p)
+                monkeypatch.setattr(cli, "first_integral", lambda F, seq, n, f=integral: f)
+                assert main(["gv", "--k", str(k), path]) == EXIT_INTERNAL
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.count("\n") == 1
+                assert captured.err.startswith("internal error: InternalSolverError: ")
+    # the library path reads no G_{k+1} and no c_{k+1}, and a constant added
+    # to R_{k+1} leaves its defect closed; the one check catches these too
+    assert missed == [
+        f"G_{k + 1}+x", f"c_{k + 1}+x", f"G_{k + 1}+1", f"R_{k + 1}+1", f"c_{k + 1}+1"
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 12])
+def test_gv_fields_match_the_library_checks(k):
+    # the three fields cmd_gv reports from its one check equal what the
+    # four library checks compute on the same sequence
+    rng = random.Random(16 + k)
+    forms = [Form1Planar(parse_poly("x^3y^2 + y^2"), BivarPoly.zero())]
+    while len(forms) < 3:
+        drawn = random_form(rng, 3)
+        # even in y on dx and odd on dy: reversible, so every M_i vanishes
+        w = Form1Planar(
+            BivarPoly({e: c for e, c in drawn.p.terms.items() if e[1] % 2 == 0}),
+            BivarPoly({e: c for e, c in drawn.q.terms.items() if e[1] % 2 == 1}),
+        )
+        if not w.is_zero():
+            forms.append(w)
+    for w in forms:
+        spec = parse_problem(dict(SQUARE_DOC, omega={"dx": w.p.to_text(), "dy": w.q.to_text()}))
+        rep = cmd_gv(spec, k)
+        assert rep.obstruction is None
+        seq = melnikov_sequence(CIRCLE, w, k + 1).sequence
+        gvp = gv_pairs_from_francoise(seq)
+        fint = first_integral(CIRCLE.hamiltonian, seq, k + 1)
+        assert _library_fields(w, gvp, fint, k) == (
+            rep.defect_zero, rep.integrating_factor, rep.witness_ok
+        )
+
+
+def _sympy_text(sp, text, symbols):
+    """A report polynomial or series text as a sympy expression."""
+    # "2/3x^3y" -> "2/3*x**3*y"; the report grammar has no other juxtaposition
+    expr = re.sub(r"(?<=[0-9xy])(?=[xy])", "*", text.replace("^", "**"))
+    return sp.sympify(expr, locals=symbols)
+
+
+@pytest.mark.parametrize(
+    "omega, k, eps_degree",
+    [({"dx": "x^3y^2 + y^2", "dy": "0"}, 8, 8), ({"dx": "2x^2", "dy": "2xy"}, 6, 0)],
+    ids=["baseline", "example2"],
+)
+def test_gv_first_integral_matches_sympy(tmp_path, capsys, omega, k, eps_degree):
+    # the printed F_eps is a first integral of (2x + eps P) dx + (2y + eps Q) dy
+    # modulo eps^{k+1}, checked by sympy without folint's exterior algebra
+    sp = pytest.importorskip("sympy")
+    x, y, eps = sp.symbols("x y eps")
+    symbols = {"x": x, "y": y, "eps": eps}
+    path = write_doc(tmp_path, dict(SQUARE_DOC, omega=omega))
+    assert main(["gv", "--k", str(k), path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    H = _sympy_text(sp, report["first_integral"], symbols)
+    P = _sympy_text(sp, omega["dx"], symbols)
+    Q = _sympy_text(sp, omega["dy"], symbols)
+    assert sp.degree(H, eps) == eps_degree
+    assert sp.expand(H.subs(eps, 0)) == x**2 + y**2
+    residual = sp.expand(sp.diff(H, x) * (2 * y + eps * Q) - sp.diff(H, y) * (2 * x + eps * P))
+    assert all(residual.coeff(eps, i) == 0 for i in range(k + 1))
 
 
 def test_gv_rejects_negative_k():

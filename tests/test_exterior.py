@@ -24,7 +24,6 @@ from folint.exterior import (
     basis_wedge,
     d_planar_scalar,
     d_total,
-    is_zero_mod_weight,
     series_to_text,
     term_weight,
     truncate_weight,
@@ -317,7 +316,7 @@ def test_d_total_leibniz_mod_weight_at_full_degree():
         u = _random_one_form(rng, 2)
         v = _random_one_form(rng, 2)
         diff = d_total(wedge(u, v)) - (wedge(d_total(u), v) - wedge(u, d_total(v)))
-        assert is_zero_mod_weight(diff, 2)
+        assert truncate_weight(diff, 2).is_zero()
 
 
 def test_d_total_clears_nothing_but_preserves_flags():
@@ -352,10 +351,8 @@ def test_weight_bound_validates():
     u = FormEps(2, {DX: _series([X, Y, ONE], 2)})
     with pytest.raises(ValueError):
         truncate_weight(u, -1)
-    with pytest.raises(ValueError):
-        is_zero_mod_weight(u, -1)
     assert truncate_weight(u, 0) == FormEps(2, {DX: _series([X], 2)})
-    assert not is_zero_mod_weight(u, 0)
+    assert not truncate_weight(u, 0).is_zero()
 
 
 def test_truncate_weight_scalar():
@@ -374,24 +371,22 @@ def test_truncate_weight_counts_deps():
 
 def test_is_zero_mod_weight_thresholds():
     u = FormEps(2, {DX: _series([ZERO, ZERO, X], 2)})
-    assert is_zero_mod_weight(u, 1)
-    assert not is_zero_mod_weight(u, 2)
+    assert truncate_weight(u, 1).is_zero()
+    assert not truncate_weight(u, 2).is_zero()
     v = FormEps(2, {DE: _series([ZERO, Y, ZERO], 2)})
-    assert is_zero_mod_weight(v, 1)
-    assert not is_zero_mod_weight(v, 2)
+    assert truncate_weight(v, 1).is_zero()
+    assert not truncate_weight(v, 2).is_zero()
 
 
 def test_weight_queries_on_jets_guard_truncation():
     jet = FormEps(2, {DX: _series([X, Y, ONE], 2)}, exact=False)
     with pytest.raises(SeriesOrderMismatch):
-        is_zero_mod_weight(jet, 3)
-    with pytest.raises(SeriesOrderMismatch):
         truncate_weight(jet, 3)
     # within the truncation order the question is answerable
-    assert not is_zero_mod_weight(jet, 2)
+    assert not truncate_weight(jet, 2).is_zero()
     # an exact form knows all higher coefficients vanish
     exact = FormEps(2, {DX: _series([X, Y, ONE], 2)})
-    assert not is_zero_mod_weight(exact, 5)
+    assert not truncate_weight(exact, 5).is_zero()
     assert truncate_weight(exact, 5) == exact
 
 
