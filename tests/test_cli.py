@@ -278,6 +278,38 @@ def test_gv_runs_one_identity_check(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("j0", range(4))
+def test_gv_verdicts_match_per_window_defects(monkeypatch, j0):
+    # corrupting G_{j0+1} breaks integrability from window j0+1 on; the one
+    # check at order j reads G_{j+1}, so it already fails at window j0, and
+    # cmd_gv at k = 4 raises instead of reporting any False verdict
+    k = 4
+    spec = parse_problem(SQUARE_DOC)
+    seq = melnikov_sequence(CIRCLE, spec.omega, k + 1).sequence
+    fint = first_integral(CIRCLE.hamiltonian, seq, k + 1)
+    pairs = gv_pairs_from_francoise(seq)
+    pairs[j0] = GVPair(G=pairs[j0].G + X, R=pairs[j0].R)
+    reference = {
+        str(j): integrability_defect(
+            assemble_omega(spec.omega, pairs[: j + 1], j), j
+        ).is_zero()
+        for j in range(k + 1)
+    }
+    assert reference == {str(j): j <= j0 for j in range(k + 1)}
+    for j in range(k + 1):
+        if j < j0:
+            check_first_integral(spec.omega, pairs, fint, j)
+        else:
+            with pytest.raises(InternalSolverError):
+                check_first_integral(spec.omega, pairs, fint, j)
+    monkeypatch.setattr(cli, "gv_pairs_from_francoise", lambda seq: list(pairs))
+    with pytest.raises(InternalSolverError):
+        cmd_gv(spec, k)
+    monkeypatch.undo()
+    rep = cmd_gv(spec, k)
+    assert rep.defect_zero == {str(j): True for j in range(k + 1)}
+
+
 def _library_fields(w, gvp, fint, k):
     """(defect_zero, integrating_factor, witness_ok) by the four library checks.
 
