@@ -621,22 +621,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return _coerce_rf(other) / self
-
-    def reciprocal(self) -> "RationalFunction":
-        if self.num.is_zero():
-            raise ZeroDivisionError("reciprocal of zero")
-        return RationalFunction(self.den, self.num)
-
     def partial(self, var: str) -> "RationalFunction":
         return RationalFunction(
             self.num.partial(var) * self.den - self.num * self.den.partial(var),
@@ -742,10 +726,6 @@ class EpsSeries:
 
     def map(self, fn: Callable[[BivarPoly], BivarPoly]) -> "EpsSeries":
         return EpsSeries([fn(a) for a in self.coeffs], self.order)
-
-    def shift(self, n: int = 1) -> "EpsSeries":
-        """Multiply by eps^n within the same truncation order."""
-        return EpsSeries([ZERO] * n + list(self.coeffs[: self.order + 1 - n]), self.order)
 
     def eps_derivative(self) -> "EpsSeries":
         """d/d eps; the top coefficient of the result is exact only when the

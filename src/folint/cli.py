@@ -39,7 +39,7 @@ from .algebra import (
     parse_poly,
 )
 from .exterior import Form1Planar, series_to_text
-from .abelian import CIRCLE
+from .abelian import CIRCLE, period_of_form
 from .francoise import melnikov_sequence, sequence_length
 from .godbillon import check_first_integral, first_integral, gv_pairs_from_francoise
 from . import oracle
@@ -51,10 +51,11 @@ EXIT_INTERNAL = 3
 
 _RATIONAL_TEXT = re.compile(r"^\(([^()]*)\)\s*/\s*\(([^()]*)\)$")
 
-# Budget of a symbolic run, deg(omega) times the Melnikov order it reaches; a
-# run past it exits 2 before melnikov_sequence.  gv --k 40 on (x^3y^2 + y^2) dx
-# is 5 * 41 = 205.  The same bound, at order 1, caps the degree of each side of
-# a rational omega component, which the oracle evaluates as written.
+# Budget of a symbolic run, deg(omega) (at least 1) times the Melnikov order
+# it reaches; a run past it exits 2 before melnikov_sequence.  gv --k 40 on
+# (x^3y^2 + y^2) dx is 5 * 41 = 205.  The same bound, at order 1, caps the
+# degree of each side of a rational omega component, which the oracle
+# evaluates as written.
 MAX_DEGREE_ORDER = 400
 
 
@@ -231,11 +232,12 @@ def _symbolic_omega(spec: ProblemSpec) -> Form1Planar:
 
 
 def _require_budget(w: Form1Planar, order: int) -> None:
-    cost = max(w.p.degree(), w.q.degree()) * order
+    degree = max(w.p.degree(), w.q.degree())
+    # a zero or constant omega still costs a decomposition per order
+    cost = max(degree, 1) * order
     if cost > MAX_DEGREE_ORDER:
-        raise InvalidInput(
-            f"deg(omega) * order = {cost} is past the budget {MAX_DEGREE_ORDER}"
-        )
+        what = "deg(omega) * order" if degree >= 1 else "order"
+        raise InvalidInput(f"{what} = {cost} is past the budget {MAX_DEGREE_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def cmd_oracle(
 
     symbolic_m1 = None
     if spec.symbolic:
-        symbolic_m1 = melnikov_sequence(CIRCLE, spec.omega, 1).melnikov[0]
+        symbolic_m1 = -period_of_form(spec.omega)  # M_1 = -period(omega)
 
     estimates = []
     cross = []

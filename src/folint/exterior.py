@@ -193,12 +193,6 @@ class FormEps:
         return cls(s.order, {0: s}, exact)
 
     @classmethod
-    def from_planar_1form(cls, f: Form1Planar, order: int, exact: bool = True) -> "FormEps":
-        return cls(
-            order, {DX: EpsSeries([f.p], order), DY: EpsSeries([f.q], order)}, exact
-        )
-
-    @classmethod
     def zero(cls, order: int) -> "FormEps":
         return cls(order, {}, True)
 

@@ -70,8 +70,6 @@ __all__ = [
     "sequence_length",
 ]
 
-DEFAULT_MAX_ORDER = 10
-
 
 class InternalSolverError(AssertionError):
     """A structurally impossible state: degree bounds or resubstitution failed."""
@@ -281,7 +279,7 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
 def melnikov_sequence(
     family: OvalFamily,
     w: Form1Planar,
-    max_order: int = DEFAULT_MAX_ORDER,
+    max_order: int,
 ) -> MelnikovResult:
     """Iterate M_{k+1} = (-1)^{k+1} period(g_k w) until nonzero or max_order.
 

@@ -20,10 +20,12 @@ lanes: each lane starts from its own rho(0) = sqrt(t) and must stay in its
 own annulus t/2 < rho^2 < 2t, so a whole displacement grid is one
 integration.  est_error comes from step doubling: the table lanes run at n
 and at 2n steps, and the 2n-step copies of the lanes ride in the same lane
-vector and the same loop.  An oracle report is therefore one integration:
-grid_estimates runs the table lanes and every t's eps ladder (shared by the
-least-squares fit and the Richardson extrapolation) at n steps, and the
-table lanes again at 2n.
+vector and the same loop.  One helper, _run, lays out the lanes of every
+estimate: the row-major (t, eps) table lanes, then per t the ladder
+eps_j = 1e-3 * 2^-j shared by the least-squares fit and the Richardson
+extrapolation.  displacement_table, melnikov_estimate and
+first_melnikov_richardson each read their own lanes from it, and an oracle
+report (grid_estimates) is one _run over the table and every t's ladder.
 
 The stages read node tables instead of evaluating w.  On the circle a
 polynomial is sum_k rho^k of its degree-k homogeneous part at (cos, sin),
@@ -126,9 +128,9 @@ class DisplacementSample:
 
 def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     """rho(2pi) after `steps` RK4 steps for every (t, eps) lane; t and eps
-    broadcast together.  With fine > 0 the first `fine` lanes also run at
-    2 * steps steps in the same loop, and the result is the pair (n-step
-    rho, 2n-step rho of those lanes).
+    broadcast together.  The first `fine` lanes also run at 2 * steps steps
+    in the same loop; the result is the pair (n-step rho, 2n-step rho of
+    those lanes), the second empty when fine is 0.
 
     Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
     t/2 < rho^2 < 2t.  The lane vector is every n-step lane followed by the
@@ -304,7 +306,7 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
                 late = failure(bad[..., n:], n)
     if late is not None:
         raise late
-    return (rho[:n].reshape(shape), rho[n:]) if fine else rho.reshape(shape)
+    return rho[:n].reshape(shape), rho[n:]
 
 
 # RK4 steps per node table: a table holds the 2 * _CHUNK_STEPS + 1 half-step
@@ -398,30 +400,8 @@ def holonomy_return(
     t and eps broadcast together, one lane per element; scalar inputs give
     a scalar.
     """
-    rho = _integrate(w, t, eps, cfg.step_count)
+    rho, _ = _integrate(w, t, eps, cfg.step_count)
     return rho * rho
-
-
-def _table_lanes(t_values, eps_values):
-    """The row-major (t, eps) grid and its t and eps lane vectors."""
-    grid = [(t, eps) for t in t_values for eps in eps_values]
-    t_lane, eps_lane = np.array(grid, dtype=float).reshape(-1, 2).T
-    return grid, t_lane, eps_lane
-
-
-def _table(grid, t_lane, coarse, rho_fine) -> list[DisplacementSample]:
-    """Samples from coarse, the n-step Delta of every grid lane, and
-    rho_fine, their 2n-step rho(2pi).
-
-    Delta is the doubled-step value; est_error is its distance from coarse.
-    """
-    fine = rho_fine * rho_fine - t_lane
-    return [
-        DisplacementSample(t=t, eps=eps, delta=delta, est_error=err)
-        for (t, eps), delta, err in zip(
-            grid, fine.tolist(), np.abs(fine - coarse).tolist()
-        )
-    ]
 
 
 def displacement_table(
@@ -435,11 +415,7 @@ def displacement_table(
     Delta is the doubled-step return; est_error is its difference from the
     cfg run.  Both runs are one integration over every grid point.
     """
-    grid, t_lane, eps_lane = _table_lanes(t_values, eps_values)
-    if not grid:  # zero lanes would still step through a revolution
-        return []
-    rho, rho_fine = _integrate(w, t_lane, eps_lane, cfg.step_count, fine=len(grid))
-    return _table(grid, t_lane, rho * rho - t_lane, rho_fine)
+    return _run(w, t_values, eps_values, (), 0, cfg)[0]
 
 
 class MelnikovEstimates(list):
@@ -464,30 +440,52 @@ class MelnikovEstimates(list):
         )
 
 
-# the defaults of melnikov_estimate's eps0 and first_melnikov_richardson's
-# levels, which grid_estimates applies too
+# the ladder eps_j = _EPS0 * 2^-j that both estimators sample, and the
+# Richardson levels on it
 _EPS0 = 1e-3
 _LEVELS = 4
 
 
-def _eps_ladder(eps0: float, rungs: int) -> np.ndarray:
-    """The grid eps_j = eps0 * 2^-j, j < rungs, that both estimators sample."""
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
-    return np.array([eps0 * 2.0 ** (-j) for j in range(rungs)])
+def _run(w: Form1Planar, t_values, eps_values, ladder_t, rungs: int, cfg):
+    """Every lane an estimate reads, in one integration.
+
+    The cfg-step lanes are the row-major (t, eps) table lanes, which also run
+    at 2*cfg steps in the same loop, then `rungs` rungs of the ladder
+    _EPS0 * 2^-j for each t in ladder_t.  Lanes do not interact, so every
+    number is the one a separate integration of its lane gives.  Returns the
+    table samples (Delta from the 2n-step run, est_error its distance from
+    the n-step one), the ladder and each ladder t's row of n-step Delta.
+    """
+    grid = [(t, eps) for t in t_values for eps in eps_values]
+    ladder = np.array([_EPS0 * 2.0 ** (-j) for j in range(rungs)])
+    lanes = grid + [(t, eps) for t in ladder_t for eps in ladder.tolist()]
+    if not lanes:  # zero lanes would still step through a revolution
+        return [], ladder, []
+    n = len(grid)
+    t_lane, eps_lane = np.array(lanes, dtype=float).T
+    rho, rho_fine = _integrate(w, t_lane, eps_lane, cfg.step_count, fine=n)
+    deltas = rho * rho - t_lane
+    fine = rho_fine * rho_fine - t_lane[:n]
+    samples = [
+        DisplacementSample(t=t, eps=eps, delta=delta, est_error=err)
+        for (t, eps), delta, err in zip(
+            grid, fine.tolist(), np.abs(fine - deltas[:n]).tolist()
+        )
+    ]
+    return samples, ladder, deltas[n:].reshape(len(ladder_t), rungs)
 
 
-def _fit(t: float, orders: int, eps0: float, grid, deltas) -> MelnikovEstimates:
+def _fit(t: float, orders: int, grid, deltas) -> MelnikovEstimates:
     """melnikov_estimate's fit on the first 2*orders+1 rungs of the ladder."""
     rungs = 2 * orders + 1
     grid, deltas = grid[:rungs], deltas[:rungs]
-    u = grid / eps0
+    u = grid / _EPS0
     design = np.vander(u, orders + 1, increasing=True)[:, 1:]
     scaled, _, rank, sv = np.linalg.lstsq(design, deltas, rcond=None)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.sqrt(np.mean((design @ scaled - deltas) ** 2)))
-        coefficients = scaled / eps0 ** np.arange(1, orders + 1)
+        coefficients = scaled / _EPS0 ** np.arange(1, orders + 1)
     if not np.all(np.isfinite([residual, *coefficients])):
         raise NonFiniteEstimate(f"the eps fit at t={t:g} overflows float64")
     return MelnikovEstimates(
@@ -498,10 +496,11 @@ def _fit(t: float, orders: int, eps0: float, grid, deltas) -> MelnikovEstimates:
     )
 
 
-def _richardson(grid, deltas, levels: int) -> float:
-    """first_melnikov_richardson's extrapolation on the first levels+1 rungs."""
-    table = list(deltas[: levels + 1] / grid[: levels + 1])
-    for col in range(1, levels + 1):
+def _richardson(grid, deltas) -> float:
+    """first_melnikov_richardson's extrapolation on the first _LEVELS + 1
+    rungs."""
+    table = list(deltas[: _LEVELS + 1] / grid[: _LEVELS + 1])
+    for col in range(1, _LEVELS + 1):
         factor = 2.0**col
         table = [
             (factor * table[i + 1] - table[i]) / (factor - 1.0)
@@ -515,39 +514,33 @@ def melnikov_estimate(
     t: float,
     orders: int,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
-    eps0: float = _EPS0,
 ) -> MelnikovEstimates:
     """Least-squares jet of Delta(t, .): coefficients of eps^1..eps^orders.
 
-    Samples the geometric grid eps_j = eps0 * 2^-j for j = 0..2*orders and
+    Samples the geometric grid eps_j = 1e-3 * 2^-j for j = 0..2*orders and
     fits the model without constant term; the fit runs in the rescaled
-    variable eps/eps0 so the reported condition number reflects the model,
+    variable eps/1e-3 so the reported condition number reflects the model,
     not the units.  A fit that overflows float64 raises NonFiniteEstimate.
     """
     if orders < 1:
         raise ValueError("orders must be >= 1")
-    grid = _eps_ladder(eps0, 2 * orders + 1)
-    rho = _integrate(w, t, grid, cfg.step_count)
-    return _fit(t, orders, eps0, grid, rho * rho - t)
+    _, ladder, (row,) = _run(w, (), (), (t,), 2 * orders + 1, cfg)
+    return _fit(t, orders, ladder, row)
 
 
 def first_melnikov_richardson(
     w: Form1Planar,
     t: float,
     cfg: HolonomyConfig = DEFAULT_CONFIG,
-    eps0: float = _EPS0,
-    levels: int = _LEVELS,
 ) -> float:
     """M_1(t) by Richardson extrapolation of Delta/eps on a halving grid.
 
-    Alternative to the least-squares fit; successive columns cancel the
-    eps^1, eps^2, ... corrections of Delta(t, eps)/eps.
+    Alternative to the least-squares fit; on eps_j = 1e-3 * 2^-j, j <= 4,
+    successive columns cancel the eps^1, eps^2, ... corrections of
+    Delta(t, eps)/eps.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    grid = _eps_ladder(eps0, levels + 1)
-    rho = _integrate(w, t, grid, cfg.step_count)
-    return _richardson(grid, rho * rho - t, levels)
+    _, ladder, (row,) = _run(w, (), (), (t,), _LEVELS + 1, cfg)
+    return _richardson(ladder, row)
 
 
 def grid_estimates(
@@ -561,29 +554,18 @@ def grid_estimates(
 
     Equals displacement_table(w, t_values, eps_values, cfg) and, per t,
     melnikov_estimate(w, t, orders, cfg) with
-    first_melnikov_richardson(w, t, cfg), all at their default eps0 and
-    levels.  The cfg-step lanes are the table lanes first, then one eps
-    ladder per t whose leading rungs both estimators read; the table lanes
-    also run at 2*cfg steps in the same loop.  Lanes do not interact, so
-    every number is the separate call's.  Returns the table and one
+    first_melnikov_richardson(w, t, cfg): one _run holds the table lanes and
+    one ladder per t, as long as the longer estimator needs, whose leading
+    rungs both estimators read.  Returns the table and one
     (estimates, richardson_m1) pair per t.
     """
     if orders < 1:
         raise ValueError("orders must be >= 1")
-    if not len(t_values):  # zero lanes would still step through a revolution
-        return [], []
-    grid, t_table, eps_table = _table_lanes(t_values, eps_values)
-    ladder = _eps_ladder(_EPS0, max(2 * orders + 1, _LEVELS + 1))
-    t_lane = np.concatenate([t_table, np.repeat(t_values, ladder.size)])
-    eps_lane = np.concatenate([eps_table, np.tile(ladder, len(t_values))])
-    n = len(grid)
-    rho = _integrate(w, t_lane, eps_lane, cfg.step_count, fine=n)
-    rho, rho_fine = rho if n else (rho, None)
-    deltas = rho * rho - t_lane
-    samples = _table(grid, t_table, deltas[:n], rho_fine) if n else []
+    rungs = max(2 * orders + 1, _LEVELS + 1)
+    samples, ladder, rows = _run(w, t_values, eps_values, t_values, rungs, cfg)
     fits = [
-        (_fit(t, orders, _EPS0, ladder, row), _richardson(ladder, row, _LEVELS))
-        for t, row in zip(t_values, deltas[n:].reshape(len(t_values), -1))
+        (_fit(t, orders, ladder, row), _richardson(ladder, row))
+        for t, row in zip(t_values, rows)
     ]
     return samples, fits
 

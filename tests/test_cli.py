@@ -861,8 +861,18 @@ def test_parse_component_runs_no_gcd(monkeypatch):
         ("x^9999999", 1, ["--steps", "100", "oracle"], 9999999),
         ("y^2", 10**6, ["melnikov"], 2 * 10**6),
         ("y^2", 10**6, ["gv"], 2 * 10**6),
+        # deg 0 and deg -1 would make every order free
+        ("1", 10**6, ["melnikov"], 10**6),
+        ("0", 10**6, ["gv"], 10**6),
     ],
-    ids=["melnikov-degree", "oracle-degree", "melnikov-order", "gv-order"],
+    ids=[
+        "melnikov-degree",
+        "oracle-degree",
+        "melnikov-order",
+        "gv-order",
+        "melnikov-constant",
+        "gv-zero",
+    ],
 )
 def test_main_over_budget_exits_before_melnikov(
     tmp_path, capsys, monkeypatch, omega, max_order, argv, cost
@@ -876,9 +886,9 @@ def test_main_over_budget_exits_before_melnikov(
     assert main(argv + [write_doc(tmp_path, doc)]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
+    what = "order" if omega in ("0", "1") else "deg(omega) * order"
     assert captured.err == (
-        f"error: deg(omega) * order = {cost} is past the budget "
-        f"{cli.MAX_DEGREE_ORDER}\n"
+        f"error: {what} = {cost} is past the budget {cli.MAX_DEGREE_ORDER}\n"
     )
 
 
@@ -1069,6 +1079,9 @@ def test_reports_match_golden(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", ["example1", "example2", "example3-oracle", "nonzero-m1"])
 def test_oracle_reports_match_golden(tmp_path, capsys, name):
     path = write_doc(tmp_path, load_fixture(f"{name}.json"))
-    assert main(["--steps", "200", "oracle", path, "--richardson"]) == EXIT_OK
+    table = tmp_path / "table.csv"
+    argv = ["--steps", "200", "oracle", path, "--richardson", "--csv", str(table)]
+    assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.oracle.json").read_text(encoding="utf-8")
+    assert table.read_bytes() == (GOLDEN / f"{name}.oracle.csv").read_bytes()

@@ -192,14 +192,6 @@ def test_formeps_terms_sorted_by_basis():
     assert list(u.terms()) == [(1, DX, X), (0, DY, Y)]
 
 
-def test_formeps_from_planar_matches_components():
-    w = Form1Planar(X * Y, Y * Y)
-    u = FormEps.from_planar_1form(w, 2)
-    assert u.component(DX) == EpsSeries([X * Y, ZERO, ZERO], 2)
-    assert u.component(DY).coeffs[0] == Y * Y
-    assert u.component(DE).is_zero()
-
-
 def test_formeps_add_requires_same_order():
     u = FormEps.from_scalar_series(_series([X, Y], 1))
     v = FormEps.from_scalar_series(_series([X], 0))
@@ -274,7 +266,7 @@ def test_dd_is_zero_on_one_forms():
 
 def test_d_total_matches_planar_d():
     w = Form1Planar(X * Y, Y * Y)
-    u = d_total(FormEps.from_planar_1form(w, 1))
+    u = d_total(FormEps(1, {DX: EpsSeries([w.p], 1), DY: EpsSeries([w.q], 1)}))
     assert u.component(DX | DY).coeffs[0] == w.d().h
     assert u.component(DX | DE).is_zero()
     assert u.component(DY | DE).is_zero()

@@ -312,11 +312,14 @@ def test_melnikov_fit_linear_form():
     assert "MelnikovEstimates" in repr(est)
 
 
-def test_melnikov_fit_single_order_needs_small_grid():
-    # at eps0 = 1e-3 a 1-term model carries the full M_2 bias; shrinking the
-    # grid pushes the bias below the target
-    est = melnikov_estimate(W_LINEAR, 1.0, 1, CFG, eps0=1e-7)
-    assert est[0] == pytest.approx(math.pi, rel=1e-6)
+def test_melnikov_fit_single_order_carries_m2_bias():
+    # on the fixed ladder 1e-3 * 2^-j a 1-term model absorbs the eps^2 term
+    # M_2 = pi^2 / 2 of y dx into its M_1; a 2-term model separates it
+    one = melnikov_estimate(W_LINEAR, 1.0, 1, CFG)
+    assert 1e-4 < one[0] / math.pi - 1 < 1e-2
+    assert melnikov_estimate(W_LINEAR, 1.0, 2, CFG)[0] == pytest.approx(
+        math.pi, rel=1e-5
+    )
 
 
 def test_melnikov_fit_silent_form():
@@ -334,12 +337,6 @@ def test_melnikov_fit_scales_with_t():
     assert est[0] == pytest.approx(2.0 * math.pi, rel=1e-8)
 
 
-def test_residual_decreases_with_grid():
-    coarse = melnikov_estimate(W_LINEAR, 1.0, 2, CFG, eps0=1e-3)
-    fine = melnikov_estimate(W_LINEAR, 1.0, 2, CFG, eps0=1e-4)
-    assert fine.residual < coarse.residual / 10
-
-
 def test_ill_conditioned_flag():
     cfg = HolonomyConfig(step_count=500)
     est = melnikov_estimate(W_LINEAR, 1.0, 9, cfg)
@@ -351,21 +348,11 @@ def test_ill_conditioned_flag():
 def test_melnikov_fit_validation():
     with pytest.raises(ValueError):
         melnikov_estimate(W_LINEAR, 1.0, 0, CFG)
-    for eps0 in (0.0, -1e-3):
-        with pytest.raises(ValueError, match="eps0 must be positive"):
-            melnikov_estimate(W_LINEAR, 1.0, 2, CFG, eps0=eps0)
 
 
 def test_richardson_variant():
     got = first_melnikov_richardson(W_LINEAR, 1.0, CFG)
     assert got == pytest.approx(math.pi, rel=1e-8)
-    with pytest.raises(ValueError):
-        first_melnikov_richardson(W_LINEAR, 1.0, CFG, levels=0)
-    # the ladder eps0 * 2^-j shared with the fit: zero would divide Delta by
-    # zero and a negative eps0 would integrate the mirrored ladder unnoticed
-    for eps0 in (0.0, -1e-3):
-        with pytest.raises(ValueError, match="eps0 must be positive"):
-            first_melnikov_richardson(W_LINEAR, 1.0, CFG, eps0=eps0)
 
 
 def test_estimates_container():
@@ -450,11 +437,12 @@ def test_node_tables_match_direct_evaluation(index, steps):
 @pytest.mark.parametrize("index", range(len(REFERENCE_FORMS)))
 def test_chunk_size_does_not_change_a_bit(monkeypatch, index):
     w, steps = REFERENCE_FORMS[index], 100
-    want = oracle._integrate(w, REFERENCE_T, REFERENCE_EPS, steps)
+    want, _ = oracle._integrate(w, REFERENCE_T, REFERENCE_EPS, steps)
     for chunk in (1, 7, steps + 1):
         monkeypatch.setattr(oracle, "_CHUNK_STEPS", chunk)
-        got = oracle._integrate(w, REFERENCE_T, REFERENCE_EPS, steps)
+        got, none = oracle._integrate(w, REFERENCE_T, REFERENCE_EPS, steps)
         assert np.array_equal(got, want)
+        assert none.size == 0
 
 
 @pytest.mark.parametrize("steps", [100, 130])  # 130 ends in a partial chunk
@@ -463,8 +451,8 @@ def test_fused_runs_match_separate_runs_bit_for_bit(monkeypatch, index, steps):
     w = REFERENCE_FORMS[index]
     for lanes in (1, 8, 20):
         t, eps = REFERENCE_T[:lanes], REFERENCE_EPS[:lanes]
-        coarse = oracle._integrate(w, t, eps, steps)
-        fine = oracle._integrate(w, t, eps, 2 * steps)
+        coarse, _ = oracle._integrate(w, t, eps, steps)
+        fine, _ = oracle._integrate(w, t, eps, 2 * steps)
         for chunk in (1, 7, steps + 1):
             monkeypatch.setattr(oracle, "_CHUNK_STEPS", chunk)
             for k in sorted({1, lanes}):
