@@ -53,6 +53,13 @@ on the annulus is a pole too.
 
 The polar equation is the circle's, so no entry point takes a Hamiltonian;
 cli.parse_problem checks the F of a problem document.
+
+numpy is imported inside the functions that integrate, tabulate or fit, not
+at module level, so importing this module loads only the standard library:
+`import folint` and the exact `melnikov` and `gv` subcommands never load
+numpy, and the first oracle report or --verify-all pays for it.  The module
+itself stays imported by the package and the CLI, so its names always
+resolve, for callers and for tools that find them in sys.modules.
 """
 
 from __future__ import annotations
@@ -61,11 +68,13 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import ONE, X, Y, RationalFunction
 from .exterior import Form1Planar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HolonomyConfig",
@@ -101,15 +110,23 @@ class NonFiniteEstimate(RuntimeError):
     """The Melnikov fit overflowed float64; t is too large for the oracle."""
 
 
+# The largest step count.  A 1x1 report costs on the order of 100 us a step,
+# so the cap keeps it near 100 s, where an unbounded --steps could run for
+# hours; nothing shipped uses more than the 20 000 default.
+_MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class HolonomyConfig:
-    """Fixed-step integrator settings."""
+    """Fixed-step integrator settings: 100 <= step_count <= 10**6."""
 
     step_count: int = 20000
 
     def __post_init__(self) -> None:
         if self.step_count < 100:
             raise ValueError("step_count must be >= 100")
+        if self.step_count > _MAX_STEPS:
+            raise ValueError(f"step_count must be <= {_MAX_STEPS}")
 
 
 DEFAULT_CONFIG = HolonomyConfig()
@@ -157,6 +174,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     between two of them still escapes.  The n-step result has the broadcast
     shape of t and eps.
     """
+    import numpy as np
+
     t, eps = np.broadcast_arrays(
         np.asarray(t, dtype=float), np.asarray(eps, dtype=float)
     )
@@ -326,6 +345,8 @@ _EVERY_LANE_STAGES = [0, 3, 4, 7]
 
 def _powers(base: np.ndarray, top: int) -> np.ndarray:
     """base^0 .. base^top stacked on a new first axis, by repeated products."""
+    import numpy as np
+
     out = np.empty((top + 1, *base.shape))
     out[0] = 1.0
     out[1:] = base
@@ -346,6 +367,8 @@ class _Rows:
     """
 
     def __init__(self, w: Form1Planar) -> None:
+        import numpy as np
+
         (num_p, den_p), (num_q, den_q) = (
             (f.num, f.den) if isinstance(f, RationalFunction) else (f, ONE)
             for f in (w.p, w.q)
@@ -380,6 +403,8 @@ class _Rows:
 
     def tabulate(self, thetas: np.ndarray) -> np.ndarray:
         """The table at every node: shape (nodes, columns, rows, 1)."""
+        import numpy as np
+
         # a part of the column for rho^k has degree at most k + 1
         cos = _powers(np.cos(thetas), self.top + 1)
         sin = _powers(np.sin(thetas), self.top + 1)
@@ -456,6 +481,8 @@ def _run(w: Form1Planar, t_values, eps_values, ladder_t, rungs: int, cfg):
     table samples (Delta from the 2n-step run, est_error its distance from
     the n-step one), the ladder and each ladder t's row of n-step Delta.
     """
+    import numpy as np
+
     grid = [(t, eps) for t in t_values for eps in eps_values]
     ladder = np.array([_EPS0 * 2.0 ** (-j) for j in range(rungs)])
     lanes = grid + [(t, eps) for t in ladder_t for eps in ladder.tolist()]
@@ -477,6 +504,8 @@ def _run(w: Form1Planar, t_values, eps_values, ladder_t, rungs: int, cfg):
 
 def _fit(t: float, orders: int, grid, deltas) -> MelnikovEstimates:
     """melnikov_estimate's fit on the first 2*orders+1 rungs of the ladder."""
+    import numpy as np
+
     rungs = 2 * orders + 1
     grid, deltas = grid[:rungs], deltas[:rungs]
     u = grid / _EPS0

@@ -611,6 +611,58 @@ def test_main_invalid_inputs(tmp_path, capsys, argv_builder):
     assert "error" in capsys.readouterr().err
 
 
+def test_main_steps_past_cap_is_invalid_input(tmp_path, capsys, monkeypatch):
+    # refused while the config is built, before the document is even read
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(cli, "cmd_oracle", never)
+    path = write_doc(tmp_path, load_fixture("example1.json"))
+    assert main(["--steps", "100000000000000000000000", "oracle", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step_count must be <= 1000000\n"
+
+
+# run in a fresh interpreter: the test modules import numpy themselves
+_NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+import folint, folint.cli
+from folint.cli import main
+example1, example2 = sys.argv[1:]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [main(["melnikov", example1]), main(["gv", example2, "--k", "6"])]
+    exact = {"numpy": "numpy" in sys.modules, "oracle": "folint.oracle" in sys.modules}
+    codes.append(main(["--steps", "100", "oracle", example1]))
+names = [folint.holonomy_return, folint.grid_estimates, folint.HolonomyConfig]
+print(json.dumps({
+    "codes": codes,
+    "exact": exact,
+    "numpy_after_oracle": "numpy" in sys.modules,
+    "names": [f is getattr(folint.oracle, f.__name__) for f in names],
+}))
+"""
+
+
+def test_exact_pipeline_does_not_load_numpy(tmp_path):
+    paths = [write_doc(tmp_path, load_fixture(f"{name}.json"), f"{name}.json")
+             for name in ("example1", "example2")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, *paths],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "codes": [EXIT_OK, EXIT_OK, EXIT_OK],
+        # folint.oracle stays loaded: tools find its names in sys.modules
+        "exact": {"numpy": False, "oracle": True},
+        "numpy_after_oracle": True,
+        "names": [True, True, True],
+    }
+
+
 def test_main_zero_denominator_coefficient_is_invalid_input(tmp_path, capsys):
     doc = dict(SQUARE_DOC, omega={"dx": "2/0 x", "dy": "0"})
     path = write_doc(tmp_path, doc)

@@ -133,6 +133,9 @@ def test_config_validation():
     assert DEFAULT_CONFIG.step_count == 20000
     with pytest.raises(ValueError):
         HolonomyConfig(step_count=99)
+    assert HolonomyConfig(step_count=10**6).step_count == 10**6
+    with pytest.raises(ValueError, match=r"^step_count must be <= 1000000$"):
+        HolonomyConfig(step_count=10**6 + 1)
     with pytest.raises(FrozenInstanceError):
         DEFAULT_CONFIG.step_count = 5
 
