@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import BivarPoly, X, Y
+from .algebra import BivarPoly, X, Y, terms_text
 from .exterior import Form1Planar
 
 __all__ = [
@@ -68,8 +68,6 @@ class PeriodPoly:
     """pi times a polynomial in t; coeffs[m] multiplies t^m."""
 
     coeffs: tuple[Fraction, ...]
-
-    PI_POWER = 1  # every stored value carries exactly one factor of pi
 
     def __post_init__(self) -> None:
         trimmed = list(self.coeffs)
@@ -123,21 +121,11 @@ class PeriodPoly:
         return math.pi * acc
 
     def poly_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for m in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[m]
-            if c == 0:
-                continue
-            mono = "" if m == 0 else ("t" if m == 1 else f"t^{m}")
-            mag = abs(c)
-            body = mono if (mono and mag == 1) else f"{mag}{mono}" if mono else f"{mag}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return terms_text(
+            ("" if m == 0 else "t" if m == 1 else f"t^{m}", c < 0, abs(c))
+            for m, c in reversed(list(enumerate(self.coeffs)))
+            if c != 0
+        )
 
     def to_text(self) -> str:
         """Rendering used in reports: pi times the t-polynomial."""

@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -50,6 +50,7 @@ __all__ = [
     "poly_gcd",
     "divexact",
     "grlex_key",
+    "terms_text",
     "X",
     "Y",
     "ONE",
@@ -313,35 +314,40 @@ class BivarPoly:
 
     def to_text(self) -> str:
         """Deterministic text form; round-trips through parse_poly."""
-        if not self.nums:
-            return "0"
-        pieces: list[str] = []
-        for (a, b), c in sorted(
-            self.nums.items(), key=lambda t: grlex_key(t[0]), reverse=True
-        ):
-            mono = ""
-            if a:
-                mono += "x" if a == 1 else f"x^{a}"
-            if b:
-                mono += "y" if b == 1 else f"y^{b}"
-            mag = Fraction(abs(c), self.den)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}{mono}"
-            else:
-                body = f"{mag}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return terms_text(
+            (
+                ("" if a == 0 else "x" if a == 1 else f"x^{a}")
+                + ("" if b == 0 else "y" if b == 1 else f"y^{b}"),
+                c < 0,
+                Fraction(abs(c), self.den),
+            )
+            for (a, b), c in sorted(
+                self.nums.items(), key=lambda t: grlex_key(t[0]), reverse=True
+            )
+        )
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         return f"BivarPoly({self.to_text()!r})"
+
+
+def terms_text(terms: Iterable[tuple[str, bool, Fraction]]) -> str:
+    """Signed sum of (monomial, negative, nonzero magnitude) terms in order.
+
+    A unit magnitude is left out before a monomial, the first term carries a
+    bare "-" and the others are joined by " + " or " - "; no term is "0".
+    The one term printer of BivarPoly and abelian.PeriodPoly.
+    """
+    pieces: list[str] = []
+    for mono, negative, mag in terms:
+        body = mono if mono and mag == 1 else f"{mag}{mono}"
+        if pieces:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if negative else body)
+    return " ".join(pieces) if pieces else "0"
 
 
 def _rational(exp: Exponent, c) -> Fraction:

@@ -3,9 +3,11 @@
 Forms live on coordinates (x, y, eps).  The eight basis monomials are encoded
 as bitmasks over dx (1), dy (2), deps (4) with canonical factor order
 dx < dy < deps; every component of a FormEps is an EpsSeries in eps with
-BivarPoly coefficients.  The planar forms Form1Planar and Form2Planar take
-BivarPoly or RationalFunction components; the rational ones serve the
-classical Godbillon-Vey forms and rational oracle perturbations.
+BivarPoly coefficients.  The planar 1-form Form1Planar takes BivarPoly or
+RationalFunction components; the rational ones serve the classical
+Godbillon-Vey forms and rational oracle perturbations.  A planar 2-form
+h dx^dy is its coefficient h alone: Form1Planar.d and Form1Planar.wedge
+return it.
 
 The grading used for truncation is the weight w(eps) = w(deps) = 1,
 w(x) = w(y) = w(dx) = w(dy) = 0, so a term eps^i (...) deps has weight i + 1
@@ -31,7 +33,6 @@ __all__ = [
     "DE",
     "BASIS_NAMES",
     "Form1Planar",
-    "Form2Planar",
     "FormEps",
     "wedge",
     "basis_wedge",
@@ -106,43 +107,16 @@ class Form1Planar:
     def is_zero(self) -> bool:
         return self.p.is_zero() and self.q.is_zero()
 
-    def d(self) -> "Form2Planar":
-        """Planar exterior derivative (dq/dx - dp/dy) dx^dy."""
-        return Form2Planar(self.q.partial("x") - self.p.partial("y"))
+    def d(self):
+        """The dx^dy coefficient dq/dx - dp/dy of the exterior derivative."""
+        return self.q.partial("x") - self.p.partial("y")
 
-    def wedge(self, other: "Form1Planar") -> "Form2Planar":
-        return Form2Planar(self.p * other.q - self.q * other.p)
+    def wedge(self, other: "Form1Planar"):
+        """The dx^dy coefficient of self ^ other."""
+        return self.p * other.q - self.q * other.p
 
     def to_text(self) -> str:
         return f"({self.p}) dx + ({self.q}) dy"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-
-@dataclass(frozen=True)
-class Form2Planar:
-    """h dx^dy."""
-
-    h: object
-
-    def __add__(self, other: "Form2Planar") -> "Form2Planar":
-        return Form2Planar(self.h + other.h)
-
-    def __sub__(self, other: "Form2Planar") -> "Form2Planar":
-        return Form2Planar(self.h - other.h)
-
-    def __neg__(self) -> "Form2Planar":
-        return Form2Planar(-self.h)
-
-    def scale(self, c) -> "Form2Planar":
-        return Form2Planar(self.h * c)
-
-    def is_zero(self) -> bool:
-        return self.h.is_zero()
-
-    def to_text(self) -> str:
-        return f"({self.h}) dx*dy"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -264,7 +238,7 @@ class FormEps:
         return f"FormEps({self.to_text()!r}, order={self.order}, exact={self.exact})"
 
 
-def series_to_text(s: EpsSeries, var: str = "eps") -> str:
+def series_to_text(s: EpsSeries) -> str:
     parts = []
     for i, c in enumerate(s.coeffs):
         if c.is_zero():
@@ -272,9 +246,9 @@ def series_to_text(s: EpsSeries, var: str = "eps") -> str:
         if i == 0:
             parts.append(f"{c}")
         elif i == 1:
-            parts.append(f"{var}*({c})")
+            parts.append(f"eps*({c})")
         else:
-            parts.append(f"{var}^{i}*({c})")
+            parts.append(f"eps^{i}*({c})")
     return " + ".join(parts) if parts else "0"
 
 

@@ -447,7 +447,7 @@ def length_two_witness(seq: FrancoiseSequence, k: int) -> EpsSeries:
     dGq = G.map(lambda u: u.partial("y"))
     eta_p = EpsSeries([F.partial("x"), w.p][: k + 1], k)
     eta_q = EpsSeries([F.partial("y"), w.q][: k + 1], k)
-    deta = EpsSeries([BivarPoly.zero(), w.d().h][: k + 1], k)
+    deta = EpsSeries([BivarPoly.zero(), w.d()][: k + 1], k)
     residual = G * deta + (dGp * eta_q - dGq * eta_p)
     if not residual.is_zero():
         raise InternalSolverError(

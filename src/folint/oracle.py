@@ -58,8 +58,8 @@ numpy is imported inside the functions that integrate, tabulate or fit, not
 at module level, so importing this module loads only the standard library:
 `import folint` and the exact `melnikov` and `gv` subcommands never load
 numpy, and the first oracle report or --verify-all pays for it.  The module
-itself stays imported by the package and the CLI, so its names always
-resolve, for callers and for tools that find them in sys.modules.
+itself stays imported by the CLI, so its names always resolve, for callers
+and for tools that find them in sys.modules.
 """
 
 from __future__ import annotations
@@ -107,7 +107,19 @@ class DenominatorVanished(RuntimeError):
 
 
 class NonFiniteEstimate(RuntimeError):
-    """The Melnikov fit overflowed float64; t is too large for the oracle."""
+    """A number the oracle needs is beyond the float64 range: a coefficient
+    of w or of the node-table products, refused before integrating, or the
+    Melnikov fit at a t too large for the oracle."""
+
+
+def _floats(poly, what: str) -> list[float]:
+    """poly's coefficients as floats; NonFiniteEstimate names what overflows."""
+    try:
+        return [float(c) for c in poly.terms.values()]
+    except OverflowError:
+        raise NonFiniteEstimate(
+            f"{what} has a coefficient beyond the float64 range"
+        ) from None
 
 
 # The largest step count.  A 1x1 report costs on the order of 100 us a step,
@@ -373,6 +385,9 @@ class _Rows:
             (f.num, f.den) if isinstance(f, RationalFunction) else (f, ONE)
             for f in (w.p, w.q)
         )
+        for name, *polys in (("dx", num_p, den_p), ("dy", num_q, den_q)):
+            for poly in polys:
+                _floats(poly, f"the {name} component of omega")
         self.dens = [
             (name, f.den)
             for name, f in (("dx", w.p), ("dy", w.q))
@@ -396,7 +411,7 @@ class _Rows:
         # (row, column, exponents of c, exponents of s, coefficients)
         self.entries = [
             (r, column[k], *np.array(list(part.terms), dtype=int).T,
-             np.array([float(c) for c in part.terms.values()]))
+             np.array(_floats(part, "a product of omega's components")))
             for r, row in enumerate(rows)
             for k, part in row.items()
         ]

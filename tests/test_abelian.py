@@ -181,6 +181,8 @@ def test_periodpoly_text():
     assert PeriodPoly.single(1, 1).to_text() == "π·t"
     assert PeriodPoly.single(2, Fraction(1, 2)).to_text() == "π·(1/2t^2)"
     assert PeriodPoly.single(1, -1).to_text() == "π·(-t)"
+    assert PeriodPoly((1, Fraction(-3, 2))).to_text() == "π·(-3/2t + 1)"
+    assert PeriodPoly((-2,)).to_text() == "π·(-2)"
     two_terms = PeriodPoly((Fraction(0), Fraction(-1), Fraction(3, 4)))
     assert two_terms.to_text() == "π·(3/4t^2 - t)"
     assert str(two_terms) == two_terms.to_text()

@@ -167,7 +167,7 @@ def test_criterion_6_length_two_witness():
     )
     eta_p = EpsSeries([F.partial("x"), W_EXAMPLE2.p] + [ZERO] * (k - 1), k)
     eta_q = EpsSeries([F.partial("y"), W_EXAMPLE2.q] + [ZERO] * (k - 1), k)
-    deta = EpsSeries([ZERO, W_EXAMPLE2.d().h] + [ZERO] * (k - 1), k)
+    deta = EpsSeries([ZERO, W_EXAMPLE2.d()] + [ZERO] * (k - 1), k)
     residual = G * deta + (
         G.map(lambda u: u.partial("x")) * eta_q
         - G.map(lambda u: u.partial("y")) * eta_p

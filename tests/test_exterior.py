@@ -19,7 +19,6 @@ from folint.exterior import (
     DX,
     DY,
     Form1Planar,
-    Form2Planar,
     FormEps,
     basis_wedge,
     d_planar_scalar,
@@ -110,7 +109,7 @@ def test_planar_d_of_scalar():
 
 def test_planar_d_golden():
     w = Form1Planar(Y * Y, ZERO)
-    assert w.d() == Form2Planar(-2 * Y)
+    assert w.d() == -2 * Y
 
 
 def test_planar_dd_is_zero():
@@ -133,8 +132,8 @@ def test_planar_scalar_d_product_rule():
 def test_planar_wedge_dx_dy():
     dx = Form1Planar(ONE, ZERO)
     dy = Form1Planar(ZERO, ONE)
-    assert dx.wedge(dy) == Form2Planar(ONE)
-    assert dy.wedge(dx) == Form2Planar(-ONE)
+    assert dx.wedge(dy) == ONE
+    assert dy.wedge(dx) == -ONE
 
 
 def test_planar_wedge_antisymmetric():
@@ -151,7 +150,6 @@ def test_planar_form_arithmetic_and_text():
     assert (-w).p == -2 * X
     assert w.scale(X).q == 2 * X * Y
     assert w.to_text() == "(2x) dx + (2y) dy"
-    assert Form2Planar(X).to_text() == "(x) dx*dy"
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +265,7 @@ def test_dd_is_zero_on_one_forms():
 def test_d_total_matches_planar_d():
     w = Form1Planar(X * Y, Y * Y)
     u = d_total(FormEps(1, {DX: EpsSeries([w.p], 1), DY: EpsSeries([w.q], 1)}))
-    assert u.component(DX | DY).coeffs[0] == w.d().h
+    assert u.component(DX | DY).coeffs[0] == w.d()
     assert u.component(DX | DE).is_zero()
     assert u.component(DY | DE).is_zero()
 

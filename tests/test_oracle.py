@@ -33,6 +33,7 @@ from folint.oracle import (
     HolonomyConfig,
     LeafEscapedAnnulus,
     MelnikovEstimates,
+    NonFiniteEstimate,
     displacement_table,
     first_melnikov_richardson,
     holonomy_return,
@@ -122,6 +123,21 @@ def test_vanishing_denominator_reports_parameters():
     with pytest.raises(DenominatorVanished) as exc:
         holonomy_return(w, 1.0, 1.0, CFG)
     assert "eps=1" in str(exc.value)
+
+
+def test_coefficient_beyond_float_range_is_refused(monkeypatch):
+    # refused while the rows are built, before any node table
+    def never(*args, **kwargs):
+        raise AssertionError("tabulated")
+    monkeypatch.setattr(oracle, "_powers", never)
+    big = 10**400
+    with pytest.raises(NonFiniteEstimate, match="the dy component of omega"):
+        displacement_table(Form1Planar(Y, big * X), [1.0], [1e-3], CFG)
+    # each component fits a float, their product 10^400 x y in the tables does not
+    w = Form1Planar(RationalFunction(10**200 * X, BivarPoly.one() + X),
+                    RationalFunction(BivarPoly.one(), X + 10**200))
+    with pytest.raises(NonFiniteEstimate, match="a product of omega's components"):
+        holonomy_return(w, 1.0, 1e-3, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +540,12 @@ def test_fused_errors_match_separate_runs(monkeypatch, case, chunk):
 
 def test_table_memory_does_not_grow_with_steps():
     # one chunk of tables and guard buffers at a time: unchunked, the cos and
-    # the sin power tables alone would each hold 62 x 40001 floats (20 MB) at
-    # 20000 steps; the 2n-step lanes (fine=1) double the nodes of a chunk
+    # the sin power tables alone would each hold 62 x 4001 floats (2 MB) at
+    # 2000 steps; the 2n-step lanes (fine=1) double the nodes of a chunk
     w = Form1Planar(X**60 + Y, X * Y**59)
-    for fine, step_counts in ((0, (2000, 20000)), (1, (200, 2000))):
+    for fine in (0, 1):
         peaks = []
-        for steps in step_counts:
+        for steps in (200, 2000):
             tracemalloc.start()
             try:
                 oracle._integrate(w, 1.0, 1e-3, steps, fine=fine)
