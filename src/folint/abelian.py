@@ -12,7 +12,10 @@ stores; the factor pi is exactly one power and is kept symbolic.
 
 CIRCLE is the only supported family.  OvalFamily owns its one check, run where
 a family enters (francoise.melnikov_sequence); the circle-only internals here
-and in francoise, godbillon and oracle take no family argument.
+and in francoise, godbillon and oracle take no family argument.  CIRCLE_DF is
+the circle's dF = 2x dx + 2y dy, built once: every identity of the form
+g dF + dr (francoise's pairs, godbillon's Omega, its witness and its division
+by dF) reads it from here.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import BivarPoly, X, Y, terms_text
-from .exterior import Form1Planar
+from .exterior import Form1Planar, d_planar_scalar
 
 __all__ = [
     "OvalFamily",
@@ -32,6 +35,7 @@ __all__ = [
     "monomial_period",
     "period_of_form",
     "CIRCLE",
+    "CIRCLE_DF",
 ]
 
 
@@ -44,7 +48,7 @@ _CIRCLE_POLY = X * X + Y * Y
 
 @dataclass(frozen=True)
 class OvalFamily:
-    """Level-set family {F = t}, 0 < t < 1, of a Hamiltonian F."""
+    """Level-set family {F = t}, t > 0, of a Hamiltonian F."""
 
     hamiltonian: BivarPoly
 
@@ -61,6 +65,7 @@ class OvalFamily:
 
 
 CIRCLE = OvalFamily.circle()
+CIRCLE_DF = d_planar_scalar(_CIRCLE_POLY)
 
 
 @dataclass(frozen=True)

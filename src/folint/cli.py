@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .exterior import Form1Planar, series_to_text
 from .abelian import CIRCLE, period_of_form
-from .francoise import melnikov_sequence, sequence_length
+from .francoise import FrancoiseSequence, melnikov_sequence, sequence_length
 from .godbillon import check_first_integral, first_integral, gv_pairs_from_francoise
 from . import oracle
 
@@ -245,6 +245,14 @@ def _require_budget(w: Form1Planar, order: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pair_rows(seq: FrancoiseSequence) -> tuple[dict, ...]:
+    """The certificate's pairs as report entries {"i", "g", "r"}, i from 1."""
+    return tuple(
+        {"i": i, "g": p.g.to_text(), "r": p.r.to_text()}
+        for i, p in enumerate(seq.pairs, start=1)
+    )
+
+
 def cmd_melnikov(spec: ProblemSpec) -> RunReport:
     """Melnikov values M_1..M_max_order with the certifying pair list."""
     w = _symbolic_omega(spec)
@@ -254,10 +262,7 @@ def cmd_melnikov(spec: ProblemSpec) -> RunReport:
         command="melnikov",
         melnikov=tuple(m.to_text() for m in result.melnikov),
         first_nonzero=result.first_nonzero,
-        pairs=tuple(
-            {"i": i, "g": p.g.to_text(), "r": p.r.to_text()}
-            for i, p in enumerate(result.sequence.pairs, start=1)
-        ),
+        pairs=_pair_rows(result.sequence),
         length=sequence_length(result.sequence),
     )
 
@@ -297,10 +302,7 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
     return RunReport(
         command="gv",
         melnikov=melnikov,
-        pairs=tuple(
-            {"i": i, "g": p.g.to_text(), "r": p.r.to_text()}
-            for i, p in enumerate(seq.pairs, start=1)
-        ),
+        pairs=_pair_rows(seq),
         gv_pairs=tuple(
             {"i": i, "G": pair.G.to_text(), "R": pair.R.to_text()}
             for i, pair in enumerate(gvp, start=1)

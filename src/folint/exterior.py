@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ZERO, EpsSeries, SeriesOrderMismatch
+from .algebra import ONE, ZERO, EpsSeries, SeriesOrderMismatch
 
 __all__ = [
     "DX",
@@ -271,35 +271,24 @@ def wedge(u: FormEps, v: FormEps) -> FormEps:
 
 
 def d_total(u: FormEps) -> FormEps:
-    """Total differential d = dx d/dx + dy d/dy + deps d/d eps.
+    """Total differential d u = dx ^ du/dx + dy ^ du/dy + deps ^ du/d eps.
 
-    For a jet (exact=False) the deps-carrying output at the top order K is not
-    determined by the data; the result keeps order K but is reliable only
-    through K-1 for terms sourced from the deps-free part, and the exact flag
-    is cleared.
+    Each term is a wedge, so the sign of moving dx, dy or deps to its place
+    in a basis monomial comes from wedge alone.  For a jet (exact=False) the
+    deps-carrying output at the top order K is not determined by the data;
+    the result keeps order K but is reliable only through K-1 for terms
+    sourced from the deps-free part, and the exact flag is cleared.
     """
-    acc: dict[int, EpsSeries] = {}
-
-    def add(basis: int, series: EpsSeries) -> None:
-        if basis in acc:
-            acc[basis] = acc[basis] + series
-        else:
-            acc[basis] = series
-
-    for basis, s in u.comps.items():
-        for var, db in (("x", DX), ("y", DY)):
-            merged = basis_wedge(db, basis)
-            if merged is None:
-                continue
-            sign, out_basis = merged
-            ds = s.map(lambda c, v=var: c.partial(v))
-            add(out_basis, -ds if sign < 0 else ds)
-        merged = basis_wedge(DE, basis)
-        if merged is not None:
-            sign, out_basis = merged
-            ds = s.eps_derivative()
-            add(out_basis, -ds if sign < 0 else ds)
-    return FormEps(u.order, acc, u.exact)
+    one = EpsSeries.constant(ONE, u.order)
+    out = FormEps.zero(u.order)
+    for basis, derivative in (
+        (DX, lambda s: s.map(lambda c: c.partial("x"))),
+        (DY, lambda s: s.map(lambda c: c.partial("y"))),
+        (DE, EpsSeries.eps_derivative),
+    ):
+        du = FormEps(u.order, {b: derivative(s) for b, s in u.comps.items()}, u.exact)
+        out = out + wedge(FormEps(u.order, {basis: one}), du)
+    return out
 
 
 def term_weight(eps_power: int, basis: int) -> int:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Union
 
-from .abelian import CIRCLE, OvalFamily, PeriodPoly, period_of_form
+from .abelian import CIRCLE_DF, OvalFamily, PeriodPoly, period_of_form
 from .algebra import BivarPoly
 from .exterior import Form1Planar, d_planar_scalar
 
@@ -95,9 +95,8 @@ class FrancoisePair:
 
     def verify(self, prev_g: BivarPoly, w: Form1Planar) -> bool:
         """Exact check of the defining identity against the previous g."""
-        dF = d_planar_scalar(CIRCLE.hamiltonian)
         lhs = w.scale(prev_g)
-        rhs = dF.scale(self.g) + d_planar_scalar(self.r)
+        rhs = CIRCLE_DF.scale(self.g) + d_planar_scalar(self.r)
         return (lhs - rhs).is_zero()
 
 

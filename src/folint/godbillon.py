@@ -47,12 +47,21 @@ fields, and each rests on that one exact check of the run's data:
   G_i dF + G_{i-1} w = d c_i for i <= k, an exact form, so G (dF + eps w)
   is closed through eps^k.
 
+The twist (g_i, r_i) <-> (G_i, c_i) is written once, in _twist: it negates
+r_i for even i and g_i for odd i, and is its own inverse.
+gv_pairs_from_francoise, first_integral and length_two_witness apply it
+forwards and pairs_from_first_integral backwards; R_i = i c_i is then a
+scaling.
+check_first_integral does not use it: it reads the printed G_i, R_i and c_i,
+so a wrong twist fails there.
+
 The library functions re-derive these facts from general FormEps data:
 assemble_omega and integrability_defect build Omega ^ dOmega,
 integrating_factor solves Omega = N d(F_eps) order by order, and
-length_two_witness checks that G (dF + eps w) is closed for the unit series
-G = sum (-1)^i eps^i g_i and returns G, from which witness_theta builds the
-closed one-form theta = -dG/G.  The module also recovers the data in the
+length_two_witness builds the unit series G = sum (-1)^i eps^i g_i and checks
+the witness_ok identity itself, d(G_i dF + G_{i-1} w) = 0 for i = 1..k, one
+planar coefficient at a time.  It returns G, from which witness_theta builds
+the closed one-form theta = -dG/G.  The module also recovers the data in the
 opposite direction (pairs from a first integral) and extracts the classical
 Godbillon-Vey forms eta_i from the Taylor expansion of
 d(F_eps)/(dF_eps/deps).
@@ -61,10 +70,9 @@ d(F_eps)/(dF_eps/deps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
-from .abelian import CIRCLE
+from .abelian import CIRCLE, CIRCLE_DF
 from .algebra import BivarPoly, EpsSeries, RationalFunction, divexact, poly_gcd
 from .exterior import (
     DE,
@@ -113,8 +121,13 @@ class DegenerateNormalization(ValueError):
     """r_1 = 0: the eps-derivative of F_eps is not invertible."""
 
 
-def _sign(i: int) -> int:
-    return 1 if i % 2 == 0 else -1
+def _twist(i: int, a: BivarPoly, b: BivarPoly) -> tuple[BivarPoly, BivarPoly]:
+    """(g_i, r_i) -> (G_i, c_i) = ((-1)^i g_i, (-1)^{i+1} r_i), and back.
+
+    Exactly one of the two signs is negative, so the map negates one entry;
+    applied twice it is the identity.
+    """
+    return (a, -b) if i % 2 == 0 else (-a, b)
 
 
 def _over_dF(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
@@ -123,12 +136,11 @@ def _over_dF(p: BivarPoly, q: BivarPoly) -> BivarPoly | None:
     F_x = 2x, so dividing p by it fixes n; divexact returns only exact
     quotients, which leaves the dy component to check.
     """
-    F = CIRCLE.hamiltonian
     try:
-        n = divexact(p, F.partial("x"))
+        n = divexact(p, CIRCLE_DF.p)
     except ValueError:
         return None
-    return n if (q - n * F.partial("y")).is_zero() else None
+    return n if (q - n * CIRCLE_DF.q).is_zero() else None
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +160,8 @@ def gv_pairs_from_francoise(seq: FrancoiseSequence) -> list[GVPair]:
     """Apply G_i = (-1)^i g_i, R_i = (-1)^{i+1} i r_i to every pair of seq."""
     out = []
     for i in range(1, len(seq) + 1):
-        s = _sign(i)
-        out.append(GVPair(G=seq.g(i) * s, R=seq.r(i) * (-s * i)))
+        G, c = _twist(i, seq.g(i), seq.r(i))
+        out.append(GVPair(G=G, R=c * i))
     return out
 
 
@@ -200,7 +212,7 @@ def first_integral(F: BivarPoly, seq: FrancoiseSequence, k: int) -> FirstIntegra
         raise ValueError("sequence was computed for a different Hamiltonian")
     coeffs = [F]
     for i, pair in enumerate(_pairs_through(seq, k), start=1):
-        coeffs.append(pair.r * -_sign(i))
+        coeffs.append(_twist(i, pair.g, pair.r)[1])
     return FirstIntegral(EpsSeries(coeffs, k))
 
 
@@ -218,10 +230,9 @@ def check_first_integral(
     if k < 0 or len(gvp) <= k or fint.series.order <= k:
         raise ValueError(f"order {k} needs pairs and first integral through {k + 1}")
     c = fint.series.coeffs
-    dF = d_planar_scalar(CIRCLE.hamiltonian)
     G = [BivarPoly.zero(), BivarPoly.one()] + [pair.G for pair in gvp[: k + 1]]
     for i in range(k + 2):
-        if not (dF.scale(G[i + 1]) + w.scale(G[i]) - d_planar_scalar(c[i])).is_zero():
+        if not (CIRCLE_DF.scale(G[i + 1]) + w.scale(G[i]) - d_planar_scalar(c[i])).is_zero():
             raise InternalSolverError(f"Omega - d(F_eps) mismatch in dx, dy at eps^{i}")
         if i and gvp[i - 1].R != c[i] * i:
             raise InternalSolverError(f"Omega - d(F_eps) mismatch in deps at eps^{i - 1}")
@@ -236,12 +247,11 @@ def deformation_form(w: Form1Planar, order: int) -> FormEps:
     """dF + eps*w for the circle F as an exact FormEps of the given order (>= 1)."""
     if order < 1:
         raise ValueError("order must be >= 1 to hold the eps term")
-    dF = d_planar_scalar(CIRCLE.hamiltonian)
     return FormEps(
         order,
         {
-            DX: EpsSeries([dF.p, w.p], order),
-            DY: EpsSeries([dF.q, w.q], order),
+            DX: EpsSeries([CIRCLE_DF.p, w.p], order),
+            DY: EpsSeries([CIRCLE_DF.q, w.q], order),
         },
     )
 
@@ -430,30 +440,21 @@ def _reduced(num: BivarPoly, den: BivarPoly) -> RationalFunction:
 def length_two_witness(seq: FrancoiseSequence, k: int) -> EpsSeries:
     """The checked unit series G = sum (-1)^i eps^i g_i, order-k truncation.
 
-    Verifies G*d(eta) + dG^eta = 0 coefficient-wise through eps^k, the
-    planar closedness of G*eta = d(F_eps) for eta = dF + eps w, and raises
-    InternalSolverError when it fails.  witness_theta turns G into theta.
+    Verifies that G (dF + eps w) is closed through eps^k, one coefficient
+    d(G_i dF + G_{i-1} w) = 0 at a time for i = 1..k (G_0 dF = dF is
+    closed), and raises InternalSolverError when one fails.  witness_theta
+    turns G into theta.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    coeffs = [BivarPoly.one()]
+    G = [BivarPoly.one()]
     for i, pair in enumerate(_pairs_through(seq, k), start=1):
-        coeffs.append(pair.g * _sign(i))
-    G = EpsSeries(coeffs, k)
-
-    F = CIRCLE.hamiltonian
-    w = seq.omega
-    dGp = G.map(lambda u: u.partial("x"))
-    dGq = G.map(lambda u: u.partial("y"))
-    eta_p = EpsSeries([F.partial("x"), w.p][: k + 1], k)
-    eta_q = EpsSeries([F.partial("y"), w.q][: k + 1], k)
-    deta = EpsSeries([BivarPoly.zero(), w.d()][: k + 1], k)
-    residual = G * deta + (dGp * eta_q - dGq * eta_p)
-    if not residual.is_zero():
-        raise InternalSolverError(
-            "closedness of G*(dF + eps w) failed; sequence data inconsistent"
-        )
-    return G
+        G.append(_twist(i, pair.g, pair.r)[0])
+        if not (CIRCLE_DF.scale(G[i]) + seq.omega.scale(G[i - 1])).d().is_zero():
+            raise InternalSolverError(
+                "closedness of G*(dF + eps w) failed; sequence data inconsistent"
+            )
+    return EpsSeries(G, k)
 
 
 def witness_theta(seq: FrancoiseSequence, k: int) -> FormEps:
@@ -486,13 +487,12 @@ def pairs_from_first_integral(
     """Recover pairs 1..order from d(F_eps) = R~ deps + G~ (dF + eps w).
 
     The planar identity is solved order by order for G~ (exact division by
-    dF), R~ is the eps-derivative, and the sign table gives back
-    g_i = (-1)^i G~_i and r_i = (-1)^{i+1} R~_{i-1}/i.  Every recovered pair
-    is verified against its defining identity; any failure raises
-    ValueError, meaning fint does not truncate a first integral for w.
+    dF), and the twist turns (G~_i, c_i) back into (g_i, r_i): R~_{i-1} =
+    i c_i is the eps-derivative, so r_i = (-1)^{i+1} c_i needs none.  Every
+    recovered pair is verified against its defining identity; any failure
+    raises ValueError, meaning fint does not truncate a first integral for w.
     """
     c = fint.series.coeffs
-    rt = fint.series.eps_derivative().coeffs
     g_twiddle: list[BivarPoly] = []
     for i in range(len(c)):
         num_p = c[i].partial("x")
@@ -508,8 +508,7 @@ def pairs_from_first_integral(
     pairs = []
     prev_g = BivarPoly.one()
     for i in range(1, len(c)):
-        g_i = g_twiddle[i] * _sign(i)
-        r_i = rt[i - 1] * Fraction(-_sign(i), i)
+        g_i, r_i = _twist(i, g_twiddle[i], c[i])
         pair = FrancoisePair(g=g_i, r=r_i)
         if not pair.verify(prev_g, w):
             raise ValueError(f"recovered pair {i} fails its defining identity")

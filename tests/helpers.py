@@ -12,8 +12,8 @@ from math import cos, pi, sin
 
 import numpy as np
 
-from folint.algebra import BivarPoly, RationalFunction, X, Y
-from folint.exterior import Form1Planar
+from folint.algebra import BivarPoly, EpsSeries, RationalFunction, X, Y
+from folint.exterior import DE, DX, DY, Form1Planar, FormEps, basis_wedge
 from folint.abelian import period_of_form
 
 F_CIRCLE = X * X + Y * Y
@@ -103,3 +103,38 @@ def reference_rho(w: Form1Planar, t, eps, steps: int) -> np.ndarray:
         k4 = slope(theta + h, rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
+
+
+def reference_witness_residual(g: list[BivarPoly], w: Form1Planar, k: int) -> EpsSeries:
+    """G d(eta) + dG ^ eta through eps^k for G = sum (-1)^i eps^i g_i (g_0 = 1,
+    g = [g_1, ..., g_k]) and eta = dF + eps w, built from EpsSeries products.
+
+    The dx^dy coefficient of d(G eta), the closedness residual of the
+    length-two witness written out independently of godbillon.
+    """
+    G = EpsSeries([BivarPoly.one()] + [gi * (-1) ** i for i, gi in enumerate(g, 1)], k)
+    dGp = G.map(lambda u: u.partial("x"))
+    dGq = G.map(lambda u: u.partial("y"))
+    eta_p = EpsSeries([F_CIRCLE.partial("x"), w.p][: k + 1], k)
+    eta_q = EpsSeries([F_CIRCLE.partial("y"), w.q][: k + 1], k)
+    deta = EpsSeries([BivarPoly.zero(), w.d()][: k + 1], k)
+    return G * deta + (dGp * eta_q - dGq * eta_p)
+
+
+def reference_d_total(u: FormEps) -> FormEps:
+    """d u by a loop over u's basis monomials, each differential moved into
+    place with the sign basis_wedge gives; the exact flag carries through."""
+    acc: dict[int, EpsSeries] = {}
+    for basis, s in u.comps.items():
+        for db, ds in (
+            (DX, s.map(lambda c: c.partial("x"))),
+            (DY, s.map(lambda c: c.partial("y"))),
+            (DE, s.eps_derivative()),
+        ):
+            merged = basis_wedge(db, basis)
+            if merged is None:
+                continue
+            sign, out_basis = merged
+            term = -ds if sign < 0 else ds
+            acc[out_basis] = acc[out_basis] + term if out_basis in acc else term
+    return FormEps(u.order, acc, u.exact)

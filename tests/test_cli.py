@@ -1161,3 +1161,18 @@ def test_oracle_reports_match_golden(tmp_path, capsys, name):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.oracle.json").read_text(encoding="utf-8")
     assert table.read_bytes() == (GOLDEN / f"{name}.oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["melnikov_iteration", "godbillon_vey_chain"])
+def test_exact_demos_match_golden(name):
+    # outside the tests these demos are the only shipped runs of
+    # pairs_from_first_integral, integrating_factor and assemble_omega
+    demo = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / f"demo_{name}.txt").read_text(encoding="utf-8")

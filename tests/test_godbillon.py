@@ -43,7 +43,12 @@ from folint.godbillon import (
     pairs_from_first_integral,
     witness_theta,
 )
-from helpers import zero_period_form
+from helpers import (
+    random_poly,
+    reference_d_total,
+    reference_witness_residual,
+    zero_period_form,
+)
 
 F = X * X + Y * Y
 ZERO = BivarPoly.zero()
@@ -460,6 +465,51 @@ def test_witness_rejects_inconsistent_sequences():
 def test_witness_validation(square_seq):
     with pytest.raises(ValueError):
         length_two_witness(square_seq, -1)
+
+
+def test_witness_and_d_total_match_reference_formulas():
+    rng = random.Random(304)
+    # the slot-by-slot witness check accepts exactly where G d(eta) + dG ^ eta
+    # vanishes, on true sequences and on ones with one g corrupted; half the
+    # forms are reversible (dx part even in y, dy part odd), so that their
+    # sequences run the full four orders
+    verdicts = set()
+    for n in range(24):
+        w = zero_period_form(rng, 3)
+        if n % 4 >= 2:
+            w = Form1Planar(
+                BivarPoly({e: c for e, c in w.p.terms.items() if e[1] % 2 == 0}),
+                BivarPoly({e: c for e, c in w.q.terms.items() if e[1] % 2 == 1}),
+            )
+        pairs = list(melnikov_sequence(CIRCLE, w, 4).sequence.pairs)
+        if n % 2 and pairs:
+            j = rng.randrange(len(pairs))
+            pairs[j] = FrancoisePair(g=pairs[j].g + random_poly(rng, 2), r=pairs[j].r)
+        seq = FrancoiseSequence(omega=w, pairs=tuple(pairs))
+        for k in range(len(pairs) + 1):
+            residual = reference_witness_residual([p.g for p in pairs[:k]], w, k)
+            try:
+                length_two_witness(seq, k)
+                accepted = True
+            except InternalSolverError:
+                accepted = False
+            assert accepted == residual.is_zero(), (n, k)
+            verdicts.add(accepted)
+    assert verdicts == {True, False}
+    # d_total through wedge equals the basis loop on 0-, 1- and 2-forms
+    degrees = {0: (0,), 1: (DX, DY, DE), 2: (DX | DY, DX | DE, DY | DE)}
+    for bases in degrees.values():
+        for order in range(4):
+            for exact in (True, False):
+                comps = {
+                    b: EpsSeries([random_poly(rng, 3) for _ in range(order + 1)], order)
+                    for b in bases
+                    if rng.random() < 0.8
+                }
+                u = FormEps(order, comps, exact)
+                du = d_total(u)
+                assert du == reference_d_total(u)
+                assert du.exact == exact
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,9 @@ def test_table_memory_does_not_grow_with_steps():
     # 2000 steps; the 2n-step lanes (fine=1) double the nodes of a chunk
     w = Form1Planar(X**60 + Y, X * Y**59)
     for fine in (0, 1):
+        # an untraced first call, so that one-time costs such as numpy's
+        # import cannot inflate the first peak
+        oracle._integrate(w, 1.0, 1e-3, 200, fine=fine)
         peaks = []
         for steps in (200, 2000):
             tracemalloc.start()
