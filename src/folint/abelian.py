@@ -14,8 +14,9 @@ CIRCLE is the only supported family.  OvalFamily owns its one check, run where
 a family enters (francoise.melnikov_sequence); the circle-only internals here
 and in francoise, godbillon and oracle take no family argument.  CIRCLE_DF is
 the circle's dF = 2x dx + 2y dy, built once: every identity of the form
-g dF + dr (francoise's pairs, godbillon's Omega, its witness and its division
-by dF) reads it from here.
+g dF + dr (francoise.resubstitutes, which also checks the Omega of a gv
+report, and godbillon's deformation form, witness and division by dF) reads
+it from here.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class PeriodPoly:
 
     def poly_text(self) -> str:
         return terms_text(
-            ("" if m == 0 else "t" if m == 1 else f"t^{m}", c < 0, abs(c))
+            ("" if m == 0 else "t" if m == 1 else f"t^{m}", c < 0, str(abs(c)))
             for m, c in reversed(list(enumerate(self.coeffs)))
             if c != 0
         )

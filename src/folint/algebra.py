@@ -7,7 +7,10 @@ content, as in Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
 ch. 2).  The zero polynomial is the empty dict over 1.  The BivarPoly
 constructor alone keeps this invariant, so arithmetic runs on plain ints,
 hands the constructor raw sums and never tests for cancellation or a common
-factor itself; the coefficients as Fractions are a read-only view.
+factor itself; the coefficients as Fractions are a read-only view, and the
+text form is printed from the numerators too, at one gcd per term.  Exact
+checks that only need a yes or no (francoise.resubstitutes) read the
+numerators and build no polynomial at all.
 The monomial order used everywhere (printing, pivoting, leading terms) is
 graded lexicographic with x > y: compare total degree first, then the x
 exponent.
@@ -27,6 +30,8 @@ BivarPoly coefficients: every series of the pipeline lives in
 Q[x, y][eps]/(eps^{K+1}).  A series carries an explicit truncation order K and
 stores all K+1 coefficients, including trailing zeros.  Combining series of
 different orders raises SeriesOrderMismatch rather than silently coercing.
+In a product each slot starts from its first term, and a coefficient equal
+to 1 contributes the other factor's coefficient as it is.
 """
 
 from __future__ import annotations
@@ -313,13 +318,19 @@ class BivarPoly:
     # -- printing --------------------------------------------------------------------
 
     def to_text(self) -> str:
-        """Deterministic text form; round-trips through parse_poly."""
+        """Deterministic text form; round-trips through parse_poly.
+
+        Each magnitude is printed from its int numerator over den, reduced
+        by one gcd.
+        """
+        den = self.den
         return terms_text(
             (
                 ("" if a == 0 else "x" if a == 1 else f"x^{a}")
                 + ("" if b == 0 else "y" if b == 1 else f"y^{b}"),
                 c < 0,
-                Fraction(abs(c), self.den),
+                str(abs(c) // g) if (g := gcd(c, den)) == den
+                else f"{abs(c) // g}/{den // g}",
             )
             for (a, b), c in sorted(
                 self.nums.items(), key=lambda t: grlex_key(t[0]), reverse=True
@@ -333,16 +344,17 @@ class BivarPoly:
         return f"BivarPoly({self.to_text()!r})"
 
 
-def terms_text(terms: Iterable[tuple[str, bool, Fraction]]) -> str:
+def terms_text(terms: Iterable[tuple[str, bool, str]]) -> str:
     """Signed sum of (monomial, negative, nonzero magnitude) terms in order.
 
-    A unit magnitude is left out before a monomial, the first term carries a
-    bare "-" and the others are joined by " + " or " - "; no term is "0".
-    The one term printer of BivarPoly and abelian.PeriodPoly.
+    The magnitude comes as text, "n" or "n/d" in lowest terms, as str prints
+    a Fraction.  A unit magnitude is left out before a monomial, the first
+    term carries a bare "-" and the others are joined by " + " or " - "; no
+    term is "0".  The one term printer of BivarPoly and abelian.PeriodPoly.
     """
     pieces: list[str] = []
     for mono, negative, mag in terms:
-        body = mono if mono and mag == 1 else f"{mag}{mono}"
+        body = mono if mono and mag == "1" else f"{mag}{mono}"
         if pieces:
             pieces.append(f"- {body}" if negative else f"+ {body}")
         else:
@@ -717,15 +729,19 @@ class EpsSeries:
         """Cauchy product truncated at the shared order."""
         self._check(other)
         K = self.order
-        out = [ZERO] * (K + 1)
+        out: list[BivarPoly | None] = [None] * (K + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
+            a_one = a == ONE
             for j in range(0, K + 1 - i):
                 b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return EpsSeries(out, K)
+                if b.is_zero():
+                    continue
+                term = b if a_one else a if b == ONE else a * b
+                acc = out[i + j]
+                out[i + j] = term if acc is None else acc + term
+        return EpsSeries([ZERO if c is None else c for c in out], K)
 
     def scale(self, c: BivarPoly | CoefLike) -> "EpsSeries":
         return EpsSeries([a * c for a in self.coeffs], self.order)

@@ -22,11 +22,12 @@ system splits into two bidiagonal chains solved by an O(d) sweep:
 
 Every step of either chain has the form v = (a - m u) / k, with a the
 coefficient of the equation, u the previous unknown of the chain and small
-positive ints m and k.  The sweep reads a and its block's common denominator
-straight from BivarPoly's int numerators, keeps each value as a reduced
-(numerator, denominator) int pair, at one gcd per value (a shared
-denominator skips the cross products), and brings g and r over one common
-denominator only at the block's output; no Fraction is built on the way.
+positive ints m and k.  decompose reads every block's a straight from w's
+int numerators over w's two denominators, with no polynomial per block; the
+sweep keeps each value as a reduced (numerator, denominator) int pair, at
+one gcd per value (a shared denominator skips the cross products), and g and
+r are assembled once each from the pairs of all blocks, over the lcm of
+their denominators.  No Fraction is built on the way.
 
 Canonical representative.  The kernel of a block is the s(F)-shift
 (g, r) -> (g + c F^m, r - c F^{m+1}/(m+1)) with d = 2m+1, so it exists only
@@ -36,7 +37,11 @@ gauge, and it is the answer of dense elimination with columns ordered r first
 (ascending graded-lex) then g (descending graded-lex) and free variables set
 to zero: the last column, g's y^{d-1}, is the only free one.  Across blocks
 this zeroes every y^{2j} coefficient of g.  Every returned pair is verified by
-exact resubstitution; a failure is an internal error, never a wrong answer.
+exact resubstitution, run by resubstitutes on the int numerators: the
+residual of each component is summed term by term over one common
+denominator and must vanish.  A failure is an internal error, never a wrong
+answer.  FrancoisePair.verify and godbillon.check_first_integral run the
+same test.
 The sweep alone decides solvability, and the period is computed only as the
 witness of a failed block.  The dense solver survives as folint.linsolve, the
 reference the tests compare this sweep against.
@@ -56,8 +61,8 @@ from math import gcd, lcm
 from typing import Union
 
 from .abelian import CIRCLE_DF, OvalFamily, PeriodPoly, period_of_form
-from .algebra import BivarPoly
-from .exterior import Form1Planar, d_planar_scalar
+from .algebra import ONE, BivarPoly, Exponent
+from .exterior import Form1Planar
 
 __all__ = [
     "FrancoisePair",
@@ -66,6 +71,7 @@ __all__ = [
     "NoSolution",
     "InternalSolverError",
     "decompose",
+    "resubstitutes",
     "melnikov_sequence",
     "sequence_length",
 ]
@@ -95,9 +101,7 @@ class FrancoisePair:
 
     def verify(self, prev_g: BivarPoly, w: Form1Planar) -> bool:
         """Exact check of the defining identity against the previous g."""
-        lhs = w.scale(prev_g)
-        rhs = CIRCLE_DF.scale(self.g) + d_planar_scalar(self.r)
-        return (lhs - rhs).is_zero()
+        return resubstitutes(prev_g, w, self.g, self.r)
 
 
 @dataclass(frozen=True)
@@ -142,23 +146,17 @@ class MelnikovResult:
 
 
 def _block_solve(
-    p: BivarPoly, q: BivarPoly, d: int
-) -> tuple[BivarPoly, BivarPoly] | None:
+    p: list[int], pd: int, q: list[int], qd: int, d: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """Solve g dF + dr = p dx + q dy on one homogeneous block of degree d.
 
-    Returns the canonical (g, r), or None when the odd chain's consistency
-    equation fails (the block's period is nonzero).  Index j is the power of
-    y: p_j, q_j multiply x^{d-j} y^j, g_j multiplies x^{d-1-j} y^j and r_j
-    multiplies x^{d+1-j} y^j.  Values are reduced (numerator, denominator)
-    int pairs; the chains read the numerators of p and q over their common
-    denominators directly.
+    p[j] / pd and q[j] / qd are the coefficients of x^{d-j} y^j in the dx
+    and dy components, read from the form's int numerators.  Returns the
+    canonical values g_0..g_{d-1} and r_0..r_{d+1} as reduced
+    (numerator, denominator) int pairs, g_j multiplying x^{d-1-j} y^j and
+    r_j multiplying x^{d+1-j} y^j, or None when the odd chain's consistency
+    equation fails (the block's period is nonzero).
     """
-    pn, qn = [0] * (d + 1), [0] * (d + 1)
-    for (_, j), c in p.nums.items():
-        pn[j] = c
-    for (_, j), c in q.nums.items():
-        qn[j] = c
-    pd, qd = p.den, q.den
     g = [(0, 1)] * d
     r = [(0, 1)] * (d + 2)
 
@@ -166,7 +164,7 @@ def _block_solve(
     # dx_j gives g_j for odd j; for odd d it ends in dx_d, whose residual
     # would be g_d
     odd = _chain([
-        (qn[j], qd, 2, j + 1) if j % 2 == 0 else (pn[j], pd, d + 1 - j, 2)
+        (q[j], qd, 2, j + 1) if j % 2 == 0 else (p[j], pd, d + 1 - j, 2)
         for j in range(d + 1)
     ])
     if d % 2 and odd[-1][0]:
@@ -182,7 +180,7 @@ def _block_solve(
     # leaves dy_d alone
     top = d - d % 2
     even = _chain([
-        (pn[j], pd, 2, d + 1 - j) if j % 2 == 0 else (qn[j], qd, j + 1, 2)
+        (p[j], pd, 2, d + 1 - j) if j % 2 == 0 else (q[j], qd, j + 1, 2)
         for j in range(top, -1, -1)
     ])
     for j, v in zip(range(top, -1, -1), even):
@@ -191,17 +189,8 @@ def _block_solve(
         else:
             r[j] = v
     if d % 2:
-        r[d + 1] = _chain([(qn[d], qd, 0, d + 1)])[0]
-
-    g_den = lcm(*[b for _, b in g])
-    r_den = lcm(*[b for _, b in r])
-    g_nums = {(d - 1 - j, j): a * (g_den // b) for j, (a, b) in enumerate(g) if a}
-    r_nums = {
-        (d + 1 - j, j): r[j][0] * (r_den // r[j][1])
-        for j in range(d + 1, -1, -1)
-        if r[j][0]
-    }
-    return BivarPoly(g_nums, g_den), BivarPoly(r_nums, r_den)
+        r[d + 1] = _chain([(q[d], qd, 0, d + 1)])[0]
+    return g, r
 
 
 def _chain(steps: list[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
@@ -222,23 +211,41 @@ def _chain(steps: list[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def _join(parts: list[BivarPoly]) -> BivarPoly:
-    """Sum of polynomials with pairwise disjoint supports, over one
-    denominator."""
-    den = lcm(*[part.den for part in parts])
-    return BivarPoly(
-        {e: c * (den // part.den) for part in parts for e, c in part.nums.items()}, den
-    )
+def _poly(values: dict[Exponent, tuple[int, int]]) -> BivarPoly:
+    """The polynomial with these reduced (numerator, denominator)
+    coefficients, over the lcm of their denominators."""
+    den = lcm(*[b for _, b in values.values()])
+    return BivarPoly({e: a * (den // b) for e, (a, b) in values.items()}, den)
 
 
-def _blocks(w: Form1Planar) -> list[tuple[int, list[BivarPoly]]]:
-    """Homogeneous blocks (d, [p_d, q_d]) of w in ascending degree."""
-    blocks: dict[int, list[BivarPoly]] = {}
-    for d, part in w.p.homogeneous_parts().items():
-        blocks.setdefault(d, [BivarPoly.zero(), BivarPoly.zero()])[0] = part
-    for d, part in w.q.homogeneous_parts().items():
-        blocks.setdefault(d, [BivarPoly.zero(), BivarPoly.zero()])[1] = part
-    return sorted(blocks.items())
+def resubstitutes(s: BivarPoly, w: Form1Planar, g: BivarPoly, r: BivarPoly) -> bool:
+    """Exact test of s w = g dF + dr for the circle's dF, on int numerators.
+
+    For each component v of dx, dy the residual s w_v - g dF_v - d_v r is
+    summed term by term into one dict over one common denominator, and the
+    identity holds iff every entry is zero; no polynomial is built or
+    normalised on the way.
+    """
+    for v, wv, fv in ((0, w.p, CIRCLE_DF.p), (1, w.q, CIRCLE_DF.q)):
+        sd, gd = s.den * wv.den, g.den * fv.den
+        den = lcm(sd, gd, r.den)
+        res: dict[Exponent, int] = {}
+        get = res.get
+        for f, h, m in ((s, wv, den // sd), (g, fv, -(den // gd))):
+            for (a1, b1), c1 in f.nums.items():
+                c1 *= m
+                for (a2, b2), c2 in h.nums.items():
+                    e = (a1 + a2, b1 + b2)
+                    res[e] = get(e, 0) + c1 * c2
+        m = den // r.den
+        for (a, b), c in r.nums.items():
+            n = b if v else a
+            if n:
+                e = (a, b - 1) if v else (a - 1, b)
+                res[e] = get(e, 0) - m * n * c
+        if any(res.values()):
+            return False
+    return True
 
 
 def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
@@ -249,10 +256,19 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
     returned representative is the solver-canonical one described in the
     module docstring (no minimality claim).
     """
+    p, q = w.p, w.q
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for v, poly in enumerate((p, q)):
+        for (a, b), c in poly.nums.items():
+            block = blocks.get(a + b)
+            if block is None:
+                block = blocks[a + b] = ([0] * (a + b + 1), [0] * (a + b + 1))
+            block[v][b] = c
     # blocks have disjoint degrees, so their terms never collide
-    g_parts, r_parts = [], []
-    for d, (pdx, pdy) in _blocks(w):
-        solved = _block_solve(pdx, pdy, d)
+    g: dict[Exponent, tuple[int, int]] = {}
+    r: dict[Exponent, tuple[int, int]] = {}
+    for d in sorted(blocks):
+        solved = _block_solve(blocks[d][0], p.den, blocks[d][1], q.den, d)
         if solved is None:
             period = period_of_form(w)
             if period.is_zero():
@@ -261,11 +277,11 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
                     "degree bounds violated"
                 )
             return NoSolution(witness=period)
-        g_parts.append(solved[0])
-        r_parts.append(solved[1])
+        g.update(((d - 1 - j, j), v) for j, v in enumerate(solved[0]) if v[0])
+        r.update(((d + 1 - j, j), v) for j, v in enumerate(solved[1]) if v[0])
 
-    pair = FrancoisePair(g=_join(g_parts), r=_join(r_parts))
-    if not pair.verify(BivarPoly.one(), w):
+    pair = FrancoisePair(g=_poly(g), r=_poly(r))
+    if not pair.verify(ONE, w):
         raise InternalSolverError("resubstitution of decomposition failed")
     return pair
 

@@ -86,7 +86,12 @@ from .exterior import (
     truncate_weight,
     wedge,
 )
-from .francoise import FrancoisePair, FrancoiseSequence, InternalSolverError
+from .francoise import (
+    FrancoisePair,
+    FrancoiseSequence,
+    InternalSolverError,
+    resubstitutes,
+)
 
 __all__ = [
     "GVPair",
@@ -223,16 +228,18 @@ def check_first_integral(
 
     Omega is assembled from gvp at order k, F_eps = sum eps^i c_i is fint
     through eps^{k+1}, G_{-1} = 0 and G_0 = 1.  The dx, dy part at eps^i,
-    i = 0..k+1, checks G_i dF + G_{i-1} w = d c_i and the deps part at
-    eps^{i-1} checks R_i = i c_i; the module docstring derives every field of
-    a gv report from these.  The first mismatch raises InternalSolverError.
+    i = 0..k+1, checks G_i dF + G_{i-1} w = d c_i, which is Francoise's
+    identity G_{i-1} w = (-G_i) dF + d c_i, tested term by term on the int
+    numerators by francoise.resubstitutes; the deps part at eps^{i-1} checks
+    R_i = i c_i.  The module docstring derives every field of a gv report
+    from these.  The first mismatch raises InternalSolverError.
     """
     if k < 0 or len(gvp) <= k or fint.series.order <= k:
         raise ValueError(f"order {k} needs pairs and first integral through {k + 1}")
     c = fint.series.coeffs
     G = [BivarPoly.zero(), BivarPoly.one()] + [pair.G for pair in gvp[: k + 1]]
     for i in range(k + 2):
-        if not (CIRCLE_DF.scale(G[i + 1]) + w.scale(G[i]) - d_planar_scalar(c[i])).is_zero():
+        if not resubstitutes(G[i], w, -G[i + 1], c[i]):
             raise InternalSolverError(f"Omega - d(F_eps) mismatch in dx, dy at eps^{i}")
         if i and gvp[i - 1].R != c[i] * i:
             raise InternalSolverError(f"Omega - d(F_eps) mismatch in deps at eps^{i - 1}")

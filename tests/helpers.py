@@ -12,9 +12,9 @@ from math import cos, pi, sin
 
 import numpy as np
 
-from folint.algebra import BivarPoly, EpsSeries, RationalFunction, X, Y
-from folint.exterior import DE, DX, DY, Form1Planar, FormEps, basis_wedge
-from folint.abelian import period_of_form
+from folint.algebra import ZERO, BivarPoly, EpsSeries, RationalFunction, X, Y, grlex_key
+from folint.exterior import DE, DX, DY, Form1Planar, FormEps, basis_wedge, d_planar_scalar
+from folint.abelian import CIRCLE_DF, period_of_form
 
 F_CIRCLE = X * X + Y * Y
 
@@ -138,3 +138,39 @@ def reference_d_total(u: FormEps) -> FormEps:
             term = -ds if sign < 0 else ds
             acc[out_basis] = acc[out_basis] + term if out_basis in acc else term
     return FormEps(u.order, acc, u.exact)
+
+
+def reference_resubstitutes(
+    s: BivarPoly, w: Form1Planar, g: BivarPoly, r: BivarPoly
+) -> bool:
+    """s w = g dF + dr for the circle's dF, as a residual of BivarPoly forms."""
+    return (w.scale(s) - (CIRCLE_DF.scale(g) + d_planar_scalar(r))).is_zero()
+
+
+def reference_poly_text(p: BivarPoly) -> str:
+    """p's text with one Fraction per term, in graded-lex order, highest first:
+    a unit magnitude is left out before a monomial, the first term carries a
+    bare "-" and the others are joined by " + " or " - "."""
+    pieces: list[str] = []
+    for (a, b), c in sorted(p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True):
+        mono = ("" if a == 0 else "x" if a == 1 else f"x^{a}") + (
+            "" if b == 0 else "y" if b == 1 else f"y^{b}"
+        )
+        mag = abs(Fraction(c))
+        body = mono if mono and mag == 1 else f"{mag}{mono}"
+        if pieces:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces) if pieces else "0"
+
+
+def reference_series_product(a: EpsSeries, b: EpsSeries) -> EpsSeries:
+    """Cauchy product truncated at the shared order, every slot summed from
+    ZERO and every term a full BivarPoly product."""
+    K = a.order
+    out = [ZERO] * (K + 1)
+    for i, u in enumerate(a.coeffs):
+        for j in range(K + 1 - i):
+            out[i + j] = out[i + j] + u * b.coeffs[j]
+    return EpsSeries(out, K)

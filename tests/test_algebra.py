@@ -29,7 +29,13 @@ from folint.algebra import (
 )
 from folint.exterior import Form1Planar
 from folint.oracle import HolonomyConfig, holonomy_return
-from helpers import as_callable, random_poly, reference_rho
+from helpers import (
+    as_callable,
+    random_poly,
+    reference_poly_text,
+    reference_rho,
+    reference_series_product,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +251,23 @@ def test_to_text_graded_lex_with_rationals():
     assert p.to_text() == "2/3x^3 + xy^2"
     assert ZERO.to_text() == "0"
     assert (-X + 1).to_text() == "-x + 1"
+
+
+def test_to_text_matches_the_fraction_per_term_printer():
+    # large, negative and rational coefficients over shared denominators,
+    # where some terms divide out to integers, constants and zero
+    rng = random.Random(242)
+    polys = [ZERO, ONE, -ONE, BivarPoly.constant(Fraction(-7, 3)), BivarPoly.constant(10**30)]
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            num = rng.choice([1, -1, rng.randint(-9, 9), rng.randint(-10**25, 10**25)])
+            den = rng.choice([1, 2, 3, 6, rng.randint(1, 10**20)])
+            terms[(rng.randint(0, 5), rng.randint(0, 5))] = Fraction(num, den)
+        polys.append(BivarPoly(terms))
+    assert sum(1 for p in polys if p.den > 1 and any(c % p.den == 0 for c in p.nums.values())) > 20
+    for p in polys:
+        assert p.to_text() == reference_poly_text(p)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +579,29 @@ def test_series_product_truncates():
     s = EpsSeries([ONE, ONE], 2)
     t = EpsSeries([ONE, -ONE], 2)
     assert (s * t).coeffs == (ONE, ZERO, -ONE)
+
+
+def test_series_product_matches_the_reference_formula():
+    # orders 0-4, with zero coefficients, constant-1 coefficients and the
+    # constant series 1 as factors on either side
+    rng = random.Random(555)
+
+    def coeff():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return ZERO
+        if kind == 1:
+            return ONE
+        return random_poly(rng, 2, -40, 40) * Fraction(1, rng.randint(1, 6))
+
+    for K in range(5):
+        one = EpsSeries.constant(ONE, K)
+        for _ in range(40):
+            a = EpsSeries([coeff() for _ in range(K + 1)], K)
+            b = EpsSeries([coeff() for _ in range(K + 1)], K)
+            for u, v in ((a, b), (b, a), (one, a), (a, one), (one, one)):
+                assert u * v == reference_series_product(u, v)
+            assert one * a == a == a * one
 
 
 def test_series_geometric_inverse():

@@ -1152,6 +1152,17 @@ def test_reports_match_golden(tmp_path, capsys, name):
     assert out == (GOLDEN / f"{name}.gv.json").read_text(encoding="utf-8")
 
 
+def test_deep_baseline_reports_match_golden(tmp_path, capsys):
+    # (x^3y^2 + y^2) dx at order 13 reaches blocks of degree 53; it is not a
+    # packaged fixture, so --verify-all does not run it
+    doc = {"F": "x^2 + y^2", "omega": {"dx": "x^3y^2 + y^2", "dy": "0"}, "max_order": 13}
+    path = write_doc(tmp_path, doc)
+    for argv in (["melnikov", path], ["gv", "--k", "12", path]):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"deep-baseline.{argv[0]}.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3-oracle", "nonzero-m1"])
 def test_oracle_reports_match_golden(tmp_path, capsys, name):
     path = write_doc(tmp_path, load_fixture(f"{name}.json"))

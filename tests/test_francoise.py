@@ -26,9 +26,10 @@ from folint.francoise import (
     InternalSolverError,
     NoSolution,
     _block_solve,
-    _blocks,
+    _poly,
     decompose,
     melnikov_sequence,
+    resubstitutes,
     sequence_length,
 )
 from folint.linsolve import solve_canonical
@@ -37,6 +38,7 @@ from helpers import (
     AREA_FORM,
     random_form,
     random_poly,
+    reference_resubstitutes,
     remove_period,
     zero_period_form,
 )
@@ -110,6 +112,56 @@ def test_decompose_gelfand_leray_identity():
         assert w.d() == d_planar_scalar(pair.g).wedge(DF)
 
 
+def _corrupted(rng: random.Random, poly: BivarPoly) -> list[BivarPoly]:
+    """poly with a unit added to one term, one coefficient scaled and one
+    exponent shifted (a zero poly gains a unit monomial)."""
+    if poly.is_zero():
+        return [BivarPoly.monomial(rng.randint(0, 3), rng.randint(0, 3))]
+    (a, b), c = rng.choice(sorted(poly.terms.items()))
+    da, db = rng.choice([(1, 0), (0, 1)])
+    return [
+        poly + BivarPoly.monomial(a, b),
+        poly + BivarPoly.monomial(a, b, c * (rng.choice([-1, 2, Fraction(3, 2)]) - 1)),
+        poly - BivarPoly.monomial(a, b, c) + BivarPoly.monomial(a + da, b + db, c),
+    ]
+
+
+def test_resubstitutes_matches_the_reference_residual():
+    # valid (s, w, g, r) from decompose (s = 1) and from Melnikov sequences
+    # (s = g_{i-1}), then each with one of s, w.p, w.q, g, r corrupted three
+    # ways
+    rng = random.Random(321)
+    valid = []
+    for _ in range(12):
+        w = zero_period_form(rng, 5).scale(Fraction(1, rng.randint(1, 7)))
+        pair = decompose(w)
+        valid.append((BivarPoly.one(), w, pair.g, pair.r))
+    for _ in range(6):
+        # dx even and dy odd in y: reversible, so every M_i vanishes
+        p, q = (
+            BivarPoly({e: c for e, c in random_poly(rng, 4).terms.items() if e[1] % 2 == parity})
+            for parity in (0, 1)
+        )
+        w = Form1Planar(p * Fraction(1, rng.randint(1, 5)), q)
+        res = melnikov_sequence(CIRCLE, w, 4)
+        prev = BivarPoly.one()
+        for pair in res.sequence.pairs:
+            valid.append((prev, w, pair.g, pair.r))
+            prev = pair.g
+    # a constant added to r changes no differential: both accept it
+    cases = valid + [(s, w, g, r + 1) for s, w, g, r in valid]
+    for s, w, g, r in valid:
+        slot = rng.randrange(5)
+        for bad in _corrupted(rng, (s, w.p, w.q, g, r)[slot]):
+            parts = [s, w.p, w.q, g, r]
+            parts[slot] = bad
+            cases.append((parts[0], Form1Planar(parts[1], parts[2]), parts[3], parts[4]))
+    verdicts = [resubstitutes(*case) for case in cases]
+    assert verdicts == [reference_resubstitutes(*case) for case in cases]
+    assert all(verdicts[: 2 * len(valid)])
+    assert len(valid) > 30 and verdicts.count(False) > 60
+
+
 def test_pair_rejects_constant_term_in_r():
     with pytest.raises(ValueError, match="constant term"):
         FrancoisePair(g=X, r=BivarPoly.one() + X * Y)
@@ -165,11 +217,27 @@ def dense_block_solve(w_dx: BivarPoly, w_dy: BivarPoly, deg: int):
     return BivarPoly(g_terms), BivarPoly(r_terms)
 
 
+def sweep_block(w: Form1Planar, d: int):
+    """The sweep's (g, r) on w's degree-d block, read from w's numerators as
+    decompose reads it, or None when the block's period is nonzero."""
+    p, q = ([c.nums.get((d - j, j), 0) for j in range(d + 1)] for c in (w.p, w.q))
+    solved = _block_solve(p, w.p.den, q, w.q.den, d)
+    if solved is None:
+        return None
+    g, r = solved
+    return (
+        _poly({(d - 1 - j, j): v for j, v in enumerate(g)}),
+        _poly({(d + 1 - j, j): v for j, v in enumerate(r)}),
+    )
+
+
 def assert_blocks_match_dense(w: Form1Planar) -> int:
-    blocks = _blocks(w)
-    for d, (p, q) in blocks:
-        assert _block_solve(p, q, d) == dense_block_solve(p, q, d), d
-    return len(blocks)
+    ps, qs = w.p.homogeneous_parts(), w.q.homogeneous_parts()
+    degrees = sorted(set(ps) | set(qs))
+    for d in degrees:
+        p, q = ps.get(d, ZERO), qs.get(d, ZERO)
+        assert sweep_block(w, d) == dense_block_solve(p, q, d), d
+    return len(degrees)
 
 
 def random_block(rng: random.Random, d: int) -> Form1Planar:
@@ -215,7 +283,7 @@ def test_sweep_matches_dense_on_single_blocks_up_to_degree_60():
     rng = random.Random(208)
     for d in range(61):
         w = random_block(rng, d)
-        solved = _block_solve(w.p, w.q, d)
+        solved = sweep_block(w, d)
         assert solved is not None
         assert solved == dense_block_solve(w.p, w.q, d), d
         g, r = solved
@@ -234,7 +302,7 @@ def test_sweep_matches_dense_on_large_prime_denominators():
                 for j in range(d + 1)
             })
         w = remove_period(Form1Planar(part(), part()))
-        solved = _block_solve(w.p, w.q, d)
+        solved = sweep_block(w, d)
         assert solved is not None
         assert solved == dense_block_solve(w.p, w.q, d), d
         g, r = solved
@@ -249,9 +317,9 @@ def test_sweep_rejects_odd_block_with_nonzero_period():
         # F^{m-1} (x dy - y dx) carries all of a block's period
         bad = w + AREA_FORM.scale(F ** ((d - 1) // 2))
         assert not period_of_form(bad).is_zero()
-        assert _block_solve(bad.p, bad.q, d) is None
+        assert sweep_block(bad, d) is None
         assert dense_block_solve(bad.p, bad.q, d) is None
-    assert _block_solve(Y, ZERO, 1) is None  # y dx, period -pi t
+    assert sweep_block(Form1Planar(Y, ZERO), 1) is None  # y dx, period -pi t
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +389,13 @@ def test_zero_form_trivial_sequence():
 def test_corrupted_block_solve_fails_resubstitution(monkeypatch):
     real = francoise._block_solve
 
-    def corrupt(p, q, d):
-        solved = real(p, q, d)
-        return None if solved is None else (solved[0] + X, solved[1])
+    def corrupt(p, pd, q, qd, d):
+        # adds x^{d-1} to the block's g
+        solved = real(p, pd, q, qd, d)
+        if solved is None:
+            return None
+        (n, den), *g = solved[0]
+        return [(n + den, den)] + g, solved[1]
 
     monkeypatch.setattr(francoise, "_block_solve", corrupt)
     with pytest.raises(InternalSolverError, match="resubstitution"):
@@ -361,7 +433,7 @@ def test_melnikov_sequence_computes_one_period_at_the_first_nonzero_order(monkey
 
 
 def test_decompose_inconsistent_block_with_zero_period_is_internal(monkeypatch):
-    monkeypatch.setattr(francoise, "_block_solve", lambda p, q, d: None)
+    monkeypatch.setattr(francoise, "_block_solve", lambda p, pd, q, qd, d: None)
     with pytest.raises(InternalSolverError, match="inconsistent"):
         decompose(Form1Planar(Y * Y, ZERO))
 
