@@ -22,8 +22,10 @@ int numerators by a single primitive pseudo-remainder sequence that recurses
 on the variable: x over Z[y], with the contents in Z[y] found by the same
 sequence in y over Z, whose contents are math.gcds.  Taking primitive parts
 at every step bounds the coefficient growth, and no Fraction is built; no
-external computer-algebra dependency is involved, and the only caller that
-wants a reduced fraction reduces its own.
+external computer-algebra dependency is involved.  The only caller that
+wants a reduced fraction, godbillon's classical forms over a power r_1^e,
+reads the monomial part of the gcd off the exponents and calls poly_gcd
+with r_1's other part alone, never with the power.
 
 Truncated power series in a deformation parameter eps (EpsSeries) have
 BivarPoly coefficients: every series of the pipeline lives in

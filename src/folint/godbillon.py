@@ -381,8 +381,9 @@ def classical_gv_forms(
     [r_1, 2c_2, 3c_3, ...] into r_1 times the unit series
     [1, 2c_2, 3c_3 r_1, ...], whose inverse P is polynomial; then
     eta_i = i! N_i / r_1^{i+1} with N_i = sum_j dc_j r_1^j P_{i-j}, and
-    eta~_i = i! N_i / r_1^2 for i >= 2.  Each component is divided by its
-    gcd once; folint reduces no other fraction.
+    eta~_i = i! N_i / r_1^2 for i >= 2.  Each component is brought to lowest
+    terms against r_1 itself, never against the power r_1^e it sits over
+    (see _reduced); folint reduces no other fraction.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -414,29 +415,52 @@ def classical_gv_forms(
             acc = acc + dc[j].scale(P[i - j])
         return acc.scale(factorial(i))
 
-    def over(num: Form1Planar, den: BivarPoly) -> Form1Planar:
-        return Form1Planar(_reduced(num.p, den), _reduced(num.q, den))
+    def over(num: Form1Planar, e: int) -> Form1Planar:
+        den = r1_pow[e]
+        return Form1Planar(_reduced(num.p, r1, e, den), _reduced(num.q, r1, e, den))
 
     if normalization == NORMALIZATION_PRIMARY:
-        eta = [over(numerator(i), r1_pow[i + 1]) for i in range(m + 1)]
+        eta = [over(numerator(i), i + 1) for i in range(m + 1)]
         return GVClassicalSequence(eta=tuple(eta), normalization=normalization)
 
     dF = d_planar_scalar(fint.hamiltonian)
-    rescaled = [over(dF, BivarPoly.one())]
+    rescaled = [over(dF, 0)]
     if m >= 1:
         inner = dF.scale(c[2] * 2) + d_planar_scalar(r1)  # R_2 dF + dR_1
-        rescaled.append(over(inner.scale(2), r1))
+        rescaled.append(over(inner.scale(2), 1))
     for i in range(2, m + 1):
-        rescaled.append(over(numerator(i), r1_pow[2]))
+        rescaled.append(over(numerator(i), 2))
     return GVClassicalSequence(eta=tuple(rescaled), normalization=normalization)
 
 
-def _reduced(num: BivarPoly, den: BivarPoly) -> RationalFunction:
-    """num / den in lowest terms."""
-    g = poly_gcd(num, den)
-    if g != BivarPoly.one():
-        num, den = divexact(num, g), divexact(den, g)
-    return RationalFunction(num, den)
+def _reduced(
+    num: BivarPoly, r1: BivarPoly, e: int, r1_e: BivarPoly
+) -> RationalFunction:
+    """num / r1^e in lowest terms, for r1 != 0, e >= 0 and r1_e = r1^e.
+
+    Write r1 = x^a y^b r' and num = x^c y^d n' with neither x nor y dividing
+    r' or n'.  The monomial part of gcd(num, r1^e) is x^min(c, e a)
+    y^min(d, e b), read off the exponents.  The rest is gcd(n', r'^e), found
+    without forming r'^e: a round h = gcd(N, r'), N <- N / h, starting from
+    N = n', removes min(v_f(N), v_f(r')) of every irreducible factor f of r',
+    so e rounds remove min(v_f(n'), e v_f(r')), which is v_f(gcd(n', r'^e)).
+    A round with h = 1 removes nothing, and so would every later one, so the
+    rounds stop there.
+    """
+    if num.is_zero():
+        return RationalFunction(num)
+    a, b = (min(t) for t in zip(*r1.nums))
+    c, d = (min(t) for t in zip(*num.nums))
+    rest = divexact(r1, BivarPoly.monomial(a, b))
+    n = divexact(num, BivarPoly.monomial(c, d))
+    common = BivarPoly.monomial(min(c, e * a), min(d, e * b))
+    for _ in range(e):
+        h = poly_gcd(n, rest)
+        if h.is_constant():
+            break
+        n = divexact(n, h)
+        common = common * h
+    return RationalFunction(divexact(num, common), divexact(r1_e, common))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,17 @@ from math import cos, pi, sin
 
 import numpy as np
 
-from folint.algebra import ZERO, BivarPoly, EpsSeries, RationalFunction, X, Y, grlex_key
+from folint.algebra import (
+    ZERO,
+    BivarPoly,
+    EpsSeries,
+    RationalFunction,
+    X,
+    Y,
+    divexact,
+    grlex_key,
+    poly_gcd,
+)
 from folint.exterior import DE, DX, DY, Form1Planar, FormEps, basis_wedge, d_planar_scalar
 from folint.abelian import CIRCLE_DF, period_of_form
 
@@ -174,3 +184,10 @@ def reference_series_product(a: EpsSeries, b: EpsSeries) -> EpsSeries:
         for j in range(K + 1 - i):
             out[i + j] = out[i + j] + u * b.coeffs[j]
     return EpsSeries(out, K)
+
+
+def reference_reduced(num: BivarPoly, r1: BivarPoly, e: int) -> RationalFunction:
+    """num / r1^e in lowest terms by one gcd with the full power r1^e."""
+    den = r1**e
+    g = poly_gcd(num, den)
+    return RationalFunction(divexact(num, g), divexact(den, g))

@@ -17,11 +17,13 @@ import pytest
 from folint import algebra, cli, exterior, godbillon, oracle
 from folint.abelian import CIRCLE
 from folint.algebra import (
+    ZERO,
     BivarPoly,
     EpsSeries,
     PolyParseError,
     RationalFunction,
     X,
+    Y,
     parse_poly,
 )
 from folint.cli import (
@@ -355,7 +357,9 @@ MUTATED_FORMS = {
 @pytest.mark.parametrize("form", sorted(MUTATED_FORMS))
 def test_gv_check_catches_every_corruption(tmp_path, capsys, monkeypatch, form):
     # each G_i, R_i and c_i (i <= k+1) is corrupted after melnikov_sequence
-    # ran, by a term with a nonzero differential and by a constant; the one
+    # ran, by a term with a nonzero differential and by a constant, and c_i
+    # by x or by y together with R_i by i x or i y (labelled cR): that keeps
+    # R_i = i c_i and shows in one planar component only, dx or dy; the one
     # check must raise wherever the library path flags the corruption, and
     # main must then exit 3 with one line on stderr and nothing on stdout
     k = 4
@@ -369,29 +373,39 @@ def test_gv_check_catches_every_corruption(tmp_path, capsys, monkeypatch, form):
     monkeypatch.setattr(cli, "melnikov_sequence", lambda family, w, order: result)
     path = write_doc(tmp_path, doc)
 
-    missed = []
+    def with_c(i, delta):
+        coeffs = list(fint.series.coeffs)
+        coeffs[i] = coeffs[i] + delta
+        return FirstIntegral(EpsSeries(coeffs, k + 1))
+
+    def with_pair(i, dG, dR):
+        pairs = list(gvp)
+        pairs[i - 1] = GVPair(G=gvp[i - 1].G + dG, R=gvp[i - 1].R + dR)
+        return pairs
+
+    cases = []
     for i in range(1, k + 2):
         for delta in (X, BivarPoly.one()):
-            bad_G, bad_R = list(gvp), list(gvp)
-            bad_G[i - 1] = GVPair(G=gvp[i - 1].G + delta, R=gvp[i - 1].R)
-            bad_R[i - 1] = GVPair(G=gvp[i - 1].G, R=gvp[i - 1].R + delta)
-            coeffs = list(fint.series.coeffs)
-            coeffs[i] = coeffs[i] + delta
-            bad_c = FirstIntegral(EpsSeries(coeffs, k + 1))
-            for label, pairs, integral in (
-                ("G", bad_G, fint), ("R", bad_R, fint), ("c", gvp, bad_c)
-            ):
-                with pytest.raises(InternalSolverError):
-                    check_first_integral(w, pairs, integral, k)
-                if not _library_flags(_library_fields(w, pairs, integral, k), k):
-                    missed.append(f"{label}_{i}+{delta}")
-                monkeypatch.setattr(cli, "gv_pairs_from_francoise", lambda seq, p=pairs: p)
-                monkeypatch.setattr(cli, "first_integral", lambda F, seq, n, f=integral: f)
-                assert main(["gv", "--k", str(k), path]) == EXIT_INTERNAL
-                captured = capsys.readouterr()
-                assert captured.out == ""
-                assert captured.err.count("\n") == 1
-                assert captured.err.startswith("internal error: InternalSolverError: ")
+            cases += [
+                (f"G_{i}+{delta}", with_pair(i, delta, ZERO), fint),
+                (f"R_{i}+{delta}", with_pair(i, ZERO, delta), fint),
+                (f"c_{i}+{delta}", gvp, with_c(i, delta)),
+            ]
+        for delta in (X, Y):
+            cases.append((f"cR_{i}+{delta}", with_pair(i, ZERO, delta * i), with_c(i, delta)))
+    missed = []
+    for label, pairs, integral in cases:
+        with pytest.raises(InternalSolverError):
+            check_first_integral(w, pairs, integral, k)
+        if not _library_flags(_library_fields(w, pairs, integral, k), k):
+            missed.append(label)
+        monkeypatch.setattr(cli, "gv_pairs_from_francoise", lambda seq, p=pairs: p)
+        monkeypatch.setattr(cli, "first_integral", lambda F, seq, n, f=integral: f)
+        assert main(["gv", "--k", str(k), path]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: InternalSolverError: ")
     # the library path reads no G_{k+1} and no c_{k+1}, and a constant added
     # to R_{k+1} leaves its defect closed; the one check catches these too
     assert missed == [

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from folint.abelian import CIRCLE
 from folint.algebra import BivarPoly, EpsSeries, RationalFunction, X, Y
+from folint.cli import parse_component
 from folint.exterior import (
     DE,
     DX,
@@ -41,11 +44,13 @@ from folint.godbillon import (
     integrating_factor,
     length_two_witness,
     pairs_from_first_integral,
+    _reduced,
     witness_theta,
 )
 from helpers import (
     random_poly,
     reference_d_total,
+    reference_reduced,
     reference_witness_residual,
     zero_period_form,
 )
@@ -317,6 +322,26 @@ def test_eta_texts_are_reduced(square_seq):
     ]
 
 
+CLASSICAL_GOLDEN = Path(__file__).parent / "golden" / "classical-y2-m6.json"
+
+
+def classical_y2_m6_text() -> str:
+    """classical_gv_forms on y^2 dx at m = 6 in both normalizations, from the
+    first integral the benchmark's classical-y2-m6 item builds, as JSON."""
+    res = melnikov_sequence(CIRCLE, W_SQUARE, 7)
+    fint = first_integral(CIRCLE.hamiltonian, res.sequence, 7)
+    doc = {
+        "omega": {"dx": "y^2", "dy": "0"},
+        "m": 6,
+        "r1": fint.series.coeffs[1].to_text(),
+        "eta": {
+            norm: [[e.p.to_text(), e.q.to_text()] for e in classical_gv_forms(fint, 6, norm).eta]
+            for norm in (NORMALIZATION_PRIMARY, NORMALIZATION_RESCALED)
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 BASELINE_ETA_M1 = {
     NORMALIZATION_PRIMARY: [
         (
@@ -346,7 +371,9 @@ BASELINE_ETA_M1 = {
 @pytest.mark.parametrize("normalization", sorted(BASELINE_ETA_M1))
 def test_baseline_eta_texts_are_pinned(normalization):
     # (x^3y^2 + y^2) dx at m = 1: r_1 = x (x^5 + 3x^3y^2 + 8x^2 + 12y^2) / 12,
-    # and each component is reduced by its gcd with the power of r_1 (1, x or x^2)
+    # and each component is reduced against r_1 = x r': the monomial part of
+    # the gcd (1, x or x^2) read off the exponents, and one gcd with r' (a
+    # unit here) per component
     w = Form1Planar(X**3 * Y**2 + Y**2, ZERO)
     res = melnikov_sequence(CIRCLE, w, 2)
     fint = first_integral(CIRCLE.hamiltonian, res.sequence, 2)
@@ -354,30 +381,99 @@ def test_baseline_eta_texts_are_pinned(normalization):
     assert [(e.p.to_text(), e.q.to_text()) for e in eta] == BASELINE_ETA_M1[normalization]
 
 
+def test_classical_forms_match_golden():
+    # the benchmark's classical-y2-m6 item, in both normalizations
+    assert classical_y2_m6_text() == CLASSICAL_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_reduced_matches_the_gcd_with_the_full_power():
+    # r1 = x^a y^b r' with r' a product of (x + y), y + 1 and x^2 - y + 1/2,
+    # one of them repeated; the numerator holds each factor, x and y below,
+    # at and above e times its multiplicity in r1, times a random cofactor
+    rng = random.Random(2207)
+    factors = [X + Y, Y + 1, X * X - Y + Fraction(1, 2)]
+    sides = set()
+    for e in range(5):
+        for main in range(len(factors)):
+            for v_main in (1, 2):
+                for delta in (-1, 0, 1):
+                    v = [rng.randrange(2) for _ in factors]
+                    v[main] = v_main
+                    a, b = rng.randrange(3), rng.randrange(3)
+                    r1 = X**a * Y**b * rng.choice([1, -2, Fraction(3, 5)])
+                    num = random_poly(rng, 2) or ONE
+                    for f, k in zip(factors, v):
+                        r1 = r1 * f**k
+                        u = e * k + (delta if f is factors[main] else rng.choice([-1, 0, 1]))
+                        num = num * f ** max(u, 0)
+                        sides.add((k > 0 and e > 0, (u > e * k) - (u < e * k)))
+                    c = max(e * a + rng.choice([-1, 0, 1]), 0)
+                    d = max(e * b + rng.choice([-1, 0, 1]), 0)
+                    num = num * X**c * Y**d
+                    for n in (num, ZERO):
+                        got, want = _reduced(n, r1, e, r1**e), reference_reduced(n, r1, e)
+                        assert (got.num, got.den) == (want.num, want.den), (e, n, r1)
+    # multiplicities below, at and above e v_f of a factor that r1 holds
+    assert {(True, -1), (True, 0), (True, 1)} <= sides
+
+
+def _to_sympy(sp, u):
+    """u as a sympy expression in x and y."""
+    x, y = sp.symbols("x y")
+    if isinstance(u, RationalFunction):
+        return _to_sympy(sp, u.num) / _to_sympy(sp, u.den)
+    return sum(
+        (sp.Rational(c.numerator, c.denominator) * x**a * y**b
+         for (a, b), c in u.terms.items()),
+        sp.Integer(0),
+    )
+
+
+def test_eta_components_are_in_lowest_terms_by_sympy():
+    # sympy's gcd of each printed numerator and denominator is a constant, on
+    # the golden's texts and on seeded reversible forms (dx part even in y,
+    # dy part odd), whose sequences run the full order
+    sp = pytest.importorskip("sympy")
+    doc = json.loads(CLASSICAL_GOLDEN.read_text(encoding="utf-8"))
+    texts = [t for forms in doc["eta"].values() for form in forms for t in form]
+    rng = random.Random(4408)
+    forms = 0
+    while forms < 6:
+        w = zero_period_form(rng, 3)
+        w = Form1Planar(
+            BivarPoly({e: c for e, c in w.p.terms.items() if e[1] % 2 == 0}),
+            BivarPoly({e: c for e, c in w.q.terms.items() if e[1] % 2 == 1}),
+        )
+        fint = first_integral(F, melnikov_sequence(CIRCLE, w, 4).sequence, 4)
+        if fint.series.coeffs[1].is_zero():
+            continue
+        forms += 1
+        for norm in (NORMALIZATION_PRIMARY, NORMALIZATION_RESCALED):
+            texts += [t for e in classical_gv_forms(fint, 3, norm).eta
+                      for t in (e.p.to_text(), e.q.to_text())]
+    reduced = 0
+    for text in texts:
+        u = parse_component(text)
+        if isinstance(u, RationalFunction):
+            assert sp.gcd(_to_sympy(sp, u.num), _to_sympy(sp, u.den)).is_number, text
+            reduced += 1
+    assert reduced > len(texts) // 2
+
+
 def test_eta_matches_sympy_taylor_expansion(square_seq):
     # eta_i = i! [eps^i] dF_eps / (dF_eps/deps), i.e. the i-th eps-derivative
     # of the quotient at eps = 0, computed by an independent algebra system
     sp = pytest.importorskip("sympy")
     x, y, eps = sp.symbols("x y eps")
-
-    def to_sympy(u):
-        if isinstance(u, RationalFunction):
-            return to_sympy(u.num) / to_sympy(u.den)
-        return sum(
-            (sp.Rational(c.numerator, c.denominator) * x**a * y**b
-             for (a, b), c in u.terms.items()),
-            sp.Integer(0),
-        )
-
     m = 4
     fint = first_integral(F, square_seq, m + 1)
-    f_eps = sum(to_sympy(c) * eps**j for j, c in enumerate(fint.series.coeffs))
+    f_eps = sum(_to_sympy(sp, c) * eps**j for j, c in enumerate(fint.series.coeffs))
     f_deps = sp.diff(f_eps, eps)
     eta = classical_gv_forms(fint, m).eta
     for var, part in ((x, "p"), (y, "q")):
         quotient = sp.diff(f_eps, var) / f_deps
         for i in range(m + 1):
-            got = to_sympy(getattr(eta[i], part))
+            got = _to_sympy(sp, getattr(eta[i], part))
             assert sp.cancel(quotient.subs(eps, 0) - got) == 0
             quotient = sp.diff(quotient, eps)
 
