@@ -10,7 +10,7 @@ g = sum_j g_j x^{d-1-j} y^j and r = sum_j r_j x^{d+1-j} y^j, and equations
     dy_j:  2 g_{j-1} + (j+1)   r_{j+1} = q_j     (j = 0..d, g_{-1} = 0).
 
 Each equation couples two unknowns whose indices have the same parity, so the
-system splits into two bidiagonal chains solved by an O(d) sweep:
+system splits into two bidiagonal chains, each solved by one sweep:
 
 - the odd chain (r_1, g_1, r_3, ...) runs forward from dy_0: r_1 = q_0.  For
   odd d it ends in dx_d, which has no unknown left: r_d = p_d is the single
@@ -22,12 +22,19 @@ system splits into two bidiagonal chains solved by an O(d) sweep:
 
 Every step of either chain has the form v = (a - m u) / k, with a the
 coefficient of the equation, u the previous unknown of the chain and small
-positive ints m and k.  decompose reads every block's a straight from w's
-int numerators over w's two denominators, with no polynomial per block; the
-sweep keeps each value as a reduced (numerator, denominator) int pair, at
-one gcd per value (a shared denominator skips the cross products), and g and
-r are assembled once each from the pairs of all blocks, over the lcm of
-their denominators.  No Fraction is built on the way.
+positive ints m and k.  decompose groups w's int numerators into sparse
+blocks, y-power -> numerator over w's two denominators, with no polynomial
+per block.  A chain stays zero until its first step with a nonzero a, so
+each chain starts there: the odd chain at its lowest such step, the even
+chain at its highest, and a chain with none costs nothing.  The blocks of
+g_k w for a form of low degree in y are nonzero only at a few low powers of
+y, so the even chain runs only below the highest of them, and on a form
+with every M_i = 0 by symmetry (dx part even in y, dy part odd) the odd
+chain is all zeros and never runs.  Each step that runs keeps its value as a
+reduced (numerator, denominator) int pair, at one gcd (a shared denominator
+skips the cross products); only nonzero values are stored, and g and r are
+assembled once each from the values of all blocks, over the lcm of their
+denominators.  No Fraction is built on the way.
 
 Canonical representative.  The kernel of a block is the s(F)-shift
 (g, r) -> (g + c F^m, r - c F^{m+1}/(m+1)) with d = 2m+1, so it exists only
@@ -146,69 +153,74 @@ class MelnikovResult:
 
 
 def _block_solve(
-    p: list[int], pd: int, q: list[int], qd: int, d: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    p: dict[int, int], pd: int, q: dict[int, int], qd: int, d: int
+) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]] | None:
     """Solve g dF + dr = p dx + q dy on one homogeneous block of degree d.
 
-    p[j] / pd and q[j] / qd are the coefficients of x^{d-j} y^j in the dx
-    and dy components, read from the form's int numerators.  Returns the
-    canonical values g_0..g_{d-1} and r_0..r_{d+1} as reduced
-    (numerator, denominator) int pairs, g_j multiplying x^{d-1-j} y^j and
-    r_j multiplying x^{d+1-j} y^j, or None when the odd chain's consistency
-    equation fails (the block's period is nonzero).
+    p[j] / pd and q[j] / qd are the nonzero coefficients of x^{d-j} y^j in
+    the dx and dy components, read from the form's int numerators; a missing
+    j is a zero coefficient.  Returns the nonzero canonical values as dicts
+    j -> reduced (numerator, denominator) int pair, g_j multiplying
+    x^{d-1-j} y^j and r_j multiplying x^{d+1-j} y^j, or None when the odd
+    chain's consistency equation fails (the block's period is nonzero).
+
+    A chain is zero until its first step with a nonzero coefficient, so the
+    odd chain starts at its lowest such step and the even chain at its
+    highest; a block without one in a chain costs that chain nothing.
     """
-    g = [(0, 1)] * d
-    r = [(0, 1)] * (d + 2)
+    g: dict[int, tuple[int, int]] = {}
+    r: dict[int, tuple[int, int]] = {}
 
     # odd chain, forward from r_1 = q_0: dy_j gives r_{j+1} for even j and
     # dx_j gives g_j for odd j; for odd d it ends in dx_d, whose residual
     # would be g_d
-    odd = _chain([
-        (q[j], qd, 2, j + 1) if j % 2 == 0 else (p[j], pd, d + 1 - j, 2)
-        for j in range(d + 1)
-    ])
-    if d % 2 and odd[-1][0]:
-        return None
-    for j, v in enumerate(odd[: d + 1 - d % 2]):
-        if j % 2:
-            g[j] = v
-        else:
-            r[j + 1] = v
+    first = min([j for j in p if j % 2] + [j for j in q if not j % 2], default=None)
+    if first is not None:
+        vn, vd = 0, 1
+        for j in range(first, d + 1):
+            if j % 2:
+                an, ad, m, k, out, i = p.get(j, 0), pd, d + 1 - j, 2, g, j
+            else:
+                an, ad, m, k, out, i = q.get(j, 0), qd, 2, j + 1, r, j + 1
+            if ad == vd:
+                n, dd = an - m * vn, ad * k
+            else:
+                n, dd = an * vd - m * vn * ad, ad * vd * k
+            c = gcd(n, dd)
+            vn, vd = n // c, dd // c
+            if vn:
+                out[i] = (vn, vd)
+        if d % 2 and g.pop(d, None):
+            return None
 
     # even chain, backward: dx_j gives r_j for even j and dy_j gives g_{j-1}
     # for odd j; for odd d the gauge g_{d-1} = 0 starts it at dx_{d-1} and
-    # leaves dy_d alone
+    # leaves dy_d alone, which gives r_{d+1} = q_d / (d+1)
     top = d - d % 2
-    even = _chain([
-        (p[j], pd, 2, d + 1 - j) if j % 2 == 0 else (q[j], qd, j + 1, 2)
-        for j in range(top, -1, -1)
-    ])
-    for j, v in zip(range(top, -1, -1), even):
-        if j % 2:
-            g[j - 1] = v
-        else:
-            r[j] = v
-    if d % 2:
-        r[d + 1] = _chain([(q[d], qd, 0, d + 1)])[0]
-    return g, r
-
-
-def _chain(steps: list[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
-    """Values v_i = (a_i - m_i v_{i-1}) / k_i from v_{-1} = 0, each a reduced
-    int pair, for steps (numerator of a_i, denominator of a_i, m_i, k_i) with
-    positive denominators and k_i; a shared denominator skips the cross
-    products, and each value costs one gcd."""
-    out = []
-    vn, vd = 0, 1
-    for an, ad, m, k in steps:
-        if ad == vd:
-            n, dd = an - m * vn, ad * k
-        else:
-            n, dd = an * vd - m * vn * ad, ad * vd * k
+    last = max(
+        [j for j in p if not j % 2] + [j for j in q if j % 2 and j <= top],
+        default=None,
+    )
+    if last is not None:
+        vn, vd = 0, 1
+        for j in range(last, -1, -1):
+            if j % 2:
+                an, ad, m, k, out, i = q.get(j, 0), qd, j + 1, 2, g, j - 1
+            else:
+                an, ad, m, k, out, i = p.get(j, 0), pd, 2, d + 1 - j, r, j
+            if ad == vd:
+                n, dd = an - m * vn, ad * k
+            else:
+                n, dd = an * vd - m * vn * ad, ad * vd * k
+            c = gcd(n, dd)
+            vn, vd = n // c, dd // c
+            if vn:
+                out[i] = (vn, vd)
+    if d % 2 and d in q:
+        n, dd = q[d], qd * (d + 1)
         c = gcd(n, dd)
-        vn, vd = n // c, dd // c
-        out.append((vn, vd))
-    return out
+        r[d + 1] = (n // c, dd // c)
+    return g, r
 
 
 def _poly(values: dict[Exponent, tuple[int, int]]) -> BivarPoly:
@@ -257,12 +269,12 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
     module docstring (no minimality claim).
     """
     p, q = w.p, w.q
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    blocks: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     for v, poly in enumerate((p, q)):
         for (a, b), c in poly.nums.items():
             block = blocks.get(a + b)
             if block is None:
-                block = blocks[a + b] = ([0] * (a + b + 1), [0] * (a + b + 1))
+                block = blocks[a + b] = ({}, {})
             block[v][b] = c
     # blocks have disjoint degrees, so their terms never collide
     g: dict[Exponent, tuple[int, int]] = {}
@@ -277,8 +289,8 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
                     "degree bounds violated"
                 )
             return NoSolution(witness=period)
-        g.update(((d - 1 - j, j), v) for j, v in enumerate(solved[0]) if v[0])
-        r.update(((d + 1 - j, j), v) for j, v in enumerate(solved[1]) if v[0])
+        g.update(((d - 1 - j, j), v) for j, v in solved[0].items())
+        r.update(((d + 1 - j, j), v) for j, v in solved[1].items())
 
     pair = FrancoisePair(g=_poly(g), r=_poly(r))
     if not pair.verify(ONE, w):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import cos, pi, sin
+from math import cos, gcd, pi, sin
 
 import numpy as np
 
@@ -191,3 +191,55 @@ def reference_reduced(num: BivarPoly, r1: BivarPoly, e: int) -> RationalFunction
     den = r1**e
     g = poly_gcd(num, den)
     return RationalFunction(divexact(num, g), divexact(den, g))
+
+
+def reference_block_solve(
+    p: list[int], pd: int, q: list[int], qd: int, d: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    """The degree-d block's canonical g_0..g_{d-1} and r_0..r_{d+1} as dense
+    lists of reduced int pairs, zeros included, or None when its period is
+    nonzero: both bidiagonal chains swept over every position, the whole of
+    each step list built first.  p[j] / pd and q[j] / qd are the
+    coefficients of x^{d-j} y^j in the dx and dy components."""
+    g = [(0, 1)] * d
+    r = [(0, 1)] * (d + 2)
+    odd = _reference_chain([
+        (q[j], qd, 2, j + 1) if j % 2 == 0 else (p[j], pd, d + 1 - j, 2)
+        for j in range(d + 1)
+    ])
+    if d % 2 and odd[-1][0]:
+        return None
+    for j, v in enumerate(odd[: d + 1 - d % 2]):
+        if j % 2:
+            g[j] = v
+        else:
+            r[j + 1] = v
+    top = d - d % 2
+    even = _reference_chain([
+        (p[j], pd, 2, d + 1 - j) if j % 2 == 0 else (q[j], qd, j + 1, 2)
+        for j in range(top, -1, -1)
+    ])
+    for j, v in zip(range(top, -1, -1), even):
+        if j % 2:
+            g[j - 1] = v
+        else:
+            r[j] = v
+    if d % 2:
+        r[d + 1] = _reference_chain([(q[d], qd, 0, d + 1)])[0]
+    return g, r
+
+
+def _reference_chain(steps: list[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
+    """v_i = (a_i - m_i v_{i-1}) / k_i from v_{-1} = 0 as reduced int pairs,
+    for steps (numerator of a_i, denominator of a_i, m_i, k_i)."""
+    out = []
+    vn, vd = 0, 1
+    for an, ad, m, k in steps:
+        if ad == vd:
+            n, dd = an - m * vn, ad * k
+        else:
+            n, dd = an * vd - m * vn * ad, ad * vd * k
+        c = gcd(n, dd)
+        vn, vd = n // c, dd // c
+        out.append((vn, vd))
+    return out

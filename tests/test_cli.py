@@ -1177,6 +1177,21 @@ def test_deep_baseline_reports_match_golden(tmp_path, capsys):
         assert out == (GOLDEN / f"deep-baseline.{argv[0]}.json").read_text(encoding="utf-8")
 
 
+def test_five_term_reports_match_golden(tmp_path, capsys):
+    # a reversible form whose g_k are dense in both chains, unlike the
+    # baseline's blocks, which are zero below a few low powers of y
+    doc = {
+        "F": "x^2 + y^2",
+        "omega": {"dx": "x^2 + 3y^2 - 1/2x^3y^2", "dy": "2xy - y^3"},
+        "max_order": 8,
+    }
+    path = write_doc(tmp_path, doc)
+    for argv in (["melnikov", path], ["gv", "--k", "7", path]):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"five-term.{argv[0]}.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3-oracle", "nonzero-m1"])
 def test_oracle_reports_match_golden(tmp_path, capsys, name):
     path = write_doc(tmp_path, load_fixture(f"{name}.json"))

@@ -38,6 +38,7 @@ from helpers import (
     AREA_FORM,
     random_form,
     random_poly,
+    reference_block_solve,
     reference_resubstitutes,
     remove_period,
     zero_period_form,
@@ -217,17 +218,23 @@ def dense_block_solve(w_dx: BivarPoly, w_dy: BivarPoly, deg: int):
     return BivarPoly(g_terms), BivarPoly(r_terms)
 
 
+def block_numerators(w: Form1Planar, d: int) -> tuple[dict, dict]:
+    """w's degree-d block as decompose reads it: y-power -> numerator of
+    the dx and of the dy component, nonzero ones only."""
+    return tuple({b: c for (a, b), c in f.nums.items() if a + b == d} for f in (w.p, w.q))
+
+
 def sweep_block(w: Form1Planar, d: int):
-    """The sweep's (g, r) on w's degree-d block, read from w's numerators as
-    decompose reads it, or None when the block's period is nonzero."""
-    p, q = ([c.nums.get((d - j, j), 0) for j in range(d + 1)] for c in (w.p, w.q))
+    """The sweep's (g, r) on w's degree-d block, or None when the block's
+    period is nonzero."""
+    p, q = block_numerators(w, d)
     solved = _block_solve(p, w.p.den, q, w.q.den, d)
     if solved is None:
         return None
     g, r = solved
     return (
-        _poly({(d - 1 - j, j): v for j, v in enumerate(g)}),
-        _poly({(d + 1 - j, j): v for j, v in enumerate(r)}),
+        _poly({(d - 1 - j, j): v for j, v in g.items()}),
+        _poly({(d + 1 - j, j): v for j, v in r.items()}),
     )
 
 
@@ -322,6 +329,107 @@ def test_sweep_rejects_odd_block_with_nonzero_period():
     assert sweep_block(Form1Planar(Y, ZERO), 1) is None  # y dx, period -pi t
 
 
+def assert_sweep_matches_reference(p: dict, pd: int, q: dict, qd: int, d: int):
+    """The sweep against the dense-list reference on one block, term for
+    term: the reference's nonzero pairs, or None on both sides."""
+    dense = reference_block_solve(
+        [p.get(j, 0) for j in range(d + 1)], pd, [q.get(j, 0) for j in range(d + 1)], qd, d
+    )
+    want = dense and tuple({j: v for j, v in enumerate(c) if v[0]} for c in dense)
+    assert _block_solve(p, pd, q, qd, d) == want, (p, pd, q, qd, d)
+    return want
+
+
+def chain_step(d: int, v: int, j: int):
+    """The step of the coefficient of (component v, y^j): its chain (True
+    for the odd one), its place in that chain's order and the unknown it
+    solves for as (0 for g or 1 for r, index); None for the odd-d residual
+    dx_d and the lone dy_d, which end or stand outside the chains."""
+    if d % 2 and j == d:
+        return None
+    if v == 0:
+        odd, unknown = j % 2 == 1, (0, j) if j % 2 else (1, j)
+    else:
+        odd, unknown = j % 2 == 0, (1, j + 1) if j % 2 == 0 else (0, j - 1)
+    return odd, j if odd else -j, unknown
+
+
+def test_sweep_matches_reference_on_sparse_blocks():
+    # every block of degree 0..14 with one nonzero coefficient and with two,
+    # random ints over random denominators; each pair of steps in one chain
+    # is run once more with the later coefficient chosen so that the chain's
+    # value at that step cancels to zero and the chain restarts from zero
+    rng = random.Random(231)
+    cancelled = 0
+    for d in range(15):
+        spots = [(v, j) for v in (0, 1) for j in range(d + 1)]
+
+        def solve(terms):
+            comps = ({}, {})
+            for (v, j), c in terms:
+                comps[v][j] = c
+            return assert_sweep_matches_reference(comps[0], pd, comps[1], qd, d)
+
+        for i, s1 in enumerate(spots):
+            pd, qd = rng.randint(1, 9), rng.randint(1, 9)
+            c1 = rng.choice([-1, 1]) * rng.randint(1, 50)
+            solve([(s1, c1)])
+            for s2 in spots[i + 1:]:
+                pd, qd = rng.randint(1, 9), rng.randint(1, 9)
+                solve([(s1, c1), (s2, rng.choice([-1, 1]) * rng.randint(1, 50))])
+                steps = chain_step(d, *s1), chain_step(d, *s2)
+                if None in steps or steps[0][0] != steps[1][0]:
+                    continue
+                first, later = (s1, s2) if steps[0][1] < steps[1][1] else (s2, s1)
+                kind, index = max(steps, key=lambda t: t[1])[2]
+                # the later step's value is affine in its coefficient c,
+                # u0 + c (u1 - u0), and vanishes at c = -u0 / (u1 - u0)
+                u0, u1 = (
+                    Fraction(*solved[kind].get(index, (0, 1))) if solved else None
+                    for solved in (solve([(first, c1), (later, c)]) for c in (0, 1))
+                )
+                if u0 is None or u0 == 0:
+                    continue
+                root = -u0 / (u1 - u0)
+                solved = solve([(first, c1 * root.denominator), (later, root.numerator)])
+                assert index not in solved[kind]
+                cancelled += 1
+    assert cancelled > 500
+
+
+def test_sweep_matches_reference_on_melnikov_blocks():
+    # the blocks of g_k w through order 10 for a form on the benchmark's
+    # reversible support, (2, 2), (1, 0) in dx and (2, 1) in dy, and for the
+    # (x^3y^2 + y^2) dx baseline
+    rng = random.Random(232)
+    c1, c2, c3 = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3))
+    forms = [
+        Form1Planar(c1 * X**2 * Y**2 + c2 * X, c3 * X**2 * Y),
+        Form1Planar(X**3 * Y**2 + Y**2, ZERO),
+    ]
+    blocks = 0
+    for w in forms:
+        res = melnikov_sequence(CIRCLE, w, 10)
+        assert res.first_nonzero is None
+        for k in range(10):
+            sw = w.scale(res.sequence.g(k))
+            for d in {a + b for f in (sw.p, sw.q) for a, b in f.nums}:
+                p, q = block_numerators(sw, d)
+                assert assert_sweep_matches_reference(p, sw.p.den, q, sw.q.den, d) is not None
+                blocks += 1
+    assert blocks > 100
+
+
+def test_sweep_rejects_odd_block_with_only_a_top_dx_coefficient():
+    # y^d dx alone, d odd: its period is nonzero, and the odd chain's
+    # residual dx_d is its only step
+    for d in (1, 3, 5, 9):
+        w = Form1Planar(BivarPoly({(0, d): Fraction(3, 7)}), ZERO)
+        assert not period_of_form(w).is_zero()
+        assert assert_sweep_matches_reference({d: 3}, 7, {}, 1, d) is None
+        assert sweep_block(w, d) is None
+
+
 # ---------------------------------------------------------------------------
 # melnikov_sequence
 # ---------------------------------------------------------------------------
@@ -390,12 +498,14 @@ def test_corrupted_block_solve_fails_resubstitution(monkeypatch):
     real = francoise._block_solve
 
     def corrupt(p, pd, q, qd, d):
-        # adds x^{d-1} to the block's g
+        # adds x^{d-1} to the block's g, also where g has no nonzero value
         solved = real(p, pd, q, qd, d)
         if solved is None:
             return None
-        (n, den), *g = solved[0]
-        return [(n + den, den)] + g, solved[1]
+        g = dict(solved[0])
+        n, den = g.get(0, (0, 1))
+        g[0] = (n + den, den)
+        return g, solved[1]
 
     monkeypatch.setattr(francoise, "_block_solve", corrupt)
     with pytest.raises(InternalSolverError, match="resubstitution"):
