@@ -25,6 +25,7 @@ past it), 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -502,9 +503,13 @@ def _load_spec(args) -> ProblemSpec:
     return spec
 
 
-def _open_output(path: str, newline: str | None = None):
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """The file at path, open for writing; a failed open, write or close is
+    InvalidInput, such as a full disk met when the text is flushed."""
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -513,7 +518,7 @@ def _emit(report: RunReport, args) -> None:
     # the file first: a path that cannot be written leaves stdout empty
     text = report.to_json()
     if getattr(args, "json", None):
-        with _open_output(args.json) as fh:
+        with _output(args.json) as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -522,7 +527,7 @@ def _write_csv(report: RunReport, path: str) -> None:
     samples = [
         oracle.DisplacementSample(*row) for row in report.oracle_table["rows"]
     ]
-    with _open_output(path, newline="") as fh:
+    with _output(path, newline="") as fh:
         oracle.write_samples_csv(samples, fh)
 
 

@@ -41,6 +41,14 @@ The tables are built one chunk of _CHUNK_STEPS steps at a time, so their
 memory does not grow with the step count.  The stages and steps write their
 guard values into chunk buffers, checked once per chunk.
 
+A lane costs almost nothing; the loop's time is its count of numpy calls on
+small arrays.  So the buffers are made once per call: each lane set (every
+lane, and the 2n-step lanes alone) has one buffer holding the table rows'
+values at a node and the stage input x (_Stages), whose powers
+rho^1 .. rho^top are one accumulate over a zero-stride view of x.  A stage
+of a polynomial omega is then 7 numpy calls, and an n-step step with
+2n-step lanes 87 (8 stages and 31 calls of stage inputs and updates).
+
 A rational component N / D is taken as written: with w = (Np / Dp) dx +
 (Nq / Dq) dy the tables hold the exact products Nq Dp cos - Np Dq sin,
 Np Dq cos + Nq Dp sin and Dp Dq, and the d rho coefficient
@@ -122,9 +130,10 @@ def _floats(poly, what: str) -> list[float]:
         ) from None
 
 
-# The largest step count.  A 1x1 report costs on the order of 100 us a step,
-# so the cap keeps it near 100 s, where an unbounded --steps could run for
-# hours; nothing shipped uses more than the 20 000 default.
+# The largest step count.  A 1x1 report makes 87 numpy calls a step, 75-130 us
+# on a shared 2-CPU host with numpy 2.4.6, so the cap keeps it within about
+# 2 minutes, where an unbounded --steps could run for hours; nothing shipped
+# uses more than the 20 000 default.
 _MAX_STEPS = 10**6
 
 
@@ -175,6 +184,16 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     in a fixed order, so no lane's result depends on the other lanes or on
     the chunk size.
 
+    The loop costs numpy calls, not arithmetic, so each lane set (every
+    lane, and the 2n-step lanes alone) has its buffers (see _Stages), and
+    the views of k and of the stage inputs are made before the loop.  A
+    step's guard and end views are made in it: kept for a whole chunk they
+    would be hundreds of array objects alive at once, for no measurable
+    gain.  A stage is 7 numpy calls for a polynomial omega (8 when its
+    powers of rho have a gap, which need a gather), 9 for a rational one;
+    an n-step step with 2n-step lanes is 8 stages and 31 calls of stage
+    inputs and updates, one without them 4 stages and 13 calls.
+
     A rational omega divides through by D = Dp Dq, so the d rho coefficient
     2 rho D + eps B must have D's sign; each denominator Dp and Dq must keep
     its own theta = 0 sign at every stage, since a sign test on D alone
@@ -205,7 +224,6 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     # the table node of each check of a step (see _STAGE_CHECKS)
     node_of = (0, 1, 1, mid, mid, mid, 3, 3, sub, sub)
     rows = _Rows(w)
-    neg_half_eps = -0.5 * eps
     chunk = min(_CHUNK_STEPS, steps)
     # per step of a chunk: each stage's signed guard rows (denominators, then
     # d rho), and the rho of each step end (the 2n-step lanes' middle one,
@@ -219,37 +237,24 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     stage_mask[..., n:] = True
     step_mask = np.ones((len(_STEP_CHECKS), t.size), dtype=bool)
     step_mask[0, :n] = False
-    x = np.empty(t.size)  # an every-lane stage's input
+    # each denominator's sign, then D's, at the lane's theta = 0 point
+    signs = np.ones((len(rows.dens) + 1, t.size))
+    every, part = _Stages(rows, eps, signs), _Stages(rows, eps[n:], signs[:, n:])
+    x, x_n, x_f, xp = every.x, every.x[:n], every.x[n:], part.x
     # k[0] .. k[3]: the slopes k1 .. k4 of each lane's step, for a 2n-step
     # lane its second of the two in an n-step step
     k = np.empty((4, t.size))
+    k0, k1, k2, k3 = k
+    k1_n = k[1, :n]
+    k0_f, k1_f, k2_f = k[:3, n:]
+    twice = np.empty((2, t.size))  # 2 k2 and 2 k3 of the update
+    total = np.empty(t.size)
     # h and h / 6 per lane: the every-lane expressions rho + h k3 and
     # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4)
     h_lane = np.concatenate([np.full(n, h), np.full(fine, hf)])
     h6_lane = np.concatenate([np.full(n, h / 6.0), np.full(fine, hf / 6.0)])
-    # rho^0 .. rho^top per lane; row 0 stays 1
-    powers = np.ones((rows.top + 1, 1, t.size))
-    powers_fine = np.ones((rows.top + 1, 1, fine))
-
-    def values(j: int, rho: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Every row at node j of the chunk, one per lane."""
-        powers[1:, 0] = rho
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        return np.add.reduce(nodes[j] * powers.take(rows.degrees, axis=0), axis=0)
-
-    def slope(j: int, rho: np.ndarray, g: np.ndarray, lanes, out=None) -> np.ndarray:
-        """The slope at node j of the lanes `lanes`; their guard rows go to g."""
-        eps, neg_half_eps, powers, signs, sign_d = lanes
-        v = values(j, rho, powers)
-        if rows.dens:
-            np.multiply(v[3:], signs, out=g[:-1])
-            den = rho * v[2] + eps * v[1]
-            np.multiply(den, sign_d, out=g[-1])  # > 0 where den has D's sign
-        else:
-            den = np.add(rho, eps * v[1], out=g[-1])
-        # half the numerator over half the d rho coefficient (v[1] is B / 2):
-        # the same bits as -eps rho A / (2 rho D + eps B), one product fewer
-        return np.divide(neg_half_eps * rho * v[0], den, out=out)
+    # the guard rows a stage writes: a polynomial omega's d rho row alone
+    rows_of = guards if rows.dens else guards[:, :, 0]
 
     def failure(bad: np.ndarray, first_lane: int) -> RuntimeError | None:
         """The first failure flagged in bad, (step, check, row, lane)."""
@@ -277,6 +282,7 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
         )
 
     rho = np.sqrt(t)
+    rho_f = rho[n:]  # the 2n-step lanes' rho
     late = None  # the first failure of a 2n-step lane
     # the checks stop every non-finite lane, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -284,46 +290,48 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
             stop = min(start + chunk, steps)
             thetas = np.arange(sub * start, sub * stop + 1) * (h / sub)
             nodes = rows.tabulate(thetas)
-            if start == 0:
-                # each denominator's sign at the lane's theta = 0 point
-                signs = np.sign(values(0, rho, powers)[3:])
-                sign_d = signs.prod(axis=0)
-                every = (eps, neg_half_eps, powers, signs, sign_d)
-                part = (eps[n:], neg_half_eps[n:], powers_fine, signs[:, n:],
-                        sign_d[n:])
+            if start == 0 and rows.dens:
+                np.copyto(x, rho)
+                every.set_signs(nodes[0])
             for i in range(stop - start):
-                j, g, end = sub * i, guards[i], ends[i]
-                slope(j, rho, g[0], every, k[0])  # node 0: k1
+                j, g, end = sub * i, rows_of[i], ends[i]
+                np.copyto(x, rho)
+                every.slope(nodes[j], g[0], k0)  # node 0: k1
                 if fine:  # the 2n-step lanes' first step: k2, k3 at node 1
-                    r = rho[n:]
-                    f2 = slope(j + 1, r + 0.5 * hf * k[0, n:], g[1, :, n:], part)
-                    acc = k[0, n:] + 2.0 * f2
+                    np.add(rho_f, 0.5 * hf * k0_f, out=xp)
+                    f2 = part.slope(nodes[j + 1], g[1, ..., n:])
+                    acc = k0_f + 2.0 * f2
                     # k3 in k1's place, so that one input serves every lane
-                    slope(j + 1, r + 0.5 * hf * f2, g[2, :, n:], part, k[0, n:])
-                    acc = acc + 2.0 * k[0, n:]
+                    np.add(rho_f, 0.5 * hf * f2, out=xp)
+                    part.slope(nodes[j + 1], g[2, ..., n:], k0_f)
+                    acc = acc + 2.0 * k0_f
                 # node 2: the n-step k2 and the 2n-step k4 (0.5 * h == hf)
-                np.add(rho, 0.5 * h * k[0], out=x)
-                slope(j + mid, x, g[3], every, k[1])
+                np.add(rho, 0.5 * h * k0, out=x)
+                every.slope(nodes[j + mid], g[3], k1)
                 if fine:  # the first step's end; rho becomes [n-step rho, r]
-                    r = np.add(r, (hf / 6.0) * (acc + k[1, n:]), out=end[0, n:])
+                    rho_f = np.add(rho_f, (hf / 6.0) * (acc + k1_f), out=end[0, n:])
                     end[0, :n] = rho[:n]
                     rho = end[0]
                 # node 2: the n-step k3 and the second step's k1
-                np.add(rho[:n], 0.5 * h * k[1, :n], out=x[:n])
+                np.add(rho[:n], 0.5 * h * k1_n, out=x_n)
                 if fine:
-                    x[n:] = r
-                slope(j + mid, x, g[4], every, k[2])
+                    np.copyto(x_f, rho_f)
+                every.slope(nodes[j + mid], g[4], k2)
                 if fine:  # the second step's k1, k2, k3 into k[0], k[1], k[2]
-                    k[0, n:] = k[2, n:]
-                    slope(j + 3, r + 0.5 * hf * k[0, n:], g[5, :, n:], part,
-                          k[1, n:])
-                    slope(j + 3, r + 0.5 * hf * k[1, n:], g[6, :, n:], part,
-                          k[2, n:])
-                np.add(rho, h_lane * k[2], out=x)  # node 4: every lane's k4
-                slope(j + sub, x, g[7], every, k[3])
-                rho = np.add(
-                    rho, h6_lane * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=end[1]
-                )
+                    np.copyto(k0_f, k2_f)
+                    np.add(rho_f, 0.5 * hf * k0_f, out=xp)
+                    part.slope(nodes[j + 3], g[5, ..., n:], k1_f)
+                    np.add(rho_f, 0.5 * hf * k1_f, out=xp)
+                    part.slope(nodes[j + 3], g[6, ..., n:], k2_f)
+                np.add(rho, h_lane * k2, out=x)  # node 4: every lane's k4
+                every.slope(nodes[j + sub], g[7], k3)
+                # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                np.multiply(2.0, k[1:3], out=twice)
+                np.add(k0, twice[0], out=total)
+                np.add(total, twice[1], out=total)
+                np.add(total, k3, out=total)
+                rho = np.add(rho, np.multiply(h6_lane, total, out=total), out=end[1])
+                rho_f = rho[n:]
             count = stop - start
             bad = np.zeros((count, len(node_of), *guards.shape[2:]), dtype=bool)
             # not > 0, so NaN fails too
@@ -363,6 +371,88 @@ def _powers(base: np.ndarray, top: int) -> np.ndarray:
     out[0] = 1.0
     out[1:] = base
     return np.multiply.accumulate(out, axis=0, out=out)
+
+
+class _Stages:
+    """The slope of one lane set at a table node, on buffers made once.
+
+    One (rows.size + 1, lanes) buffer holds the rows' values at the node,
+    then the stage input x; a rational omega's has rows.size + 3 rows: the
+    rows, the d rho coefficient, x and eps.  The caller writes x.  A stage
+    raises it to rho^1 .. rho^top with one accumulate over a zero-stride
+    view of x (row 0 of the powers stays 1), multiplies the node's
+    (columns, rows, 1) table by the powers, broadcasting over the lanes (the
+    powers are a view when the degrees are contiguous, a gather when they
+    have a gap), and sums over the columns into the buffer's rows.  One
+    two-row product then gives [eps B / 2, -eps / 2 x] for a polynomial
+    omega, or [x D, eps B / 2] for a rational one, whose guard rows
+    [Dp, (Dq,) d rho coefficient] are one product with `signs`, each
+    denominator's sign and then D's at theta = 0 (set_signs fills them; a
+    lane set of a subset of the lanes gets a view).  Every product, sum and
+    quotient is the float expression of the direct formula, in its order.
+    """
+
+    def __init__(self, rows: _Rows, eps: np.ndarray, signs: np.ndarray) -> None:
+        import numpy as np
+
+        lanes, size, dens = eps.size, rows.size, len(rows.dens)
+        buf = np.empty((size + 3 if dens else size + 1, lanes))
+        values, v0 = buf[:size], buf[0]
+        x = self.x = buf[size + 1] if dens else buf[size]
+        # rho^0 .. rho^top; row 0 stays 1, the others are raised from x
+        powers = np.ones((rows.top + 1, 1, lanes))
+        rising = np.broadcast_to(x, (max(rows.top, 0), lanes))
+        raised = powers[1:, 0]
+        # the powers of the table's columns: a view, or a gather per stage
+        low = int(rows.degrees[0]) if rows.degrees.size else 0
+        gather = None
+        columns = powers[low:]
+        if not np.array_equal(rows.degrees, np.arange(low, rows.top + 1)):
+            gather = rows.degrees
+        pair = np.empty((2, lanes))
+        first, second = pair
+
+        def evaluate(node: np.ndarray) -> None:
+            """Every row at the node, for each lane's x, into the buffer."""
+            np.multiply.accumulate(rising, axis=0, out=raised)
+            p = columns if gather is None else powers.take(gather, axis=0)
+            np.add.reduce(node * p, axis=0, out=values)
+
+        def set_signs(node: np.ndarray) -> None:
+            """Fill signs from the denominator rows at the node."""
+            evaluate(node)
+            np.sign(values[3:], out=signs[:-1])
+            signs[-1] = signs[:-1].prod(axis=0)
+
+        self.set_signs = set_signs
+        if dens:
+            buf[-1] = eps
+            x_eps, den, flipped = buf[-2:], buf[size], buf[2:0:-1]
+            signed = buf[3 : size + 1]
+            neg_half_eps = -0.5 * eps
+
+            def slope(node, g, out=None):
+                """The slope at the node; the signed guard rows go to g."""
+                evaluate(node)
+                np.multiply(x_eps, flipped, out=pair)  # [x D, eps B / 2]
+                np.add(first, second, out=den)
+                np.multiply(signed, signs, out=g)  # > 0 where each keeps its sign
+                return np.divide(neg_half_eps * x * v0, den, out=out)
+        else:
+            scale = np.stack([eps, -0.5 * eps])
+            tail = buf[1:]  # [B / 2, x]
+
+            def slope(node, g, out=None):
+                """The slope at the node; the d rho coefficient goes to g."""
+                evaluate(node)
+                np.multiply(tail, scale, out=pair)  # [eps B / 2, -eps / 2 x]
+                # half the numerator over half the d rho coefficient (row 1 is
+                # B / 2): the bits of -eps rho A / (2 rho + eps B), one product
+                # fewer
+                den = np.add(x, first, out=g)
+                return np.divide(np.multiply(second, v0), den, out=out)
+
+        self.slope = slope
 
 
 class _Rows:

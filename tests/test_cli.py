@@ -1019,16 +1019,27 @@ def test_main_rational_component_over_budget_is_invalid_input(
     )
 
 
+NO_DEV_FULL = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this system"
+)
+
+
 @pytest.mark.parametrize(
-    "command, flag",
+    "command, flag, target",
     [
-        (["melnikov"], "--json"),
-        (["--steps", "100", "oracle"], "--csv"),
+        # a path whose open fails
+        pytest.param(["melnikov"], "--json", None, id="command0---json"),
+        pytest.param(["--steps", "100", "oracle"], "--csv", None, id="command1---csv"),
+        # a path that opens, whose write fails
+        pytest.param(["melnikov"], "--json", "/dev/full", id="melnikov---json-full",
+                     marks=NO_DEV_FULL),
+        pytest.param(["--steps", "100", "oracle"], "--csv", "/dev/full",
+                     id="oracle---csv-full", marks=NO_DEV_FULL),
     ],
 )
-def test_main_unwritable_output_is_invalid_input(tmp_path, capsys, command, flag):
+def test_main_unwritable_output_is_invalid_input(tmp_path, capsys, command, flag, target):
     path = write_doc(tmp_path, LINEAR_DOC)
-    target = str(tmp_path / "missing" / "report.out")
+    target = target or str(tmp_path / "missing" / "report.out")
     assert main(command + [path, flag, target]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""

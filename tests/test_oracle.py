@@ -13,11 +13,13 @@ coefficients and the Richardson variant without circular references.
 from __future__ import annotations
 
 import io
+import json
 import math
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,10 +420,13 @@ def test_rational_coefficients_integrate():
 
 
 def reference_forms():
-    """Seeded polynomial forms of degree <= 5 and two rational forms.
+    """Seeded polynomial forms of degree <= 5, two rational forms, a form
+    whose powers of rho have a gap and the zero form.
 
     The second rational form has both components rational, and its D is
-    negative on every annulus the lanes reach.
+    negative on every annulus the lanes reach.  y dx + x^4 y dy has table
+    columns for rho^1 and rho^5 only, so its stages gather the powers they
+    read; the zero form has no column at all.
     """
     rng = random.Random(1212)
     forms = [random_form(rng, deg) for deg in (1, 2, 3, 4, 5, 5)]
@@ -431,6 +436,8 @@ def reference_forms():
             RationalFunction(Y, X - 2), RationalFunction(X * X - Y, 3 + Y * Y)
         )
     )
+    forms.append(Form1Planar(Y, X**4 * Y))
+    forms.append(Form1Planar.zero())
     return forms
 
 
@@ -451,6 +458,38 @@ def test_node_tables_match_direct_evaluation(index, steps):
             )
         )
         np.testing.assert_allclose(got, want[:lanes], rtol=1e-14, atol=0)
+
+
+INTEGRATE_BITS = Path(__file__).parent / "golden" / "integrate_bits.json"
+
+
+def integrate_bits() -> list[dict]:
+    """float.hex of the n-step and 2n-step rho of every reference form at 100
+    and 130 steps, with every one of the 20 reference lanes also at 2n steps.
+
+    tests/golden/integrate_bits.json holds these records, written by
+    json.dump(integrate_bits(), fh, indent=1) from this module.
+    """
+    records = []
+    for w in REFERENCE_FORMS:
+        for steps in (100, 130):
+            rho, rho_fine = oracle._integrate(
+                w, REFERENCE_T, REFERENCE_EPS, steps, fine=REFERENCE_T.size
+            )
+            records.append({
+                "form": str(w),
+                "steps": steps,
+                "rho": [x.hex() for x in rho.tolist()],
+                "rho_fine": [x.hex() for x in rho_fine.tolist()],
+            })
+    return records
+
+
+def test_integrate_matches_golden_bits():
+    # the other bit-for-bit tests compare the loop with itself; this pins the
+    # absolute bits of both step counts on every reference form
+    want = json.loads(INTEGRATE_BITS.read_text(encoding="utf-8"))
+    assert integrate_bits() == want
 
 
 @pytest.mark.parametrize("index", range(len(REFERENCE_FORMS)))
