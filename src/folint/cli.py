@@ -18,8 +18,9 @@ its keys are documented next to _check_fixture.
 
 Exit codes: 0 success, 1 obstruction found (informative, not a failure),
 2 invalid input (including a file that is not UTF-8 or nests JSON too deeply,
-a symbolic run past MAX_DEGREE_ORDER and a rational omega component of degree
-past it), 3 internal consistency failure.
+a symbolic run past MAX_DEGREE_ORDER, a rational omega component of degree
+past it and an unwritable output: a --json or --csv path, or stdout itself),
+3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -520,7 +522,18 @@ def _emit(report: RunReport, args) -> None:
     if getattr(args, "json", None):
         with _output(args.json) as fh:
             fh.write(text)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout keeps the text it could not write, and the interpreter
+        # flushes it again at exit, which would fail the same way and turn
+        # the exit code into 120: send that text to the null device
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InvalidInput(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _write_csv(report: RunReport, path: str) -> None:

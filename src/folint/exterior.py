@@ -1,78 +1,54 @@
 """Exterior calculus on the (x, y) plane extended by a deformation parameter.
 
-Forms live on coordinates (x, y, eps).  The eight basis monomials are encoded
-as bitmasks over dx (1), dy (2), deps (4) with canonical factor order
-dx < dy < deps; every component of a FormEps is an EpsSeries in eps with
-BivarPoly coefficients.  The planar 1-form Form1Planar takes BivarPoly or
-RationalFunction components; the rational ones serve the classical
-Godbillon-Vey forms and rational oracle perturbations.  A planar 2-form
-h dx^dy is its coefficient h alone: Form1Planar.d and Form1Planar.wedge
-return it.
+The planar 1-form Form1Planar takes BivarPoly or RationalFunction components;
+the rational ones serve the classical Godbillon-Vey forms and rational oracle
+perturbations.  A planar 2-form h dx^dy is its coefficient h alone:
+Form1Planar.d and Form1Planar.wedge return it.
+
+Forms on (x, y, eps) are stored by degree, every coefficient an EpsSeries in
+eps with BivarPoly coefficients and all of one truncation order:
+
+* a 0-form is an EpsSeries;
+* Form1Eps is a dx + b dy + e deps;
+* Form2Eps holds the coefficients of dx^dy, dx^deps and dy^deps;
+* Form3Eps is h dx^dy^deps, its one coefficient h.
+
+These are the degrees the Godbillon-Vey identity needs: d_total takes a
+0-form to a 1-form and a 1-form to a 2-form, wedge takes a 1-form and a
+2-form to the 3-form, and truncate_weight truncates the 3-form.  So for
+Omega = a dx + b dy + e deps,
+
+    Omega ^ dOmega = [a (e_y - b_eps) - b (e_x - a_eps) + e (b_x - a_y)] dx^dy^deps.
 
 The grading used for truncation is the weight w(eps) = w(deps) = 1,
-w(x) = w(y) = w(dx) = w(dy) = 0, so a term eps^i (...) deps has weight i + 1
-while eps^i (...) dx has weight i.
+w(x) = w(y) = w(dx) = w(dy) = 0, so a term eps^i (...) dx^dy^deps has
+weight i + 1.
 
-A FormEps is either exact (its coefficients are the complete coefficients of
-a polynomial in eps) or a plain jet.  The total differential of a jet has an
-unreliable top eps coefficient in its deps part, since d/d eps shifts unknown
-data down by one order; the cleared exact flag carries through d_total, and
-the result is reliable through order K-1 for terms sourced from the deps-free
-part.
+A form on (x, y, eps) is either exact (its coefficients are the complete
+coefficients of a polynomial in eps) or a plain jet.  The total differential
+of a jet has an unreliable top eps coefficient in its deps parts, since
+d/d eps shifts unknown data down by one order; the cleared exact flag
+carries through d_total and wedge, and truncate_weight refuses a jet a
+weight past its truncation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, ZERO, EpsSeries, SeriesOrderMismatch
+from .algebra import ZERO, EpsSeries, SeriesOrderMismatch
 
 __all__ = [
-    "DX",
-    "DY",
-    "DE",
-    "BASIS_NAMES",
     "Form1Planar",
-    "FormEps",
+    "Form1Eps",
+    "Form2Eps",
+    "Form3Eps",
     "wedge",
-    "basis_wedge",
     "d_total",
     "d_planar_scalar",
-    "term_weight",
     "truncate_weight",
     "series_to_text",
 ]
-
-DX, DY, DE = 1, 2, 4
-
-BASIS_NAMES = {
-    0: "1",
-    DX: "dx",
-    DY: "dy",
-    DE: "deps",
-    DX | DY: "dx*dy",
-    DX | DE: "dx*deps",
-    DY | DE: "dy*deps",
-    DX | DY | DE: "dx*dy*deps",
-}
-
-_FACTORS = (DX, DY, DE)
-
-
-def _factors(basis: int) -> list[int]:
-    return [f for f in _FACTORS if basis & f]
-
-
-def basis_wedge(b1: int, b2: int) -> tuple[int, int] | None:
-    """Sign and merged basis of b1 ^ b2, or None when a factor repeats."""
-    if b1 & b2:
-        return None
-    sign = 1
-    left = _factors(b1)
-    for f in _factors(b2):
-        # count factors of b1 that come after f in the canonical order
-        sign *= (-1) ** sum(1 for g in left if g > f)
-    return sign, b1 | b2
 
 
 # ---------------------------------------------------------------------------
@@ -128,114 +104,65 @@ def d_planar_scalar(f) -> Form1Planar:
 
 
 # ---------------------------------------------------------------------------
-# Mixed forms in (x, y, eps)
+# Forms in (x, y, eps), stored by degree
 # ---------------------------------------------------------------------------
 
 
-class FormEps:
-    """Mixed-degree form with EpsSeries components over the 8 basis monomials.
+def _same_order(*series: EpsSeries) -> None:
+    if len({s.order for s in series}) > 1:
+        raise SeriesOrderMismatch(
+            f"component orders differ: {[s.order for s in series]}"
+        )
 
-    Components absent from comps are zero.  All stored series share one
-    truncation order.
-    """
 
-    __slots__ = ("order", "comps", "exact")
+class Form1Eps:
+    """a dx + b dy + e deps with EpsSeries coefficients of one order."""
+
+    __slots__ = ("a", "b", "e", "exact")
 
     def __init__(
-        self,
-        order: int,
-        comps: dict[int, EpsSeries] | None = None,
-        exact: bool = True,
+        self, a: EpsSeries, b: EpsSeries, e: EpsSeries, exact: bool = True
     ) -> None:
-        comps = dict(comps or {})
-        for basis, series in comps.items():
-            if basis not in BASIS_NAMES:
-                raise ValueError(f"unknown basis key {basis}")
-            if series.order != order:
-                raise SeriesOrderMismatch(
-                    f"component order {series.order} != form order {order}"
-                )
-        comps = {b: s for b, s in comps.items() if not s.is_zero()}
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "exact", exact)
+        _same_order(a, b, e)
+        self.a, self.b, self.e, self.exact = a, b, e, exact
 
-    # -- constructors ---------------------------------------------------------
+    @property
+    def order(self) -> int:
+        return self.a.order
 
-    @classmethod
-    def from_scalar_series(cls, s: EpsSeries, exact: bool = True) -> "FormEps":
-        return cls(s.order, {0: s}, exact)
 
-    @classmethod
-    def zero(cls, order: int) -> "FormEps":
-        return cls(order, {}, True)
+class Form2Eps:
+    """xy dx^dy + xe dx^deps + ye dy^deps with EpsSeries coefficients of one order."""
 
-    # -- component access --------------------------------------------------------
+    __slots__ = ("xy", "xe", "ye", "exact")
 
-    def component(self, basis: int) -> EpsSeries:
-        if basis in self.comps:
-            return self.comps[basis]
-        return EpsSeries.constant(ZERO, self.order)
+    def __init__(
+        self, xy: EpsSeries, xe: EpsSeries, ye: EpsSeries, exact: bool = True
+    ) -> None:
+        _same_order(xy, xe, ye)
+        self.xy, self.xe, self.ye, self.exact = xy, xe, ye, exact
 
-    def terms(self):
-        """Iterate (eps power, basis, coefficient) over nonzero terms."""
-        for basis in sorted(self.comps):
-            for i, c in enumerate(self.comps[basis].coeffs):
-                if not c.is_zero():
-                    yield i, basis, c
 
-    # -- arithmetic ---------------------------------------------------------------
+class Form3Eps:
+    """h dx^dy^deps, the top-degree form on (x, y, eps)."""
 
-    def _merge(self, other: "FormEps", op) -> "FormEps":
-        if self.order != other.order:
-            raise SeriesOrderMismatch(
-                f"form orders differ: {self.order} vs {other.order}"
-            )
-        out: dict[int, EpsSeries] = {}
-        for basis in set(self.comps) | set(other.comps):
-            out[basis] = op(self.component(basis), other.component(basis))
-        return FormEps(self.order, out, self.exact and other.exact)
+    __slots__ = ("h", "exact")
 
-    def __add__(self, other: "FormEps") -> "FormEps":
-        return self._merge(other, lambda a, b: a + b)
+    def __init__(self, h: EpsSeries, exact: bool = True) -> None:
+        self.h, self.exact = h, exact
 
-    def __sub__(self, other: "FormEps") -> "FormEps":
-        return self._merge(other, lambda a, b: a - b)
-
-    def __neg__(self) -> "FormEps":
-        return FormEps(self.order, {b: -s for b, s in self.comps.items()}, self.exact)
-
-    def scale_series(self, s: EpsSeries) -> "FormEps":
-        return FormEps(self.order, {b: c * s for b, c in self.comps.items()}, self.exact)
+    @property
+    def order(self) -> int:
+        return self.h.order
 
     def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormEps):
-            return NotImplemented
-        return self.order == other.order and (self - other).is_zero()
-
-    def __hash__(self) -> int:
-        return hash((self.order, tuple(sorted(self.comps.items(), key=lambda t: t[0], ))))
-
-    # -- printing -------------------------------------------------------------------
+        return self.h.is_zero()
 
     def to_text(self) -> str:
-        if not self.comps:
-            return "0"
-        parts = []
-        for basis in sorted(self.comps):
-            body = series_to_text(self.comps[basis])
-            name = BASIS_NAMES[basis]
-            parts.append(body if basis == 0 else f"({body}) {name}")
-        return " + ".join(parts)
+        return "0" if self.is_zero() else f"({series_to_text(self.h)}) dx*dy*deps"
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"FormEps({self.to_text()!r}, order={self.order}, exact={self.exact})"
 
 
 def series_to_text(s: EpsSeries) -> str:
@@ -252,69 +179,54 @@ def series_to_text(s: EpsSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def wedge(u: FormEps, v: FormEps) -> FormEps:
-    """Graded exterior product, truncated at the shared eps order."""
-    if u.order != v.order:
-        raise SeriesOrderMismatch(f"form orders differ: {u.order} vs {v.order}")
-    acc: dict[int, EpsSeries] = {}
-    for b1, s1 in u.comps.items():
-        for b2, s2 in v.comps.items():
-            merged = basis_wedge(b1, b2)
-            if merged is None:
-                continue
-            sign, basis = merged
-            prod = s1 * s2
-            if sign < 0:
-                prod = -prod
-            acc[basis] = acc[basis] + prod if basis in acc else prod
-    return FormEps(u.order, acc, u.exact and v.exact)
+def _dx(s: EpsSeries) -> EpsSeries:
+    return s.map(lambda c: c.partial("x"))
 
 
-def d_total(u: FormEps) -> FormEps:
-    """Total differential d u = dx ^ du/dx + dy ^ du/dy + deps ^ du/d eps.
+def _dy(s: EpsSeries) -> EpsSeries:
+    return s.map(lambda c: c.partial("y"))
 
-    Each term is a wedge, so the sign of moving dx, dy or deps to its place
-    in a basis monomial comes from wedge alone.  For a jet (exact=False) the
-    deps-carrying output at the top order K is not determined by the data;
-    the result keeps order K but is reliable only through K-1 for terms
-    sourced from the deps-free part, and the exact flag is cleared.
+
+def d_total(u: EpsSeries | Form1Eps) -> Form1Eps | Form2Eps:
+    """Total differential of a 0-form (an EpsSeries) or of a 1-form.
+
+    d u = u_x dx + u_y dy + u_eps deps, and for u = a dx + b dy + e deps
+
+        d u = (b_x - a_y) dx^dy + (e_x - a_eps) dx^deps + (e_y - b_eps) dy^deps.
+
+    A 0-form's differential is exact; a 1-form's keeps its exact flag.  For
+    a jet the deps-carrying output at the top order K is not determined by
+    the data, so the result keeps order K but its deps parts are reliable
+    only through K-1.
     """
-    one = EpsSeries.constant(ONE, u.order)
-    out = FormEps.zero(u.order)
-    for basis, derivative in (
-        (DX, lambda s: s.map(lambda c: c.partial("x"))),
-        (DY, lambda s: s.map(lambda c: c.partial("y"))),
-        (DE, EpsSeries.eps_derivative),
-    ):
-        du = FormEps(u.order, {b: derivative(s) for b, s in u.comps.items()}, u.exact)
-        out = out + wedge(FormEps(u.order, {basis: one}), du)
-    return out
+    if isinstance(u, EpsSeries):
+        return Form1Eps(_dx(u), _dy(u), u.eps_derivative())
+    return Form2Eps(
+        _dx(u.b) - _dy(u.a),
+        _dx(u.e) - u.a.eps_derivative(),
+        _dy(u.e) - u.b.eps_derivative(),
+        u.exact,
+    )
 
 
-def term_weight(eps_power: int, basis: int) -> int:
-    return eps_power + (1 if basis & DE else 0)
+def wedge(u: Form1Eps, v: Form2Eps) -> Form3Eps:
+    """u ^ v = (a ye - b xe + e xy) dx^dy^deps, truncated at the shared order."""
+    return Form3Eps(u.a * v.ye - u.b * v.xe + u.e * v.xy, u.exact and v.exact)
 
 
-def _guard_bound(u: FormEps, k: int) -> None:
-    if k < 0:
-        raise ValueError("weight bound must be >= 0")
-    # a jet does not know its coefficients beyond the truncation order, so a
-    # weight question reaching past them is unanswerable
-    if not u.exact and k > u.order:
-        raise SeriesOrderMismatch(
-            f"weight bound {k} exceeds jet truncation order {u.order}"
-        )
-
-
-def truncate_weight(u: FormEps, w: int) -> FormEps:
+def truncate_weight(u: Form3Eps, w: int) -> Form3Eps:
     """Drop every term of weight strictly greater than the bound w >= 0.
 
-    The result is itself a fully-known form (the truncation), so exactness is
-    preserved.
+    The term at eps^i has weight i + 1.  The result is itself a fully-known
+    form (the truncation), so exactness is preserved; a jet does not know
+    its coefficients beyond the truncation order, so a bound past it is
+    unanswerable and raises SeriesOrderMismatch.
     """
-    _guard_bound(u, w)
-    out: dict[int, EpsSeries] = {}
-    for basis, s in u.comps.items():
-        coeffs = [c if term_weight(i, basis) <= w else ZERO for i, c in enumerate(s.coeffs)]
-        out[basis] = EpsSeries(coeffs, s.order)
-    return FormEps(u.order, out, u.exact)
+    if w < 0:
+        raise ValueError("weight bound must be >= 0")
+    if not u.exact and w > u.order:
+        raise SeriesOrderMismatch(
+            f"weight bound {w} exceeds jet truncation order {u.order}"
+        )
+    coeffs = [c if i + 1 <= w else ZERO for i, c in enumerate(u.h.coeffs)]
+    return Form3Eps(EpsSeries(coeffs, u.order), u.exact)

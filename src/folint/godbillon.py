@@ -55,16 +55,16 @@ scaling.
 check_first_integral does not use it: it reads the printed G_i, R_i and c_i,
 so a wrong twist fails there.
 
-The library functions re-derive these facts from general FormEps data:
-assemble_omega and integrability_defect build Omega ^ dOmega,
-integrating_factor solves Omega = N d(F_eps) order by order, and
-length_two_witness builds the unit series G = sum (-1)^i eps^i g_i and checks
-the witness_ok identity itself, d(G_i dF + G_{i-1} w) = 0 for i = 1..k, one
-planar coefficient at a time.  It returns G, from which witness_theta builds
-the closed one-form theta = -dG/G.  The module also recovers the data in the
-opposite direction (pairs from a first integral) and extracts the classical
-Godbillon-Vey forms eta_i from the Taylor expansion of
-d(F_eps)/(dF_eps/deps).
+The library functions re-derive these facts from the forms themselves:
+assemble_omega builds Omega as a Form1Eps, integrability_defect the 3-form
+Omega ^ dOmega, integrating_factor solves Omega = N d(F_eps) order by order
+on Omega's three coefficient series, and length_two_witness builds the unit
+series G = sum (-1)^i eps^i g_i and checks the witness_ok identity itself,
+d(G_i dF + G_{i-1} w) = 0 for i = 1..k, one planar coefficient at a time.
+It returns G, from which witness_theta builds the closed one-form
+theta = -dG/G.  The module also recovers the data in the opposite direction
+(pairs from a first integral) and extracts the classical Godbillon-Vey forms
+eta_i from the Taylor expansion of d(F_eps)/(dF_eps/deps).
 """
 
 from __future__ import annotations
@@ -75,11 +75,9 @@ from math import factorial
 from .abelian import CIRCLE, CIRCLE_DF
 from .algebra import BivarPoly, EpsSeries, RationalFunction, divexact, poly_gcd
 from .exterior import (
-    DE,
-    DX,
-    DY,
+    Form1Eps,
     Form1Planar,
-    FormEps,
+    Form3Eps,
     d_planar_scalar,
     d_total,
     series_to_text,
@@ -180,15 +178,15 @@ class FirstIntegral:
     def hamiltonian(self) -> BivarPoly:
         return self.series.coeffs[0]
 
-    def differential(self, order: int | None = None) -> FormEps:
-        """Total differential d(F_eps) of the truncation, as a FormEps.
+    def differential(self, order: int | None = None) -> Form1Eps:
+        """Total differential d(F_eps) of the truncation, as a Form1Eps.
 
         The truncation is treated as the polynomial it is, so the result is
         exact for that polynomial; its deps part at the top order reflects
         the truncation, not the full series.
         """
         s = self.series if order is None else self.series.extend(order)
-        return d_total(FormEps.from_scalar_series(s))
+        return d_total(s)
 
     def to_text(self) -> str:
         return series_to_text(self.series)
@@ -250,20 +248,18 @@ def check_first_integral(
 # ---------------------------------------------------------------------------
 
 
-def deformation_form(w: Form1Planar, order: int) -> FormEps:
-    """dF + eps*w for the circle F as an exact FormEps of the given order (>= 1)."""
+def deformation_form(w: Form1Planar, order: int) -> Form1Eps:
+    """dF + eps*w for the circle F as an exact Form1Eps of the given order (>= 1)."""
     if order < 1:
         raise ValueError("order must be >= 1 to hold the eps term")
-    return FormEps(
-        order,
-        {
-            DX: EpsSeries([CIRCLE_DF.p, w.p], order),
-            DY: EpsSeries([CIRCLE_DF.q, w.q], order),
-        },
+    return Form1Eps(
+        EpsSeries([CIRCLE_DF.p, w.p], order),
+        EpsSeries([CIRCLE_DF.q, w.q], order),
+        EpsSeries([BivarPoly.zero()], order),
     )
 
 
-def assemble_omega(w: Form1Planar, pairs: list[GVPair], k: int) -> FormEps:
+def assemble_omega(w: Form1Planar, pairs: list[GVPair], k: int) -> Form1Eps:
     """Omega = R deps + (dF + eps w) G at representation order k+1.
 
     G uses pairs 1..k and R places R_{i+1} at eps^i for i < k.  The eps^k
@@ -279,11 +275,11 @@ def assemble_omega(w: Form1Planar, pairs: list[GVPair], k: int) -> FormEps:
     G = EpsSeries([BivarPoly.one()] + [pairs[i].G for i in range(k)], order)
     r_coeffs = [pairs[i].R for i in range(min(k + 1, len(pairs)))]
     R = EpsSeries(r_coeffs or [BivarPoly.zero()], order)
-    planar = deformation_form(w, order).scale_series(G)
-    return planar + FormEps(order, {DE: R})
+    eta = deformation_form(w, order)
+    return Form1Eps(eta.a * G, eta.b * G, R)
 
 
-def integrability_defect(omega: FormEps, k: int) -> FormEps:
+def integrability_defect(omega: Form1Eps, k: int) -> Form3Eps:
     """Omega ^ d(Omega) truncated to weight <= k+1 (zero iff integrable there).
 
     The weight <= j+1 part of the order-k defect is the defect of the
@@ -302,7 +298,7 @@ def integrability_defect(omega: FormEps, k: int) -> FormEps:
 # ---------------------------------------------------------------------------
 
 
-def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries:
+def integrating_factor(omega: Form1Eps, fint: FirstIntegral, k: int) -> EpsSeries:
     """Unit series N with omega = N * d(F_eps) through weight k.
 
     Weight w of the planar part fixes n_w by exact division by dF; the deps
@@ -319,9 +315,7 @@ def integrating_factor(omega: FormEps, fint: FirstIntegral, k: int) -> EpsSeries
     dpx = [ci.partial("x") for ci in c]
     dpy = [ci.partial("y") for ci in c]
     deps = fint.series.eps_derivative().coeffs
-    a = omega.component(DX).coeffs
-    b = omega.component(DY).coeffs
-    e = omega.component(DE).coeffs
+    a, b, e = omega.a.coeffs, omega.b.coeffs, omega.e.coeffs
 
     n: list = []
     for w in range(k + 1):
@@ -488,21 +482,21 @@ def length_two_witness(seq: FrancoiseSequence, k: int) -> EpsSeries:
     return EpsSeries(G, k)
 
 
-def witness_theta(seq: FrancoiseSequence, k: int) -> FormEps:
+def witness_theta(seq: FrancoiseSequence, k: int) -> Form1Eps:
     """theta = -dG/G for the G of length_two_witness, order-k truncation.
 
-    d(theta) = 0 needs no computation, a logarithmic derivative is closed
-    wherever defined.  G has constant term 1, so 1/G is a polynomial series
-    and the coefficients of theta are polynomials.
+    d is the planar differential at fixed eps, so theta is a jet Form1Eps
+    with no deps part.  Its planar d(theta) = 0 needs no computation, a
+    logarithmic derivative is closed wherever defined.  G has constant term
+    1, so 1/G is a polynomial series and the coefficients of theta are
+    polynomials.
     """
     G = length_two_witness(seq, k)
     g_inv = G.invert()
-    return FormEps(
-        k,
-        {
-            DX: -G.map(lambda u: u.partial("x")) * g_inv,
-            DY: -G.map(lambda u: u.partial("y")) * g_inv,
-        },
+    return Form1Eps(
+        -G.map(lambda u: u.partial("x")) * g_inv,
+        -G.map(lambda u: u.partial("y")) * g_inv,
+        EpsSeries([BivarPoly.zero()], k),
         exact=False,
     )
 

@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the reference implementations
+the tests compare folint with.
 
 All randomness goes through an explicit random.Random instance so every
 test run is reproducible from its literal seed.
@@ -17,13 +18,20 @@ from folint.algebra import (
     BivarPoly,
     EpsSeries,
     RationalFunction,
+    SeriesOrderMismatch,
     X,
     Y,
     divexact,
     grlex_key,
     poly_gcd,
 )
-from folint.exterior import DE, DX, DY, Form1Planar, FormEps, basis_wedge, d_planar_scalar
+from folint.exterior import (
+    Form1Eps,
+    Form1Planar,
+    Form2Eps,
+    d_planar_scalar,
+    series_to_text,
+)
 from folint.abelian import CIRCLE_DF, period_of_form
 
 F_CIRCLE = X * X + Y * Y
@@ -131,6 +139,175 @@ def reference_witness_residual(g: list[BivarPoly], w: Form1Planar, k: int) -> Ep
     return G * deta + (dGp * eta_q - dGq * eta_p)
 
 
+# ---------------------------------------------------------------------------
+# The eight-slot reference algebra: mixed-degree forms on (x, y, eps) over
+# the eight basis monomials, encoded as bitmasks over dx (1), dy (2) and
+# deps (4) with canonical factor order dx < dy < deps.  folint.exterior keeps
+# only the degrees the Godbillon-Vey identity needs; the tests compare it
+# with this general algebra.
+# ---------------------------------------------------------------------------
+
+DX, DY, DE = 1, 2, 4
+
+BASIS_NAMES = {
+    0: "1",
+    DX: "dx",
+    DY: "dy",
+    DE: "deps",
+    DX | DY: "dx*dy",
+    DX | DE: "dx*deps",
+    DY | DE: "dy*deps",
+    DX | DY | DE: "dx*dy*deps",
+}
+
+_FACTORS = (DX, DY, DE)
+
+
+def _factors(basis: int) -> list[int]:
+    return [f for f in _FACTORS if basis & f]
+
+
+def basis_wedge(b1: int, b2: int) -> tuple[int, int] | None:
+    """Sign and merged basis of b1 ^ b2, or None when a factor repeats."""
+    if b1 & b2:
+        return None
+    sign = 1
+    left = _factors(b1)
+    for f in _factors(b2):
+        # count factors of b1 that come after f in the canonical order
+        sign *= (-1) ** sum(1 for g in left if g > f)
+    return sign, b1 | b2
+
+
+class FormEps:
+    """Mixed-degree form with EpsSeries components over the 8 basis monomials.
+
+    Components absent from comps are zero.  All stored series share one
+    truncation order.  exact says whether the components are the complete
+    coefficients of a polynomial in eps (True) or a plain jet.
+    """
+
+    __slots__ = ("order", "comps", "exact")
+
+    def __init__(
+        self,
+        order: int,
+        comps: dict[int, EpsSeries] | None = None,
+        exact: bool = True,
+    ) -> None:
+        comps = dict(comps or {})
+        for basis, series in comps.items():
+            if basis not in BASIS_NAMES:
+                raise ValueError(f"unknown basis key {basis}")
+            if series.order != order:
+                raise SeriesOrderMismatch(
+                    f"component order {series.order} != form order {order}"
+                )
+        self.order = order
+        self.comps = {b: s for b, s in comps.items() if not s.is_zero()}
+        self.exact = exact
+
+    @classmethod
+    def from_scalar_series(cls, s: EpsSeries, exact: bool = True) -> "FormEps":
+        return cls(s.order, {0: s}, exact)
+
+    @classmethod
+    def zero(cls, order: int) -> "FormEps":
+        return cls(order, {}, True)
+
+    def component(self, basis: int) -> EpsSeries:
+        if basis in self.comps:
+            return self.comps[basis]
+        return EpsSeries.constant(ZERO, self.order)
+
+    def terms(self):
+        """Iterate (eps power, basis, coefficient) over nonzero terms."""
+        for basis in sorted(self.comps):
+            for i, c in enumerate(self.comps[basis].coeffs):
+                if not c.is_zero():
+                    yield i, basis, c
+
+    def _merge(self, other: "FormEps", op) -> "FormEps":
+        if self.order != other.order:
+            raise SeriesOrderMismatch(
+                f"form orders differ: {self.order} vs {other.order}"
+            )
+        out: dict[int, EpsSeries] = {}
+        for basis in set(self.comps) | set(other.comps):
+            out[basis] = op(self.component(basis), other.component(basis))
+        return FormEps(self.order, out, self.exact and other.exact)
+
+    def __add__(self, other: "FormEps") -> "FormEps":
+        return self._merge(other, lambda a, b: a + b)
+
+    def __sub__(self, other: "FormEps") -> "FormEps":
+        return self._merge(other, lambda a, b: a - b)
+
+    def __neg__(self) -> "FormEps":
+        return FormEps(self.order, {b: -s for b, s in self.comps.items()}, self.exact)
+
+    def scale_series(self, s: EpsSeries) -> "FormEps":
+        return FormEps(self.order, {b: c * s for b, c in self.comps.items()}, self.exact)
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FormEps):
+            return NotImplemented
+        return self.order == other.order and (self - other).is_zero()
+
+    def __hash__(self) -> int:
+        return hash((self.order, tuple(sorted(self.comps.items(), key=lambda t: t[0]))))
+
+    def to_text(self) -> str:
+        if not self.comps:
+            return "0"
+        parts = []
+        for basis in sorted(self.comps):
+            body = series_to_text(self.comps[basis])
+            parts.append(body if basis == 0 else f"({body}) {BASIS_NAMES[basis]}")
+        return " + ".join(parts)
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"FormEps({self.to_text()!r}, order={self.order}, exact={self.exact})"
+
+
+def reference_form(u) -> FormEps:
+    """The FormEps of an EpsSeries (a 0-form) or of a folint.exterior
+    Form1Eps, Form2Eps or Form3Eps, with the same exact flag."""
+    if isinstance(u, EpsSeries):
+        return FormEps.from_scalar_series(u)
+    if isinstance(u, Form1Eps):
+        comps = {DX: u.a, DY: u.b, DE: u.e}
+    elif isinstance(u, Form2Eps):
+        comps = {DX | DY: u.xy, DX | DE: u.xe, DY | DE: u.ye}
+    else:
+        comps = {DX | DY | DE: u.h}
+    return FormEps(next(iter(comps.values())).order, comps, u.exact)
+
+
+def reference_wedge(u: FormEps, v: FormEps) -> FormEps:
+    """Graded exterior product, truncated at the shared eps order."""
+    if u.order != v.order:
+        raise SeriesOrderMismatch(f"form orders differ: {u.order} vs {v.order}")
+    acc: dict[int, EpsSeries] = {}
+    for b1, s1 in u.comps.items():
+        for b2, s2 in v.comps.items():
+            merged = basis_wedge(b1, b2)
+            if merged is None:
+                continue
+            sign, basis = merged
+            prod = s1 * s2
+            if sign < 0:
+                prod = -prod
+            acc[basis] = acc[basis] + prod if basis in acc else prod
+    return FormEps(u.order, acc, u.exact and v.exact)
+
+
 def reference_d_total(u: FormEps) -> FormEps:
     """d u by a loop over u's basis monomials, each differential moved into
     place with the sign basis_wedge gives; the exact flag carries through."""
@@ -148,6 +325,42 @@ def reference_d_total(u: FormEps) -> FormEps:
             term = -ds if sign < 0 else ds
             acc[out_basis] = acc[out_basis] + term if out_basis in acc else term
     return FormEps(u.order, acc, u.exact)
+
+
+def reference_d_total_by_wedges(u: FormEps) -> FormEps:
+    """d u = dx ^ du/dx + dy ^ du/dy + deps ^ du/d eps through reference_wedge,
+    so that every sign comes from the wedge's sign rule."""
+    one = EpsSeries.constant(BivarPoly.one(), u.order)
+    out = FormEps.zero(u.order)
+    for basis, derivative in (
+        (DX, lambda s: s.map(lambda c: c.partial("x"))),
+        (DY, lambda s: s.map(lambda c: c.partial("y"))),
+        (DE, EpsSeries.eps_derivative),
+    ):
+        du = FormEps(u.order, {b: derivative(s) for b, s in u.comps.items()}, u.exact)
+        out = out + reference_wedge(FormEps(u.order, {basis: one}), du)
+    return out
+
+
+def term_weight(eps_power: int, basis: int) -> int:
+    """w(eps) = w(deps) = 1, w(x) = w(y) = w(dx) = w(dy) = 0."""
+    return eps_power + (1 if basis & DE else 0)
+
+
+def reference_truncate_weight(u: FormEps, w: int) -> FormEps:
+    """Drop every term of weight strictly greater than the bound w >= 0; a
+    jet refuses a bound past its truncation order."""
+    if w < 0:
+        raise ValueError("weight bound must be >= 0")
+    if not u.exact and w > u.order:
+        raise SeriesOrderMismatch(
+            f"weight bound {w} exceeds jet truncation order {u.order}"
+        )
+    out: dict[int, EpsSeries] = {}
+    for basis, s in u.comps.items():
+        coeffs = [c if term_weight(i, basis) <= w else ZERO for i, c in enumerate(s.coeffs)]
+        out[basis] = EpsSeries(coeffs, s.order)
+    return FormEps(u.order, out, u.exact)
 
 
 def reference_resubstitutes(

@@ -43,7 +43,14 @@ from folint.cli import (
     parse_problem,
     run_verify_all,
 )
-from folint.exterior import Form1Planar, FormEps, series_to_text, truncate_weight
+from folint.exterior import (
+    Form1Eps,
+    Form1Planar,
+    Form2Eps,
+    Form3Eps,
+    series_to_text,
+    truncate_weight,
+)
 from folint.francoise import (
     FrancoisePair,
     FrancoiseSequence,
@@ -254,10 +261,28 @@ LIBRARY_CHECKS = (
 
 def test_gv_runs_one_identity_check(monkeypatch):
     # cli imports none of the four library re-derivations, no call reaches
-    # them, and the one check builds no FormEps and takes no wedge
+    # them, and the one check builds no form on (x, y, eps) of any degree
+    # and takes no wedge
     for name in LIBRARY_CHECKS + ("is_zero_mod_weight",):
         assert not hasattr(cli, name)
     assert not hasattr(exterior, "is_zero_mod_weight")
+    built = []
+
+    def counting(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return counting_init
+
+    for form in (Form1Eps, Form2Eps, Form3Eps):
+        monkeypatch.setattr(form, "__init__", counting(form.__init__))
+    # the count sees every degree the library's defect builds
+    spec = parse_problem(SQUARE_DOC)
+    seq = melnikov_sequence(CIRCLE, spec.omega, 2).sequence
+    integrability_defect(assemble_omega(spec.omega, gv_pairs_from_francoise(seq), 1), 1)
+    assert set(built) == {"Form1Eps", "Form2Eps", "Form3Eps"}
+    built.clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("gv reached a library re-derivation")
@@ -266,15 +291,7 @@ def test_gv_runs_one_identity_check(monkeypatch):
         monkeypatch.setattr(godbillon, name, refuse)
     for name in ("wedge", "d_total", "truncate_weight"):
         monkeypatch.setattr(exterior, name, refuse)
-    built = []
-    init = FormEps.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FormEps, "__init__", counting_init)
-    rep = cmd_gv(parse_problem(SQUARE_DOC), 4)
+    rep = cmd_gv(spec, 4)
     assert rep.defect_zero == {str(j): True for j in range(5)}
     assert (rep.integrating_factor, rep.witness_ok) == ("1", True)
     assert built == []
@@ -1035,16 +1052,37 @@ NO_DEV_FULL = pytest.mark.skipif(
                      marks=NO_DEV_FULL),
         pytest.param(["--steps", "100", "oracle"], "--csv", "/dev/full",
                      id="oracle---csv-full", marks=NO_DEV_FULL),
+        # stdout itself, run as a process so that the interpreter's own
+        # flush of stdout at exit is covered too; the flag is the
+        # interpreter's, buffered stdout (the default) or -u
+        pytest.param(["melnikov"], None, "stdout", id="melnikov-stdout-full",
+                     marks=NO_DEV_FULL),
+        pytest.param(["melnikov"], "-u", "stdout", id="melnikov-stdout-full-unbuffered",
+                     marks=NO_DEV_FULL),
     ],
 )
 def test_main_unwritable_output_is_invalid_input(tmp_path, capsys, command, flag, target):
     path = write_doc(tmp_path, LINEAR_DOC)
-    target = target or str(tmp_path / "missing" / "report.out")
-    assert main(command + [path, flag, target]) == EXIT_INVALID
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: cannot write {target}: ")
+    if target == "stdout":
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            run = subprocess.run(
+                [sys.executable, *([flag] if flag else []), "-m", "folint", *command, path],
+                stdout=full, stderr=subprocess.PIPE, text=True, encoding="utf-8", env=env,
+                check=False,
+            )
+        code, err = run.returncode, run.stderr
+    else:
+        target = target or str(tmp_path / "missing" / "report.out")
+        code = main(command + [path, flag, target])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+    assert code == EXIT_INVALID
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,9 @@
-"""Exterior algebra in (x, y, eps): wedge signs, differentials, weight grading."""
+"""Exterior algebra in (x, y, eps): wedge signs, differentials, weight grading.
+
+folint.exterior stores forms on (x, y, eps) by degree; the general
+eight-slot algebra in tests/helpers.py is the reference it is compared with,
+and the tests of that algebra's sign rule, forms and grading run on it.
+"""
 
 from __future__ import annotations
 
@@ -13,22 +18,34 @@ from folint.algebra import (
     X,
     Y,
 )
+from folint.abelian import CIRCLE
 from folint.exterior import (
+    Form1Eps,
+    Form1Planar,
+    Form2Eps,
+    Form3Eps,
+    d_planar_scalar,
+    d_total,
+    series_to_text,
+    truncate_weight,
+    wedge,
+)
+from folint.francoise import melnikov_sequence
+from folint.godbillon import deformation_form, witness_theta
+from helpers import (
     BASIS_NAMES,
     DE,
     DX,
     DY,
-    Form1Planar,
     FormEps,
     basis_wedge,
-    d_planar_scalar,
-    d_total,
-    series_to_text,
+    random_poly,
+    reference_d_total,
+    reference_form,
+    reference_truncate_weight,
+    reference_wedge,
     term_weight,
-    truncate_weight,
-    wedge,
 )
-from helpers import random_poly
 
 ONE = BivarPoly.one()
 ZERO = BivarPoly.zero()
@@ -224,13 +241,20 @@ def _random_one_form(rng: random.Random, order: int) -> FormEps:
     return FormEps(order, comps)
 
 
+def _random_series(rng: random.Random, order: int) -> EpsSeries:
+    # a component is zero one time in five, so that missing slots occur
+    if rng.random() < 0.2:
+        return EpsSeries([ZERO], order)
+    return EpsSeries([random_poly(rng, 3) for _ in range(order + 1)], order)
+
+
 def test_wedge_anticommutes_for_one_forms():
     rng = random.Random(74)
     for _ in range(10):
         u = _random_one_form(rng, 2)
         v = _random_one_form(rng, 2)
-        assert wedge(u, v) == -wedge(v, u)
-        assert wedge(u, u).is_zero()
+        assert reference_wedge(u, v) == -reference_wedge(v, u)
+        assert reference_wedge(u, u).is_zero()
 
 
 def test_wedge_with_scalar_is_scaling():
@@ -238,45 +262,68 @@ def test_wedge_with_scalar_is_scaling():
     u = _random_one_form(rng, 2)
     s = _series([ONE, X, Y * Y], 2)
     f = FormEps.from_scalar_series(s)
-    assert wedge(f, u) == u.scale_series(s)
-    assert wedge(u, f) == u.scale_series(s)
+    assert reference_wedge(f, u) == u.scale_series(s)
+    assert reference_wedge(u, f) == u.scale_series(s)
 
 
 def test_wedge_order_mismatch_raises():
     rng = random.Random(76)
     with pytest.raises(SeriesOrderMismatch):
-        wedge(_random_one_form(rng, 1), _random_one_form(rng, 2))
+        reference_wedge(_random_one_form(rng, 1), _random_one_form(rng, 2))
+    one = Form1Eps(*(_random_series(rng, 1) for _ in range(3)))
+    two = Form2Eps(*(_random_series(rng, 2) for _ in range(3)))
+    with pytest.raises(SeriesOrderMismatch):
+        wedge(one, two)
+
+
+def test_forms_by_degree_reject_mixed_orders():
+    rng = random.Random(82)
+    s1, s2 = _random_series(rng, 1), _random_series(rng, 2)
+    for form in (Form1Eps, Form2Eps):
+        for comps in ((s1, s1, s2), (s1, s2, s1), (s2, s1, s1)):
+            with pytest.raises(SeriesOrderMismatch):
+                form(*comps)
 
 
 def test_dd_is_zero_on_scalars():
     rng = random.Random(77)
     for _ in range(10):
         s = _series([random_poly(rng, 3) for _ in range(4)], 3)
-        assert d_total(d_total(FormEps.from_scalar_series(s))).is_zero()
+        dd = d_total(d_total(s))
+        assert dd.xy.is_zero() and dd.xe.is_zero() and dd.ye.is_zero()
+        assert reference_d_total(reference_d_total(FormEps.from_scalar_series(s))).is_zero()
 
 
 def test_dd_is_zero_on_one_forms():
     rng = random.Random(78)
     for _ in range(10):
         u = _random_one_form(rng, 3)
-        assert d_total(d_total(u)).is_zero()
+        assert reference_d_total(reference_d_total(u)).is_zero()
 
 
 def test_d_total_matches_planar_d():
     w = Form1Planar(X * Y, Y * Y)
-    u = d_total(FormEps(1, {DX: EpsSeries([w.p], 1), DY: EpsSeries([w.q], 1)}))
-    assert u.component(DX | DY).coeffs[0] == w.d()
-    assert u.component(DX | DE).is_zero()
-    assert u.component(DY | DE).is_zero()
+    u = d_total(Form1Eps(EpsSeries([w.p], 1), EpsSeries([w.q], 1), EpsSeries([ZERO], 1)))
+    assert u.xy.coeffs[0] == w.d()
+    assert u.xe.is_zero()
+    assert u.ye.is_zero()
+    ref = reference_d_total(FormEps(1, {DX: EpsSeries([w.p], 1), DY: EpsSeries([w.q], 1)}))
+    assert ref.component(DX | DY).coeffs[0] == w.d()
+    assert ref.component(DX | DE).is_zero()
+    assert ref.component(DY | DE).is_zero()
 
 
 def test_d_total_eps_slot():
     # d(eps * x) = x deps + eps dx
-    u = FormEps.from_scalar_series(_series([ZERO, X], 1))
-    du = d_total(u)
-    assert du.component(DE) == EpsSeries([X, ZERO], 1)
-    assert du.component(DX) == EpsSeries([ZERO, ONE], 1)
-    assert du.component(DY).is_zero()
+    s = _series([ZERO, X], 1)
+    du = d_total(s)
+    assert du.e == EpsSeries([X, ZERO], 1)
+    assert du.a == EpsSeries([ZERO, ONE], 1)
+    assert du.b.is_zero()
+    ref = reference_d_total(FormEps.from_scalar_series(s))
+    assert ref.component(DE) == EpsSeries([X, ZERO], 1)
+    assert ref.component(DX) == EpsSeries([ZERO, ONE], 1)
+    assert ref.component(DY).is_zero()
 
 
 def test_d_total_leibniz_exact_when_degrees_fit():
@@ -293,8 +340,8 @@ def test_d_total_leibniz_exact_when_degrees_fit():
         }
         u = FormEps(3, comps_u)
         v = FormEps(3, comps_v)
-        lhs = d_total(wedge(u, v))
-        rhs = wedge(d_total(u), v) - wedge(u, d_total(v))
+        lhs = reference_d_total(reference_wedge(u, v))
+        rhs = reference_wedge(reference_d_total(u), v) - reference_wedge(u, reference_d_total(v))
         assert lhs == rhs
 
 
@@ -305,16 +352,72 @@ def test_d_total_leibniz_mod_weight_at_full_degree():
     for _ in range(8):
         u = _random_one_form(rng, 2)
         v = _random_one_form(rng, 2)
-        diff = d_total(wedge(u, v)) - (wedge(d_total(u), v) - wedge(u, d_total(v)))
-        assert truncate_weight(diff, 2).is_zero()
+        diff = reference_d_total(reference_wedge(u, v)) - (
+            reference_wedge(reference_d_total(u), v) - reference_wedge(u, reference_d_total(v))
+        )
+        assert reference_truncate_weight(diff, 2).is_zero()
 
 
 def test_d_total_clears_nothing_but_preserves_flags():
     rng = random.Random(81)
     u = _random_one_form(rng, 2)
-    assert d_total(u).exact
+    assert reference_d_total(u).exact
     jet = FormEps(2, dict(u.comps), exact=False)
-    assert not d_total(jet).exact
+    assert not reference_d_total(jet).exact
+    comps = [u.component(b) for b in (DX, DY, DE)]
+    assert d_total(Form1Eps(*comps)).exact
+    assert not d_total(Form1Eps(*comps, exact=False)).exact
+    assert d_total(comps[0]).exact
+
+
+def test_d_total_matches_reference_on_seeded_forms():
+    # 0-forms and 1-forms of orders 0-3, exact and jets, a component zero
+    # one time in five; the seed was fixed before any result was seen
+    rng = random.Random(83)
+    for order in range(4):
+        for exact in (True, False):
+            for _ in range(4):
+                s = _random_series(rng, order)
+                assert reference_form(d_total(s)) == reference_d_total(reference_form(s))
+                u = Form1Eps(*(_random_series(rng, order) for _ in range(3)), exact)
+                du = d_total(u)
+                ref = reference_d_total(reference_form(u))
+                assert reference_form(du) == ref
+                assert du.exact == ref.exact == exact
+
+
+def test_wedge_matches_reference_on_seeded_forms():
+    rng = random.Random(84)
+    for order in range(4):
+        for exact_u in (True, False):
+            for exact_v in (True, False):
+                u = Form1Eps(*(_random_series(rng, order) for _ in range(3)), exact_u)
+                v = Form2Eps(*(_random_series(rng, order) for _ in range(3)), exact_v)
+                got = wedge(u, v)
+                ref = reference_wedge(reference_form(u), reference_form(v))
+                assert reference_form(got) == ref
+                assert got.exact == ref.exact == (exact_u and exact_v)
+                # and Omega ^ dOmega, the composition integrability_defect takes
+                assert reference_form(wedge(u, d_total(u))) == reference_wedge(
+                    reference_form(u), reference_d_total(reference_form(u))
+                )
+
+
+def test_truncate_weight_matches_reference_on_seeded_forms():
+    rng = random.Random(85)
+    for order in range(4):
+        for exact in (True, False):
+            u = Form3Eps(_random_series(rng, order), exact)
+            for w in range(order + 3):
+                if not exact and w > order:
+                    with pytest.raises(SeriesOrderMismatch):
+                        truncate_weight(u, w)
+                    with pytest.raises(SeriesOrderMismatch):
+                        reference_truncate_weight(reference_form(u), w)
+                    continue
+                got = truncate_weight(u, w)
+                assert reference_form(got) == reference_truncate_weight(reference_form(u), w)
+                assert got.exact == exact
 
 
 # ---------------------------------------------------------------------------
@@ -340,44 +443,63 @@ def test_term_weight(power, basis, expected):
 def test_weight_bound_validates():
     u = FormEps(2, {DX: _series([X, Y, ONE], 2)})
     with pytest.raises(ValueError):
-        truncate_weight(u, -1)
-    assert truncate_weight(u, 0) == FormEps(2, {DX: _series([X], 2)})
-    assert not truncate_weight(u, 0).is_zero()
+        reference_truncate_weight(u, -1)
+    assert reference_truncate_weight(u, 0) == FormEps(2, {DX: _series([X], 2)})
+    assert not reference_truncate_weight(u, 0).is_zero()
+    # the 3-form's eps^0 term already has weight 1
+    h = Form3Eps(_series([X, Y, ONE], 2))
+    with pytest.raises(ValueError):
+        truncate_weight(h, -1)
+    assert truncate_weight(h, 0).is_zero()
+    assert truncate_weight(h, 1).h == _series([X], 2)
 
 
 def test_truncate_weight_scalar():
     u = FormEps.from_scalar_series(_series([ONE, X, Y], 2))
-    t = truncate_weight(u, 1)
+    t = reference_truncate_weight(u, 1)
     assert t.component(0) == EpsSeries([ONE, X, ZERO], 2)
     assert t.exact
 
 
 def test_truncate_weight_counts_deps():
     u = FormEps(2, {DE: _series([ONE, X, Y], 2)})
-    t = truncate_weight(u, 1)
+    t = reference_truncate_weight(u, 1)
     # eps^i deps has weight i+1, so only the i=0 slot survives
     assert t.component(DE) == EpsSeries([ONE, ZERO, ZERO], 2)
+    h = truncate_weight(Form3Eps(_series([ONE, X, Y], 2)), 1)
+    assert h.h == EpsSeries([ONE, ZERO, ZERO], 2)
+    assert h.exact
 
 
-def test_is_zero_mod_weight_thresholds():
+def test_truncate_weight_thresholds():
     u = FormEps(2, {DX: _series([ZERO, ZERO, X], 2)})
-    assert truncate_weight(u, 1).is_zero()
-    assert not truncate_weight(u, 2).is_zero()
+    assert reference_truncate_weight(u, 1).is_zero()
+    assert not reference_truncate_weight(u, 2).is_zero()
     v = FormEps(2, {DE: _series([ZERO, Y, ZERO], 2)})
-    assert truncate_weight(v, 1).is_zero()
-    assert not truncate_weight(v, 2).is_zero()
+    assert reference_truncate_weight(v, 1).is_zero()
+    assert not reference_truncate_weight(v, 2).is_zero()
+    h = Form3Eps(_series([ZERO, Y, ZERO], 2))
+    assert truncate_weight(h, 1).is_zero()
+    assert not truncate_weight(h, 2).is_zero()
 
 
 def test_weight_queries_on_jets_guard_truncation():
-    jet = FormEps(2, {DX: _series([X, Y, ONE], 2)}, exact=False)
+    # theta = -dG/G of the length-two witness is a jet; for w = x dF,
+    # G = 1/(1 + eps x) and theta ^ d(dF + eps w) = -2xy eps + 2x^2y eps^2
+    # through eps^2
+    w = Form1Planar(2 * X * X, 2 * X * Y)
+    theta = witness_theta(melnikov_sequence(CIRCLE, w, 3).sequence, 2)
+    jet = wedge(theta, d_total(deformation_form(w, 2)))
+    assert not jet.exact
+    assert jet.h == _series([ZERO, -2 * X * Y, 2 * X * X * Y], 2)
     with pytest.raises(SeriesOrderMismatch):
         truncate_weight(jet, 3)
     # within the truncation order the question is answerable
-    assert not truncate_weight(jet, 2).is_zero()
+    assert truncate_weight(jet, 2).h == _series([ZERO, -2 * X * Y], 2)
     # an exact form knows all higher coefficients vanish
-    exact = FormEps(2, {DX: _series([X, Y, ONE], 2)})
+    exact = Form3Eps(jet.h)
     assert not truncate_weight(exact, 5).is_zero()
-    assert truncate_weight(exact, 5) == exact
+    assert truncate_weight(exact, 5).h == exact.h
 
 
 # ---------------------------------------------------------------------------
@@ -401,3 +523,10 @@ def test_formeps_to_text():
         },
     )
     assert u.to_text() == "1 + (eps*(x)) dx + (y) dx*dy*deps"
+
+
+def test_form3eps_text_matches_reference():
+    for coeffs in ([ZERO, ZERO], [Y, ZERO], [ZERO, X * Y]):
+        h = Form3Eps(_series(coeffs, 1))
+        assert str(h) == h.to_text() == reference_form(h).to_text()
+    assert Form3Eps(_series([Y, X], 1)).to_text() == "(y + eps*(x)) dx*dy*deps"

@@ -12,15 +12,7 @@ import pytest
 from folint.abelian import CIRCLE
 from folint.algebra import BivarPoly, EpsSeries, RationalFunction, X, Y
 from folint.cli import parse_component
-from folint.exterior import (
-    DE,
-    DX,
-    DY,
-    Form1Planar,
-    FormEps,
-    d_planar_scalar,
-    d_total,
-)
+from folint.exterior import Form1Eps, Form1Planar, d_planar_scalar, d_total
 from folint.francoise import (
     FrancoisePair,
     FrancoiseSequence,
@@ -48,9 +40,17 @@ from folint.godbillon import (
     witness_theta,
 )
 from helpers import (
+    DE,
+    DX,
+    DY,
+    FormEps,
     random_poly,
     reference_d_total,
+    reference_d_total_by_wedges,
+    reference_form,
     reference_reduced,
+    reference_truncate_weight,
+    reference_wedge,
     reference_witness_residual,
     zero_period_form,
 )
@@ -143,9 +143,10 @@ def test_first_integral_differential(square_seq):
     fint = first_integral(F, square_seq, 2)
     df = fint.differential()
     c = fint.series.coeffs
-    assert df.component(DX) == EpsSeries([ci.partial("x") for ci in c], 2)
+    assert isinstance(df, Form1Eps) and df.exact
+    assert df.a == EpsSeries([ci.partial("x") for ci in c], 2)
     # deps slot i carries (i+1) c_{i+1}; the top slot truncates to zero
-    assert df.component(DE) == EpsSeries([c[1], c[2] * 2, ZERO], 2)
+    assert df.e == EpsSeries([c[1], c[2] * 2, ZERO], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,9 @@ def test_first_integral_differential(square_seq):
 
 def test_deformation_form_components():
     u = deformation_form(W_SQUARE, 2)
-    assert u.component(DX) == EpsSeries([2 * X, Y * Y, ZERO], 2)
-    assert u.component(DY) == EpsSeries([2 * Y, ZERO, ZERO], 2)
-    assert u.component(DE).is_zero()
+    assert u.a == EpsSeries([2 * X, Y * Y, ZERO], 2)
+    assert u.b == EpsSeries([2 * Y, ZERO, ZERO], 2)
+    assert u.e == EpsSeries([ZERO], 2)
     assert u.exact
     with pytest.raises(ValueError):
         deformation_form(W_SQUARE, 0)
@@ -167,9 +168,10 @@ def test_assemble_omega_literal_components(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
     om = assemble_omega(W_SQUARE, gvp[:2], 1)
     assert om.order == 2
-    assert om.component(DX) == EpsSeries([2 * X, 2 * X * X + Y * Y, X * Y * Y], 2)
-    assert om.component(DY) == EpsSeries([2 * Y, 2 * X * Y, ZERO], 2)
-    assert om.component(DE) == EpsSeries([gvp[0].R, gvp[1].R, ZERO], 2)
+    assert om.exact
+    assert om.a == EpsSeries([2 * X, 2 * X * X + Y * Y, X * Y * Y], 2)
+    assert om.b == EpsSeries([2 * Y, 2 * X * Y, ZERO], 2)
+    assert om.e == EpsSeries([gvp[0].R, gvp[1].R, ZERO], 2)
 
 
 def test_assemble_omega_validation(square_seq):
@@ -225,6 +227,81 @@ def test_defect_random_zero_period_forms():
             assert integrability_defect(om, k).is_zero()
 
 
+def _seeded_omegas() -> list[tuple[str, Form1Eps, int]]:
+    """(label, Omega, k) drawn from one seed, fixed before any result was seen.
+
+    Three reversible zero-period forms (dx part even in y, dy part odd),
+    whose sequences run every order, each assembled at k = 3 with and
+    without the top pair; the first with a random polynomial added to its
+    deps slot; and one exact and one jet one-form of order 3 with random
+    coefficients, asked at k = 2.
+    """
+    rng = random.Random(306)
+    out = []
+    k = 3
+    for n in range(3):
+        w = zero_period_form(rng, 3)
+        w = Form1Planar(
+            BivarPoly({e: c for e, c in w.p.terms.items() if e[1] % 2 == 0}),
+            BivarPoly({e: c for e, c in w.q.terms.items() if e[1] % 2 == 1}),
+        )
+        gvp = gv_pairs_from_francoise(melnikov_sequence(CIRCLE, w, k + 1).sequence)
+        out.append((f"form {n}", assemble_omega(w, gvp[: k + 1], k), k))
+        out.append((f"form {n} without its top pair", assemble_omega(w, gvp[:k], k), k))
+    om = out[0][1]
+    junk = EpsSeries([random_poly(rng, 2) for _ in range(om.order + 1)], om.order)
+    out.append(("form 0, corrupted deps slot", Form1Eps(om.a, om.b, om.e + junk), k))
+    for exact in (True, False):
+        comps = (EpsSeries([random_poly(rng, 2) for _ in range(4)], 3) for _ in range(3))
+        out.append((f"random, exact={exact}", Form1Eps(*comps, exact), 2))
+    return out
+
+
+def test_integrability_defect_matches_reference():
+    verdicts = set()
+    for label, om, k in _seeded_omegas():
+        ref = reference_form(om)
+        want = reference_truncate_weight(reference_wedge(ref, reference_d_total(ref)), k + 1)
+        got = integrability_defect(om, k)
+        assert reference_form(got) == want, label
+        assert got.exact == om.exact, label
+        verdicts.add(got.is_zero())
+    assert verdicts == {True, False}
+
+
+def test_integrability_defect_matches_sympy():
+    # a (e_y - b_eps) - b (e_x - a_eps) + e (b_x - a_y), expanded by sympy
+    # from the polynomials the three series spell, coefficient by coefficient
+    # through eps^k (weight k + 1) and zero above
+    sp = pytest.importorskip("sympy")
+    x, y, eps = sp.symbols("x y eps")
+
+    def poly(p):
+        return sum(
+            (sp.Rational(c.numerator, c.denominator) * x**i * y**j
+             for (i, j), c in p.terms.items()),
+            sp.Integer(0),
+        )
+
+    def series(s):
+        return sum((poly(c) * eps**i for i, c in enumerate(s.coeffs)), sp.Integer(0))
+
+    nonzero = 0
+    for label, om, k in _seeded_omegas():
+        a, b, e = series(om.a), series(om.b), series(om.e)
+        expr = sp.expand(
+            a * (sp.diff(e, y) - sp.diff(b, eps))
+            - b * (sp.diff(e, x) - sp.diff(a, eps))
+            + e * (sp.diff(b, x) - sp.diff(a, y))
+        )
+        got = integrability_defect(om, k).h
+        for i, c in enumerate(got.coeffs):
+            want = expr.coeff(eps, i) if i <= k else 0
+            assert sp.expand(poly(c) - want) == 0, (label, i)
+        nonzero += not got.is_zero()
+    assert nonzero >= 3
+
+
 # ---------------------------------------------------------------------------
 # integrating factor
 # ---------------------------------------------------------------------------
@@ -257,9 +334,9 @@ def test_integrating_factor_certifies_identity(square_seq):
     om = assemble_omega(W_SQUARE, gvp[: k + 1], k)
     fint = first_integral(F, square_seq, k)
     n = integrating_factor(om, fint, k)
-    dfe = fint.differential(om.order)
+    dfe = reference_form(fint.differential(om.order))
     rebuilt = dfe.scale_series(n.extend(om.order))
-    diff = om - rebuilt
+    diff = reference_form(om) - rebuilt
     for i, basis, _ in diff.terms():
         weight = i + (1 if basis & DE else 0)
         assert weight > k
@@ -275,9 +352,9 @@ def test_integrating_factor_rejects_non_multiples():
 def test_integrating_factor_checks_deps_slot(square_seq):
     gvp = gv_pairs_from_francoise(square_seq)
     om = assemble_omega(W_SQUARE, gvp[:2], 1)
-    junk = FormEps(2, {DE: EpsSeries([X * X, ZERO, ZERO], 2)})
+    junk = EpsSeries([X * X, ZERO, ZERO], 2)
     with pytest.raises(NoFactorExists, match="deps part"):
-        integrating_factor(om + junk, first_integral(F, square_seq, 1), 1)
+        integrating_factor(Form1Eps(om.a, om.b, om.e + junk), first_integral(F, square_seq, 1), 1)
 
 
 def test_integrating_factor_validation(square_seq):
@@ -531,12 +608,35 @@ def test_witness_log_derivative_coefficients(xdf_seq):
     theta = witness_theta(xdf_seq, 3)
     assert theta.order == 3
     assert not theta.exact
-    coeffs = theta.component(DX).coeffs
+    coeffs = theta.a.coeffs
     assert all(isinstance(c, BivarPoly) for c in coeffs)
     assert list(coeffs) == [ZERO, ONE, -X, X * X]
-    assert theta.component(DY).is_zero()
+    assert theta.b.is_zero()
+    assert theta.e.is_zero()
     # closed: the planar curl vanishes slot by slot
-    assert d_total(theta).component(DX | DY).is_zero()
+    assert d_total(theta).xy.is_zero()
+
+
+def test_witness_theta_times_G_is_minus_dG():
+    # theta G = -dG coefficient by coefficient, on forms whose G depends on
+    # y too, and theta is closed in the plane
+    rng = random.Random(307)
+    seen_dy = False
+    for _ in range(3):
+        w = zero_period_form(rng, 3)
+        w = Form1Planar(
+            BivarPoly({e: c for e, c in w.p.terms.items() if e[1] % 2 == 0}),
+            BivarPoly({e: c for e, c in w.q.terms.items() if e[1] % 2 == 1}),
+        )
+        seq = melnikov_sequence(CIRCLE, w, 4).sequence
+        G = length_two_witness(seq, 3)
+        theta = witness_theta(seq, 3)
+        assert theta.a * G == -G.map(lambda u: u.partial("x"))
+        assert theta.b * G == -G.map(lambda u: u.partial("y"))
+        assert theta.e.is_zero()
+        assert d_total(theta).xy.is_zero()
+        seen_dy |= not theta.b.is_zero()
+    assert seen_dy
 
 
 def test_witness_returns_checked_G(xdf_seq):
@@ -546,7 +646,8 @@ def test_witness_returns_checked_G(xdf_seq):
 
 
 def test_witness_trivial_at_k0(square_seq):
-    assert witness_theta(square_seq, 0).is_zero()
+    theta = witness_theta(square_seq, 0)
+    assert theta.a.is_zero() and theta.b.is_zero() and theta.e.is_zero()
 
 
 def test_witness_rejects_inconsistent_sequences():
@@ -592,9 +693,11 @@ def test_witness_and_d_total_match_reference_formulas():
             assert accepted == residual.is_zero(), (n, k)
             verdicts.add(accepted)
     assert verdicts == {True, False}
-    # d_total through wedge equals the basis loop on 0-, 1- and 2-forms
+    # d through wedges equals the basis loop on 0-, 1- and 2-forms, and
+    # d_total equals it on the 0- and 1-forms it takes (a 0-form is an
+    # EpsSeries, whose differential is exact)
     degrees = {0: (0,), 1: (DX, DY, DE), 2: (DX | DY, DX | DE, DY | DE)}
-    for bases in degrees.values():
+    for degree, bases in degrees.items():
         for order in range(4):
             for exact in (True, False):
                 comps = {
@@ -603,9 +706,15 @@ def test_witness_and_d_total_match_reference_formulas():
                     if rng.random() < 0.8
                 }
                 u = FormEps(order, comps, exact)
-                du = d_total(u)
+                du = reference_d_total_by_wedges(u)
                 assert du == reference_d_total(u)
                 assert du.exact == exact
+                if degree == 0:
+                    assert reference_form(d_total(u.component(0))) == du
+                elif degree == 1:
+                    got = d_total(Form1Eps(*(u.component(b) for b in bases), exact))
+                    assert reference_form(got) == du
+                    assert got.exact == exact
 
 
 # ---------------------------------------------------------------------------
