@@ -14,9 +14,9 @@ CIRCLE is the only supported family.  OvalFamily owns its one check, run where
 a family enters (francoise.melnikov_sequence); the circle-only internals here
 and in francoise, godbillon and oracle take no family argument.  CIRCLE_DF is
 the circle's dF = 2x dx + 2y dy, built once: every identity of the form
-g dF + dr (francoise.resubstitutes, which also checks the Omega of a gv
-report, and godbillon's deformation form, witness and division by dF) reads
-it from here.
+g dF + dr (francoise.resubstitutes, which checks every pair a gv report
+rests on, and godbillon's deformation form, witness and division by dF)
+reads it from here.
 """
 
 from __future__ import annotations

@@ -42,10 +42,15 @@ from .algebra import (
     parse_poly,
 )
 from .exterior import Form1Planar, series_to_text
-from .abelian import CIRCLE, period_of_form
-from .francoise import FrancoiseSequence, melnikov_sequence, sequence_length
+from .abelian import CIRCLE, CIRCLE_DF, period_of_form
+from .francoise import (
+    FrancoisePair,
+    FrancoiseSequence,
+    melnikov_sequence,
+    sequence_length,
+)
 from .godbillon import check_first_integral, first_integral, gv_pairs_from_francoise
-from . import oracle
+from . import godbillon, oracle
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -271,17 +276,20 @@ def cmd_melnikov(spec: ProblemSpec) -> RunReport:
 
 
 def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
-    """Godbillon-Vey data through order k, certified by one exact check.
+    """Godbillon-Vey data through order k, resting on the pairs decompose verified.
 
     The run consumes pairs 1..k+1 (pair k+1 fills the top deps slot of
     Omega), so a nonzero Melnikov value at any order mu <= k+1 ends it: the
     report then carries M_1..M_mu and obstruction = {"order": mu, "witness":
-    M_mu}.  Otherwise check_first_integral verifies Omega - d(F_eps) on this
-    run's gv_pairs and first integral (taken through eps^{k+1}, printed
-    through eps^k) and raises on any mismatch.  All three remaining fields
-    rest on that one check, as the godbillon module docstring derives: every
-    defect_zero verdict j <= k is true, the integrating factor is 1 and the
-    length-two witness G (dF + eps w) is closed.
+    M_mu}.  Otherwise decompose has resubstituted each of the pairs, and
+    check_first_integral compares this run's gv_pairs and first integral
+    (taken through eps^{k+1}, printed through eps^k) with them by the sign
+    twist, raising on any mismatch; it resubstitutes nothing more.  All
+    three remaining fields rest on the verified pairs and that comparison,
+    as the godbillon module docstring derives: every defect_zero verdict
+    j <= k is true, the integrating factor is 1 and the length-two witness
+    G (dF + eps w) is closed.  cmd_gv calls none of the library functions
+    that re-derive them; --verify-all does.
     """
     w = _symbolic_omega(spec)
     if k < 0:
@@ -300,7 +308,7 @@ def cmd_gv(spec: ProblemSpec, k: int) -> RunReport:
     seq = result.sequence
     gvp = gv_pairs_from_francoise(seq)
     fint = first_integral(CIRCLE.hamiltonian, seq, k + 1)
-    check_first_integral(w, gvp, fint, k)
+    check_first_integral(seq, gvp, fint, k)
 
     return RunReport(
         command="gv",
@@ -393,11 +401,17 @@ def _check_fixture(doc: dict, cfg: oracle.HolonomyConfig) -> list[tuple[str, boo
     (list of report texts), gv_k (order for the gv run), obstruction_at (int),
     witness (period text), max_abs_delta (bound over the oracle table).
     Missing keys skip their check; the structural checks (defect verdicts,
-    unit factor, witness closedness, cross-check agreement) always run, and
-    the first three rest on the one exact check of the gv run's pairs and
-    first integral that cmd_gv makes before it reports them.  The
-    gv run is compared with obstruction_at either way: an obstruction that
-    was not expected, or an expected one that did not come, fails the check.
+    unit factor, witness closedness, cross-check agreement) always run.  The
+    first three are the Godbillon-Vey side of the paper's correspondence,
+    which cmd_gv states from the Francoise side alone; here they are
+    re-derived from the forms, through the godbillon module, on the pairs
+    the gv run printed at order k: integrability_defect is truncated at
+    weight j + 1 for each j <= k, the integrating factor N with
+    Omega = N d(F_eps) must have eps^0 term exactly 1, and the series G of
+    length_two_witness must start with 1 and make G (dF + eps w) closed
+    through eps^k.  The gv run is compared with obstruction_at either way:
+    an obstruction that was not expected, or an expected one that did not
+    come, fails the check.
     """
     spec = parse_problem(doc)
     exp = doc.get("expect", {})
@@ -430,11 +444,27 @@ def _check_fixture(doc: dict, cfg: oracle.HolonomyConfig) -> list[tuple[str, boo
         elif exp.get("obstruction_at") is not None:
             checks.append(("obstruction", False, "no obstruction found"))
         else:
-            flat = all(gv.defect_zero.values())
-            checks.append(("defect_zero", flat, f"{gv.defect_zero}"))
-            unit = gv.integrating_factor.split(" + eps")[0] == "1"
-            checks.append(("unit_factor", unit, gv.integrating_factor))
-            checks.append(("witness", bool(gv.witness_ok), ""))
+            pairs = [FrancoisePair(parse_poly(p["g"]), parse_poly(p["r"])) for p in gv.pairs]
+            seq = FrancoiseSequence(spec.omega, tuple(pairs))
+            omega = godbillon.assemble_omega(
+                spec.omega, godbillon.gv_pairs_from_francoise(seq), k
+            )
+            defect = godbillon.integrability_defect(omega, k)
+            flat = {
+                str(j): godbillon.truncate_weight(defect, j + 1).is_zero()
+                for j in range(k + 1)
+            }
+            checks.append(("defect_zero", all(flat.values()), f"{flat}"))
+            fint = godbillon.first_integral(CIRCLE.hamiltonian, seq, k)
+            factor = godbillon.integrating_factor(omega, fint, k)
+            unit = factor.coeffs[0] == BivarPoly.one()
+            checks.append(("unit_factor", unit, series_to_text(factor)))
+            G = godbillon.length_two_witness(seq, k).coeffs
+            closed = G[0] == BivarPoly.one() and all(
+                (CIRCLE_DF.scale(G[i]) + spec.omega.scale(G[i - 1])).d().is_zero()
+                for i in range(1, k + 1)
+            )
+            checks.append(("witness", closed, ""))
 
     if spec.t_samples and spec.eps_samples:
         orep = cmd_oracle(spec, cfg)

@@ -47,8 +47,9 @@ this zeroes every y^{2j} coefficient of g.  Every returned pair is verified by
 exact resubstitution, run by resubstitutes on the int numerators: the
 residual of each component is summed term by term over one common
 denominator and must vanish.  A failure is an internal error, never a wrong
-answer.  FrancoisePair.verify and godbillon.check_first_integral run the
-same test.
+answer.  FrancoisePair.verify runs the same test; godbillon.check_first_integral
+runs none, since every entry of a gv report is a sign twist of a pair
+resubstituted here.
 The sweep alone decides solvability, and the period is computed only as the
 witness of a failed block.  The dense solver survives as folint.linsolve, the
 reference the tests compare this sweep against.

@@ -19,19 +19,31 @@ Omega equal to d(F_eps) up to one top-order straggler:
 
     Omega - d(F_eps) = eps^{k+1} (G_k w - d c_{k+1}) = -eps^{k+1} G_{k+1} dF.
 
-check_first_integral verifies exactly these equations, and dF = d c_0, on
-the pairs and the first integral that a gv report prints; gv reports three
-fields, and each rests on that one exact check of the run's data:
+decompose has already resubstituted g_{i-1} w = g_i dF + d r_i for every
+pair it returned.  Let sigma be the sign that G_{i-1} carries against
+g_{i-1}, with sigma = 1 at G_0 = g_0 = 1.  Step i times sigma reads
+
+    (sigma g_{i-1}) w = (sigma g_i) dF + d(sigma r_i),
+
+so G_{i-1} = sigma g_{i-1}, G_i = -sigma g_i and c_i = sigma r_i satisfy
+step i, and G_i then carries -sigma: sigma alternates, which is the twist
+above.  check_first_integral compares what a gv report prints with the
+verified pairs by these signs: c_0 = F and, for i = 1..k+1, G_i = -sigma g_i,
+c_i = sigma r_i and R_i = i c_i.  That is stricter than step i itself, which
+fixes G_i and c_i only up to the kernel of the decomposition, and it
+resubstitutes nothing, so the identity is checked once per pair, by
+decompose: a gv run at order k makes k+1 resubstitutions.  gv reports three
+fields, and each rests on the verified pairs and that comparison:
 
 * defect_zero.  Omega ^ dOmega vanishes through weight k+1 in the grading
   that counts eps and deps with weight one.  For S = -eps^{k+1} G_{k+1} dF,
   d d = 0 gives Omega ^ dOmega = (d(F_eps) + S) ^ dS.  Every term of dS has
   weight k+1 or more and carries the factor dF, so a product term of weight
   <= k+1 pairs dS with the weight-0 part of d(F_eps) + S, which is dF, and
-  dF ^ dF = 0 kills it.  The
-  i = k+1 planar check is what makes the straggler a multiple of dF, so it
-  is what makes the weight-(k+1) defect vanish.  The eps^k slot of R must
-  hold R_{k+1} (checked against (k+1) c_{k+1}): left empty it adds
+  dF ^ dF = 0 kills it.  Step
+  k+1, which pair k+1 gives, is what makes the straggler a multiple of dF,
+  so it is what makes the weight-(k+1) defect vanish.  The eps^k slot of R
+  must hold R_{k+1} (compared with (k+1) c_{k+1}): left empty it adds
   -eps^k R_{k+1} deps to Omega, and the defect then exhibits the
   order-(k+1) obstruction instead of hiding it.  One Omega answers every
   order j <= k: d and the wedge product preserve the weight, and below
@@ -52,10 +64,11 @@ r_i for even i and g_i for odd i, and is its own inverse.
 gv_pairs_from_francoise, first_integral and length_two_witness apply it
 forwards and pairs_from_first_integral backwards; R_i = i c_i is then a
 scaling.
-check_first_integral does not use it: it reads the printed G_i, R_i and c_i,
-so a wrong twist fails there.
+check_first_integral does not use it: it carries sigma itself and reads the
+printed G_i, R_i and c_i, so a wrong twist fails there.
 
-The library functions re-derive these facts from the forms themselves:
+The library functions re-derive these facts from the forms themselves, as
+folint --verify-all does on each fixture whose gv run finds no obstruction:
 assemble_omega builds Omega as a Form1Eps, integrability_defect the 3-form
 Omega ^ dOmega, integrating_factor solves Omega = N d(F_eps) order by order
 on Omega's three coefficient series, and length_two_witness builds the unit
@@ -84,12 +97,7 @@ from .exterior import (
     truncate_weight,
     wedge,
 )
-from .francoise import (
-    FrancoisePair,
-    FrancoiseSequence,
-    InternalSolverError,
-    resubstitutes,
-)
+from .francoise import FrancoisePair, FrancoiseSequence, InternalSolverError
 
 __all__ = [
     "GVPair",
@@ -220,27 +228,29 @@ def first_integral(F: BivarPoly, seq: FrancoiseSequence, k: int) -> FirstIntegra
 
 
 def check_first_integral(
-    w: Form1Planar, gvp: list[GVPair], fint: FirstIntegral, k: int
+    seq: FrancoiseSequence, gvp: list[GVPair], fint: FirstIntegral, k: int
 ) -> None:
-    """Check Omega - d(F_eps) = -eps^{k+1} G_{k+1} dF coefficient by coefficient.
+    """Check each printed G_i, R_i and c_i against the verified pair it came from.
 
-    Omega is assembled from gvp at order k, F_eps = sum eps^i c_i is fint
-    through eps^{k+1}, G_{-1} = 0 and G_0 = 1.  The dx, dy part at eps^i,
-    i = 0..k+1, checks G_i dF + G_{i-1} w = d c_i, which is Francoise's
-    identity G_{i-1} w = (-G_i) dF + d c_i, tested term by term on the int
-    numerators by francoise.resubstitutes; the deps part at eps^{i-1} checks
-    R_i = i c_i.  The module docstring derives every field of a gv report
-    from these.  The first mismatch raises InternalSolverError.
+    decompose resubstituted g_{i-1} w = g_i dF + d r_i for every pair of seq,
+    so with sigma the sign of G_{i-1} against g_{i-1} (sigma = 1 at
+    G_0 = g_0 = 1) the twisted identity G_i dF + G_{i-1} w = d c_i holds for
+    G_i = -sigma g_i and c_i = sigma r_i, and then G_i carries -sigma.  The
+    check compares c_0 with F and, for i = 1..k+1, G_i, c_i and R_i = i c_i
+    with these, which is stricter than the identity; the module docstring
+    derives every field of a gv report from them.  It calls neither _twist
+    nor resubstitutes, so a wrong _twist fails here.  The first mismatch
+    raises InternalSolverError.
     """
     if k < 0 or len(gvp) <= k or fint.series.order <= k:
         raise ValueError(f"order {k} needs pairs and first integral through {k + 1}")
-    c = fint.series.coeffs
-    G = [BivarPoly.zero(), BivarPoly.one()] + [pair.G for pair in gvp[: k + 1]]
-    for i in range(k + 2):
-        if not resubstitutes(G[i], w, -G[i + 1], c[i]):
-            raise InternalSolverError(f"Omega - d(F_eps) mismatch in dx, dy at eps^{i}")
-        if i and gvp[i - 1].R != c[i] * i:
-            raise InternalSolverError(f"Omega - d(F_eps) mismatch in deps at eps^{i - 1}")
+    c, sigma = fint.series.coeffs, 1
+    if c[0] != CIRCLE.hamiltonian:
+        raise InternalSolverError("first integral mismatch at eps^0: c_0 is not F")
+    for i, (pair, got) in enumerate(zip(_pairs_through(seq, k + 1), gvp), start=1):
+        if (got.G, c[i], got.R) != (pair.g * -sigma, pair.r * sigma, c[i] * i):
+            raise InternalSolverError(f"G_{i}, c_{i} or R_{i} is not pair {i} twisted")
+        sigma = -sigma
 
 
 # ---------------------------------------------------------------------------

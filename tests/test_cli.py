@@ -10,11 +10,12 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from folint import algebra, cli, exterior, godbillon, oracle
+from folint import algebra, cli, exterior, francoise, godbillon, oracle
 from folint.abelian import CIRCLE
 from folint.algebra import (
     ZERO,
@@ -240,9 +241,9 @@ def test_gv_never_inverts_G(monkeypatch):
         inverted.append(self)
         return invert(self)
 
-    def counting_check(w, gvp, fint, k):
+    def counting_check(seq, gvp, fint, k):
         checked.append(k)
-        return check(w, gvp, fint, k)
+        return check(seq, gvp, fint, k)
 
     monkeypatch.setattr(EpsSeries, "invert", counting_invert)
     monkeypatch.setattr(cli, "check_first_integral", counting_check)
@@ -297,6 +298,40 @@ def test_gv_runs_one_identity_check(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_gv_resubstitutes_each_pair_once(monkeypatch, k):
+    # decompose resubstitutes pairs 1..k+1 and check_first_integral only
+    # compares the printed entries with them, so a gv run at order k makes
+    # k+1 resubstitutions, wherever a module binds the test
+    calls = []
+    resubstitutes = francoise.resubstitutes
+
+    def counting(*args):
+        calls.append(args)
+        return resubstitutes(*args)
+
+    monkeypatch.setattr(francoise, "resubstitutes", counting)
+    monkeypatch.setattr(godbillon, "resubstitutes", counting, raising=False)
+    rep = cmd_gv(parse_problem(SQUARE_DOC), k)
+    assert rep.obstruction is None
+    assert len(calls) == k + 1
+
+
+def test_gv_wrong_twist_exits_internal(tmp_path, capsys, monkeypatch):
+    # a twist that negates the other entry prints G_i = (-1)^{i+1} g_i and
+    # c_i = (-1)^i r_i; check_first_integral applies no twist of its own, so
+    # it refuses them
+    path = write_doc(tmp_path, SQUARE_DOC)
+    monkeypatch.setattr(
+        godbillon, "_twist", lambda i, a, b: (-a, b) if i % 2 == 0 else (a, -b)
+    )
+    assert main(["gv", "--k", "3", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal error: InternalSolverError: ")
+
+
 @pytest.mark.parametrize("j0", range(4))
 def test_gv_verdicts_match_per_window_defects(monkeypatch, j0):
     # corrupting G_{j0+1} breaks integrability from window j0+1 on; the one
@@ -317,10 +352,10 @@ def test_gv_verdicts_match_per_window_defects(monkeypatch, j0):
     assert reference == {str(j): j <= j0 for j in range(k + 1)}
     for j in range(k + 1):
         if j < j0:
-            check_first_integral(spec.omega, pairs, fint, j)
+            check_first_integral(seq, pairs, fint, j)
         else:
             with pytest.raises(InternalSolverError):
-                check_first_integral(spec.omega, pairs, fint, j)
+                check_first_integral(seq, pairs, fint, j)
     monkeypatch.setattr(cli, "gv_pairs_from_francoise", lambda seq: list(pairs))
     with pytest.raises(InternalSolverError):
         cmd_gv(spec, k)
@@ -385,7 +420,7 @@ def test_gv_check_catches_every_corruption(tmp_path, capsys, monkeypatch, form):
     result = melnikov_sequence(CIRCLE, w, k + 1)
     gvp = gv_pairs_from_francoise(result.sequence)
     fint = first_integral(CIRCLE.hamiltonian, result.sequence, k + 1)
-    check_first_integral(w, gvp, fint, k)
+    check_first_integral(result.sequence, gvp, fint, k)
     assert not _library_flags(_library_fields(w, gvp, fint, k), k)
     monkeypatch.setattr(cli, "melnikov_sequence", lambda family, w, order: result)
     path = write_doc(tmp_path, doc)
@@ -413,7 +448,7 @@ def test_gv_check_catches_every_corruption(tmp_path, capsys, monkeypatch, form):
     missed = []
     for label, pairs, integral in cases:
         with pytest.raises(InternalSolverError):
-            check_first_integral(w, pairs, integral, k)
+            check_first_integral(result.sequence, pairs, integral, k)
         if not _library_flags(_library_fields(w, pairs, integral, k), k):
             missed.append(label)
         monkeypatch.setattr(cli, "gv_pairs_from_francoise", lambda seq, p=pairs: p)
@@ -1167,22 +1202,18 @@ def test_verify_all_reports_failures(monkeypatch):
     assert code == EXIT_INTERNAL
     assert buf.getvalue().startswith("[FAIL] broken.json")
 
-    # the eps^0 term of the integrating factor must be exactly 1
+    # the eps^0 term of the library's integrating factor must be exactly 1;
+    # SQUARE_DOC runs gv at k = 3
     monkeypatch.setattr(cli, "load_fixture", lambda name: dict(SQUARE_DOC))
-    for factor in ("1/2 + eps*(x)", "12 + eps*(x)"):
-        report = RunReport(
-            command="gv",
-            defect_zero={"0": True},
-            integrating_factor=factor,
-            witness_ok=True,
-        )
-        monkeypatch.setattr(cli, "cmd_gv", lambda spec, k: report)
+    for lead, text in ((Fraction(1, 2), "1/2 + eps*(x)"), (12, "12 + eps*(x)")):
+        factor = EpsSeries([BivarPoly.constant(lead), X], 3)
+        monkeypatch.setattr(godbillon, "integrating_factor", lambda omega, fint, k, n=factor: n)
         buf = io.StringIO()
         assert run_verify_all(CHEAP, buf) == EXIT_INTERNAL
-        assert buf.getvalue() == f"[FAIL] broken.json: unit_factor: {factor}\n"
+        assert buf.getvalue() == f"[FAIL] broken.json: unit_factor: {text}\n"
 
     # an obstruction is compared with the expectation both ways
-    monkeypatch.setattr(cli, "cmd_gv", cmd_gv)
+    monkeypatch.setattr(godbillon, "integrating_factor", integrating_factor)
     expected_only = dict(SQUARE_DOC, expect={"gv_k": 1, "obstruction_at": 1})
     found_only = dict(SQUARE_DOC, omega={"dx": "y", "dy": "0"})
     for doc, note in (
@@ -1197,9 +1228,69 @@ def test_verify_all_reports_failures(monkeypatch):
 
 def test_main_verify_all(capsys):
     assert main(["--verify-all", "--steps", "2000"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert len(lines) == len(fixture_names())
     assert all(line.startswith("[PASS]") for line in lines)
+    # and the labels of every check that ran, fixture by fixture
+    assert out == (GOLDEN / "verify-all.txt").read_text(encoding="utf-8")
+
+
+def _flip_dx_deps(d_total):
+    """d_total with the sign of the dx^deps coefficient of a 2-form flipped."""
+
+    def flipped(u):
+        f = d_total(u)
+        return Form2Eps(f.xy, -f.xe, f.ye, f.exact) if isinstance(f, Form2Eps) else f
+
+    return flipped
+
+
+def _lead_half(integrating_factor):
+    """integrating_factor with its eps^0 term replaced by 1/2."""
+
+    def halved(omega, fint, k):
+        n = integrating_factor(omega, fint, k)
+        return EpsSeries([BivarPoly.constant(Fraction(1, 2)), *n.coeffs[1:]], n.order)
+
+    return halved
+
+
+def _drop_top_term(length_two_witness):
+    """length_two_witness with the first term of its eps^k coefficient dropped."""
+
+    def dropped(seq, k):
+        coeffs = list(length_two_witness(seq, k).coeffs)
+        (a, b), c = next(iter(coeffs[k].terms.items()))
+        coeffs[k] = coeffs[k] - BivarPoly.monomial(a, b, c)
+        return EpsSeries(coeffs, k)
+
+    return dropped
+
+
+# library function -> (mutation, the check label that must fail)
+VERIFY_ALL_MUTATIONS = {
+    "d_total": (_flip_dx_deps, "defect_zero"),
+    "integrating_factor": (_lead_half, "unit_factor"),
+    "length_two_witness": (_drop_top_term, "witness"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ALL_MUTATIONS))
+def test_verify_all_fails_on_library_mutation(capsys, monkeypatch, name):
+    # --verify-all re-derives each silent fixture's three verdicts through
+    # the godbillon module, so a broken library function turns it red there;
+    # the obstruction and oracle-only fixtures stay green
+    mutate, label = VERIFY_ALL_MUTATIONS[name]
+    monkeypatch.setattr(godbillon, name, mutate(getattr(godbillon, name)))
+    assert main(["--verify-all", "--steps", "2000"]) == EXIT_INTERNAL
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert [line.split(":")[0] for line in failed] == [
+        "[FAIL] example1.json", "[FAIL] example2.json"
+    ]
+    assert all(line.split(": ")[1] == label for line in failed)
+    assert len(lines) == len(fixture_names())
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "nonzero-m1"])

@@ -123,20 +123,20 @@ def test_check_first_integral_reads_orders_0_to_k_plus_1(square_seq):
     # square_seq holds five pairs, so k = 4 is the highest order it certifies
     gvp = gv_pairs_from_francoise(square_seq)
     fint = first_integral(F, square_seq, 5)
-    check_first_integral(W_SQUARE, gvp, fint, 4)
+    check_first_integral(square_seq, gvp, fint, 4)
     for pairs, integral, k in (
         (gvp[:4], fint, 4), (gvp, first_integral(F, square_seq, 4), 4), (gvp, fint, -1)
     ):
         with pytest.raises(ValueError, match="needs pairs and first integral"):
-            check_first_integral(W_SQUARE, pairs, integral, k)
-    # eps^0 is checked too: d(F_eps) starts with dF
+            check_first_integral(square_seq, pairs, integral, k)
+    # eps^0 is checked too: c_0 is F itself
     shifted = FirstIntegral(EpsSeries([F + X] + list(fint.series.coeffs[1:]), 5))
-    with pytest.raises(InternalSolverError, match="in dx, dy at eps\\^0"):
-        check_first_integral(W_SQUARE, gvp, shifted, 4)
+    with pytest.raises(InternalSolverError, match="c_0 is not F"):
+        check_first_integral(square_seq, gvp, shifted, 4)
     # the deps slot at eps^k holds R_{k+1} = (k+1) c_{k+1}
     pairs = gvp[:4] + [GVPair(G=gvp[4].G, R=gvp[4].R + ONE)]
-    with pytest.raises(InternalSolverError, match="in deps at eps\\^4"):
-        check_first_integral(W_SQUARE, pairs, fint, 4)
+    with pytest.raises(InternalSolverError, match="R_5 is not pair 5 twisted"):
+        check_first_integral(square_seq, pairs, fint, 4)
 
 
 def test_first_integral_differential(square_seq):
