@@ -46,7 +46,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
-    "Rational",
     "BivarPoly",
     "RationalFunction",
     "EpsSeries",
@@ -64,10 +63,8 @@ __all__ = [
     "ZERO",
 ]
 
-# Exact scalars are stdlib Fractions: always in lowest terms with a positive
-# denominator, which is exactly the normalization the rest of the code relies on.
-Rational = Fraction
-
+# Exact scalars are ints and stdlib Fractions: a Fraction is always in lowest
+# terms with a positive denominator, the normalization the code relies on.
 Exponent = tuple[int, int]
 CoefLike = Union[int, Fraction]
 

@@ -38,8 +38,10 @@ half steps of the 2n-step run, whose even nodes are the n-step run's.  An
 n-step step then evaluates every lane at quarter nodes 0, 2, 2 and 4 and
 the 2n-step lanes alone at 1, 1, 3 and 3, 8 stages where two runs take 12.
 The tables are built one chunk of _CHUNK_STEPS steps at a time, so their
-memory does not grow with the step count.  The stages and steps write their
-guard values into chunk buffers, checked once per chunk.
+memory does not grow with the step count.  The stages write their guard
+values, and the steps their rho, into one check array per chunk, tested once
+at the chunk's end; its values start where they pass, so a value that a lane
+never writes passes and every lane is tested alike.
 
 A lane costs almost nothing; the loop's time is its count of numpy calls on
 small arrays.  So the buffers are made once per call: each lane set (every
@@ -187,8 +189,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     The loop costs numpy calls, not arithmetic, so each lane set (every
     lane, and the 2n-step lanes alone) has its buffers (see _Stages), and
     the views of k and of the stage inputs are made before the loop.  A
-    step's guard and end views are made in it: kept for a whole chunk they
-    would be hundreds of array objects alive at once, for no measurable
+    step's views of the check array are made in it: kept for a whole chunk
+    they would be hundreds of array objects alive at once, for no measurable
     gain.  A stage is 7 numpy calls for a polynomial omega (8 when its
     powers of rho have a gap, which need a gather), 9 for a rational one;
     an n-step step with 2n-step lanes is 8 stages and 31 calls of stage
@@ -198,12 +200,16 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     2 rho D + eps B must have D's sign; each denominator Dp and Dq must keep
     its own theta = 0 sign at every stage, since a sign test on D alone
     misses both flipping together.  The stages write these signed values,
-    and the steps their rho, into chunk buffers, and one vectorised check per
-    chunk raises the first failure in (step, stage, row, lane) order, an
-    n-step lane's before any 2n-step lane's, as if the n-step run had run
-    first.  The checks see only the stages' samples, so a pole crossed twice
-    between two of them still escapes.  The n-step result has the broadcast
-    shape of t and eps.
+    and the steps their rho, into one array per chunk, indexed (step, check,
+    row, lane) with the ten checks of a step in their run order (see _ENDS).
+    A stage's value passes when it is > 0, a step end's when rho^2 is in the
+    annulus, and a value that a lane never writes is set up to pass, so one
+    vectorised test per chunk, without lane masks, raises the first failure
+    in (step, check, row, lane) order, an n-step lane's before any 2n-step
+    lane's, as if the n-step run had run first.  The checks see only the
+    stages' samples, so a pole crossed twice between two of them still
+    escapes.  The n-step result has the broadcast shape of t and eps; with
+    no lane, both results are empty and nothing is tabulated or stepped.
     """
     import numpy as np
 
@@ -214,6 +220,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     t, eps = t.ravel(), eps.ravel()
     if not np.all(t > 0):
         raise ValueError("t must be positive")
+    if not t.size:  # no lane takes a step
+        return np.empty(shape), np.empty(0)
     n = t.size
     t, eps = np.concatenate([t, t[:fine]]), np.concatenate([eps, eps[:fine]])
     lo, hi = 0.5 * t, 2.0 * t
@@ -221,22 +229,16 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     hf = 2.0 * pi / (2 * steps)  # the 2n-step run's h, == 0.5 * h
     sub = 4 if fine else 2  # table nodes per n-step step
     mid = sub // 2
-    # the table node of each check of a step (see _STAGE_CHECKS)
+    # the table node of each check of a step (see _ENDS)
     node_of = (0, 1, 1, mid, mid, mid, 3, 3, sub, sub)
     rows = _Rows(w)
     chunk = min(_CHUNK_STEPS, steps)
-    # per step of a chunk: each stage's signed guard rows (denominators, then
-    # d rho), and the rho of each step end (the 2n-step lanes' middle one,
-    # then every lane's)
-    guards = np.zeros((chunk, len(_STAGE_CHECKS), len(rows.dens) + 1, t.size))
-    ends = np.zeros((chunk, len(_STEP_CHECKS), t.size))
-    # which lanes each stage and step end checks: the 2n-step lanes all of
-    # them, the n-step lanes their own
-    stage_mask = np.zeros((len(_STAGE_CHECKS), 1, t.size), dtype=bool)
-    stage_mask[_EVERY_LANE_STAGES] = True
-    stage_mask[..., n:] = True
-    step_mask = np.ones((len(_STEP_CHECKS), t.size), dtype=bool)
-    step_mask[0, :n] = False
+    # per step of a chunk, each check's rows (denominators, then d rho; a step
+    # end's rho in row 0), at values that pass until a lane writes them
+    checks = np.ones((chunk, len(node_of), len(rows.dens) + 1, t.size))
+    ends = checks[:, _ENDS, 0]
+    rho = np.sqrt(t)
+    ends[:, 0] = rho
     # each denominator's sign, then D's, at the lane's theta = 0 point
     signs = np.ones((len(rows.dens) + 1, t.size))
     every, part = _Stages(rows, eps, signs), _Stages(rows, eps[n:], signs[:, n:])
@@ -253,8 +255,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4)
     h_lane = np.concatenate([np.full(n, h), np.full(fine, hf)])
     h6_lane = np.concatenate([np.full(n, h / 6.0), np.full(fine, hf / 6.0)])
-    # the guard rows a stage writes: a polynomial omega's d rho row alone
-    rows_of = guards if rows.dens else guards[:, :, 0]
+    # the rows a stage writes: a polynomial omega's d rho row alone
+    rows_of = checks if rows.dens else checks[:, :, 0]
 
     def failure(bad: np.ndarray, first_lane: int) -> RuntimeError | None:
         """The first failure flagged in bad, (step, check, row, lane)."""
@@ -263,7 +265,7 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
         i, check, row, k = np.unravel_index(np.argmax(bad), bad.shape)
         k += first_lane
         theta = thetas[sub * i + node_of[check]]
-        if check in _STEP_CHECKS:
+        if check in range(len(node_of))[_ENDS]:
             return LeafEscapedAnnulus(
                 f"leaf left the annulus ({lo[k]:g}, {hi[k]:g}) at theta="
                 f"{theta:.6f}, t={t[k]:g}, eps={eps[k]:g}"
@@ -281,7 +283,6 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
             f"t={t[k]:g}, eps={eps[k]:g}"
         )
 
-    rho = np.sqrt(t)
     rho_f = rho[n:]  # the 2n-step lanes' rho
     late = None  # the first failure of a 2n-step lane
     # the checks stop every non-finite lane, so numpy's warnings add nothing
@@ -316,15 +317,15 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
                 np.add(rho[:n], 0.5 * h * k1_n, out=x_n)
                 if fine:
                     np.copyto(x_f, rho_f)
-                every.slope(nodes[j + mid], g[4], k2)
+                every.slope(nodes[j + mid], g[5], k2)
                 if fine:  # the second step's k1, k2, k3 into k[0], k[1], k[2]
                     np.copyto(k0_f, k2_f)
                     np.add(rho_f, 0.5 * hf * k0_f, out=xp)
-                    part.slope(nodes[j + 3], g[5, ..., n:], k1_f)
+                    part.slope(nodes[j + 3], g[6, ..., n:], k1_f)
                     np.add(rho_f, 0.5 * hf * k1_f, out=xp)
-                    part.slope(nodes[j + 3], g[6, ..., n:], k2_f)
+                    part.slope(nodes[j + 3], g[7, ..., n:], k2_f)
                 np.add(rho, h_lane * k2, out=x)  # node 4: every lane's k4
-                every.slope(nodes[j + sub], g[7], k3)
+                every.slope(nodes[j + sub], g[8], k3)
                 # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
                 np.multiply(2.0, k[1:3], out=twice)
                 np.add(k0, twice[0], out=total)
@@ -333,11 +334,10 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
                 rho = np.add(rho, np.multiply(h6_lane, total, out=total), out=end[1])
                 rho_f = rho[n:]
             count = stop - start
-            bad = np.zeros((count, len(node_of), *guards.shape[2:]), dtype=bool)
-            # not > 0, so NaN fails too
-            bad[:, _STAGE_CHECKS] = ~(guards[:count] > 0.0) & stage_mask
+            # not > 0, so NaN fails too; a step end must stay in the annulus
+            bad = ~(checks[:count] > 0.0)
             sq = ends[:count] * ends[:count]
-            bad[:, _STEP_CHECKS, 0] = ~((sq > lo) & (sq < hi)) & step_mask
+            bad[:, _ENDS, 0] = ~((sq > lo) & (sq < hi))
             error = failure(bad[..., :n], 0)
             if error is not None:
                 raise error
@@ -353,14 +353,17 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
 # 2n-step lanes run too), so its size does not depend on the step count
 _CHUNK_STEPS = 64
 
-# The checks of one n-step step, in the order of the separate runs: eight
-# stages, every lane at nodes 0, 2, 2 and 4 (slots 0, 3, 4 and 7) and the
-# 2n-step lanes alone at 1, 1, 3 and 3, and two step ends, the 2n-step
-# lanes' middle one and every lane's last.  An n-step lane's order is its
-# own run's; a 2n-step lane's is its two steps in turn.
-_STAGE_CHECKS = [0, 1, 2, 3, 5, 6, 7, 8]
-_STEP_CHECKS = [4, 9]
-_EVERY_LANE_STAGES = [0, 3, 4, 7]
+# The ten checks of one n-step step, in the order of the separate runs: eight
+# stages, every lane at nodes 0, 2, 2 and 4 (slots 0, 3, 5 and 8) and the
+# 2n-step lanes alone at 1, 1, 3 and 3 (slots 1, 2, 6 and 7), and two step
+# ends, the 2n-step lanes' middle one and every lane's last (row 0 of slots 4
+# and 9, this slice).  An n-step lane's order is its own run's; a 2n-step
+# lane's is its two steps in turn.  Every value a lane never writes passes:
+# the check array starts at 1.0, which passes a stage (an n-step lane writes
+# no 2n-step stage), and the middle step end at sqrt(t), inside the annulus.
+# An n-step lane writes there its rho at the start of the step, which passed
+# as the last step's end; with no 2n-step lanes nothing writes it.
+_ENDS = slice(4, None, 5)
 
 
 def _powers(base: np.ndarray, top: int) -> np.ndarray:
@@ -591,10 +594,8 @@ def _run(w: Form1Planar, t_values, eps_values, ladder_t, rungs: int, cfg):
     grid = [(t, eps) for t in t_values for eps in eps_values]
     ladder = np.array([_EPS0 * 2.0 ** (-j) for j in range(rungs)])
     lanes = grid + [(t, eps) for t in ladder_t for eps in ladder.tolist()]
-    if not lanes:  # zero lanes would still step through a revolution
-        return [], ladder, []
     n = len(grid)
-    t_lane, eps_lane = np.array(lanes, dtype=float).T
+    t_lane, eps_lane = np.array(lanes, dtype=float).reshape(-1, 2).T
     rho, rho_fine = _integrate(w, t_lane, eps_lane, cfg.step_count, fine=n)
     deltas = rho * rho - t_lane
     fine = rho_fine * rho_fine - t_lane[:n]

@@ -209,14 +209,43 @@ def recording(monkeypatch):
 @pytest.mark.parametrize("n_t,n_eps", [(1, 1), (2, 3), (4, 2), (0, 2)])
 def test_table_integrates_once_per_step_count(monkeypatch, n_t, n_eps):
     # both step counts in one call: every grid lane at n steps, and again at
-    # 2n steps as the call's fine lanes
+    # 2n steps as the call's fine lanes; an empty grid steps nowhere, so it
+    # builds no node table
     calls = recording(monkeypatch)
+    tables = []
+    tabulate = oracle._Rows.tabulate
+
+    def record(rows, thetas):
+        tables.append(thetas.size)
+        return tabulate(rows, thetas)
+
+    monkeypatch.setattr(oracle._Rows, "tabulate", record)
     t_values = [0.5 + 0.1 * i for i in range(n_t)]
     eps_values = [1e-3 * (i + 1) for i in range(n_eps)]
     rows = displacement_table(W_LINEAR, t_values, eps_values, HolonomyConfig(100))
     assert len(rows) == n_t * n_eps
     table = [(t, e) for t in t_values for e in eps_values]
-    assert calls == ([(100, n_t * n_eps, table)] if rows else [])
+    if rows:
+        assert calls == [(100, n_t * n_eps, table)]
+    else:
+        assert tables == []
+
+
+def test_empty_lane_sets_take_no_step(monkeypatch):
+    # every entry point returns at once on zero lanes: a table built would
+    # mean a revolution of RK4 steps over empty arrays
+    def tabulate(rows, thetas):
+        raise AssertionError("a node table was built for zero lanes")
+
+    monkeypatch.setattr(oracle._Rows, "tabulate", tabulate)
+    for t in ([], np.empty((0, 3))):
+        returned = holonomy_return(W_LINEAR, t, 0.01)
+        assert returned.shape == np.shape(t)
+    assert displacement_table(W_LINEAR, [], [0.01]) == []
+    assert displacement_table(W_LINEAR, [1.0], []) == []
+    assert oracle.grid_estimates(W_LINEAR, [], [0.01], 2) == ([], [])
+    rho, rho_fine = oracle._integrate(W_LINEAR, [], [], 100, fine=0)
+    assert rho.size == rho_fine.size == 0
 
 
 FUSED_T, FUSED_EPS = (0.25, 0.5), (1e-2, 5e-3, 1e-3)
@@ -543,6 +572,19 @@ def fine_only_pole(steps: int) -> Form1Planar:
     return Form1Planar(RationalFunction(BivarPoly.one(), band), ZERO)
 
 
+def fine_only_dip(steps: int) -> Form1Planar:
+    """dx = 1 / ((1 + 1e-7) F - l^2), l = a x + b y the unit linear form at
+    the quarter node 101 h / 4: the denominator stays positive, but its
+    minimum, 1e-7 rho^2, lies on that node of the 2n-step stages alone, and
+    the slope there throws a 2n-step lane out of the annulus at its middle
+    step end."""
+    h = 2.0 * math.pi / steps
+    phi = 101 * h / 4
+    line = Fraction(math.cos(phi)) * X + Fraction(math.sin(phi)) * Y
+    den = (1 + Fraction(1, 10**7)) * F - line * line
+    return Form1Planar(RationalFunction(BivarPoly.one(), den), ZERO)
+
+
 PARITY_CASES = {
     "escape": (W_LINEAR, (1.0, 1.0), (1e-3, 3.0), 2),
     "pole-dx": (Form1Planar(POLE, ZERO), (1.0, 0.2), (1e-3, 1e-3), 2),
@@ -552,6 +594,9 @@ PARITY_CASES = {
     # the 2n-step lane meets the pole at theta 0.33, before the n-step lane
     # t = 1.2 leaves the band at 0.75; the n-step run ran first, so it wins
     "fine-first": (fine_only_pole(100), (1.0, 1.2), (1e-9, 1e-9), 1),
+    # the n-step lane passes, its 2n-step copy leaves the annulus at the
+    # middle step end of the n-step step that starts at quarter node 100
+    "fine-only-escape": (fine_only_dip(100), (1.0,), (1e-5,), 1),
 }
 
 
@@ -577,8 +622,15 @@ def test_fused_errors_match_separate_runs(monkeypatch, case, chunk):
         assert "of the dx component" in want[1]
 
 
+def test_fine_only_escape_leaves_at_a_middle_step_end():
+    w, t, eps, _ = PARITY_CASES["fine-only-escape"]
+    oracle._integrate(w, t, eps, 100)  # the n-step run alone passes
+    with pytest.raises(LeafEscapedAnnulus, match="theta=1.602212, t=1,"):
+        oracle._integrate(w, t, eps, 200)  # quarter node 102 of the n-step run
+
+
 def test_table_memory_does_not_grow_with_steps():
-    # one chunk of tables and guard buffers at a time: unchunked, the cos and
+    # one chunk of tables and checks at a time: unchunked, the cos and
     # the sin power tables alone would each hold 62 x 4001 floats (2 MB) at
     # 2000 steps; the 2n-step lanes (fine=1) double the nodes of a chunk
     w = Form1Planar(X**60 + Y, X * Y**59)
