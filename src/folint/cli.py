@@ -216,17 +216,12 @@ def _finite(values: tuple[float, ...], label: str) -> tuple[float, ...]:
     return values
 
 
-# the oracle integrates inside the annulus t/2 < rho^2 < 2t, whose bound 2t
-# must stay a finite float
-_T_MAX = sys.float_info.max / 2
-
-
 def _t_grid(values: tuple[float, ...], label: str) -> tuple[float, ...]:
     for t in values:
         if t <= 0:
             raise InvalidInput(f"{label} entries must be positive, got {t}")
-        if t > _T_MAX:
-            raise InvalidInput(f"{label} entries must be at most {_T_MAX:g}, got {t}")
+        if t > oracle.T_MAX:
+            raise InvalidInput(f"{label} entries must be at most {oracle.T_MAX:g}, got {t}")
     return values
 
 

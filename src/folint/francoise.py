@@ -22,19 +22,23 @@ system splits into two bidiagonal chains, each solved by one sweep:
 
 Every step of either chain has the form v = (a - m u) / k, with a the
 coefficient of the equation, u the previous unknown of the chain and small
-positive ints m and k.  decompose groups w's int numerators into sparse
-blocks, y-power -> numerator over w's two denominators, with no polynomial
-per block.  A chain stays zero until its first step with a nonzero a, so
-each chain starts there: the odd chain at its lowest such step, the even
-chain at its highest, and a chain with none costs nothing.  The blocks of
-g_k w for a form of low degree in y are nonzero only at a few low powers of
-y, so the even chain runs only below the highest of them, and on a form
-with every M_i = 0 by symmetry (dx part even in y, dy part odd) the odd
-chain is all zeros and never runs.  Each step that runs keeps its value as a
-reduced (numerator, denominator) int pair, at one gcd (a shared denominator
-skips the cross products); only nonzero values are stored, and g and r are
-assembled once each from the values of all blocks, over the lcm of their
-denominators.  No Fraction is built on the way.
+positive ints m and k.  decompose puts both components of w over one
+denominator, den = lcm of theirs, and groups their int numerators into
+sparse blocks, y-power -> numerator, with no polynomial per block.  Every
+value of a chain is then a numerator over den times the product of the k
+of the steps so far, a divisor known in advance, so the sweep is a pure
+integer recurrence, fraction-free in Bareiss's sense: from (n, s) = (0, 1)
+each step runs n, s = a s - m n, s k, with no gcd.  A chain stays zero
+until its first step with a nonzero a, so each chain starts there: the odd
+chain at its lowest such step, the even chain at its highest, and a chain
+with none costs nothing.  The blocks of g_k w for a form of low degree in y
+are nonzero only at a few low powers of y, so the even chain runs only
+below the highest of them, and on a form with every M_i = 0 by symmetry (dx
+part even in y, dy part odd) the odd chain is all zeros and never runs.
+Only nonzero values are stored, as unreduced (n, s) pairs, and g and r are
+assembled once each from the values of all blocks, over den times the lcm
+of their divisors; the BivarPoly constructor does the only reduction.  No
+Fraction is built on the way.
 
 Canonical representative.  The kernel of a block is the s(F)-shift
 (g, r) -> (g + c F^m, r - c F^{m+1}/(m+1)) with d = 2m+1, so it exists only
@@ -65,7 +69,7 @@ family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import Union
 
 from .abelian import CIRCLE_DF, OvalFamily, PeriodPoly, period_of_form
@@ -154,20 +158,23 @@ class MelnikovResult:
 
 
 def _block_solve(
-    p: dict[int, int], pd: int, q: dict[int, int], qd: int, d: int
+    p: dict[int, int], q: dict[int, int], d: int
 ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]] | None:
     """Solve g dF + dr = p dx + q dy on one homogeneous block of degree d.
 
-    p[j] / pd and q[j] / qd are the nonzero coefficients of x^{d-j} y^j in
-    the dx and dy components, read from the form's int numerators; a missing
-    j is a zero coefficient.  Returns the nonzero canonical values as dicts
-    j -> reduced (numerator, denominator) int pair, g_j multiplying
-    x^{d-1-j} y^j and r_j multiplying x^{d+1-j} y^j, or None when the odd
-    chain's consistency equation fails (the block's period is nonzero).
+    p[j] and q[j] are the nonzero int coefficients of x^{d-j} y^j in the dx
+    and dy components, over the form's one denominator, which the caller
+    applies; a missing j is a zero coefficient.  Returns the nonzero
+    canonical values over that denominator as dicts j -> unreduced
+    (numerator, divisor) int pair, g_j multiplying x^{d-1-j} y^j and r_j
+    multiplying x^{d+1-j} y^j, or None when the odd chain's consistency
+    equation fails (the block's period is nonzero).
 
     A chain is zero until its first step with a nonzero coefficient, so the
     odd chain starts at its lowest such step and the even chain at its
-    highest; a block without one in a chain costs that chain nothing.
+    highest; a block without one in a chain costs that chain nothing.  Each
+    step v = (a - m u) / k is n, s = a s - m n, s k on u = n / s, so the
+    divisor of a value is the product of its chain's k so far.
     """
     g: dict[int, tuple[int, int]] = {}
     r: dict[int, tuple[int, int]] = {}
@@ -177,20 +184,15 @@ def _block_solve(
     # would be g_d
     first = min([j for j in p if j % 2] + [j for j in q if not j % 2], default=None)
     if first is not None:
-        vn, vd = 0, 1
+        n, s = 0, 1
         for j in range(first, d + 1):
             if j % 2:
-                an, ad, m, k, out, i = p.get(j, 0), pd, d + 1 - j, 2, g, j
+                a, m, k, out, i = p.get(j, 0), d + 1 - j, 2, g, j
             else:
-                an, ad, m, k, out, i = q.get(j, 0), qd, 2, j + 1, r, j + 1
-            if ad == vd:
-                n, dd = an - m * vn, ad * k
-            else:
-                n, dd = an * vd - m * vn * ad, ad * vd * k
-            c = gcd(n, dd)
-            vn, vd = n // c, dd // c
-            if vn:
-                out[i] = (vn, vd)
+                a, m, k, out, i = q.get(j, 0), 2, j + 1, r, j + 1
+            n, s = a * s - m * n, s * k
+            if n:
+                out[i] = (n, s)
         if d % 2 and g.pop(d, None):
             return None
 
@@ -203,32 +205,26 @@ def _block_solve(
         default=None,
     )
     if last is not None:
-        vn, vd = 0, 1
+        n, s = 0, 1
         for j in range(last, -1, -1):
             if j % 2:
-                an, ad, m, k, out, i = q.get(j, 0), qd, j + 1, 2, g, j - 1
+                a, m, k, out, i = q.get(j, 0), j + 1, 2, g, j - 1
             else:
-                an, ad, m, k, out, i = p.get(j, 0), pd, 2, d + 1 - j, r, j
-            if ad == vd:
-                n, dd = an - m * vn, ad * k
-            else:
-                n, dd = an * vd - m * vn * ad, ad * vd * k
-            c = gcd(n, dd)
-            vn, vd = n // c, dd // c
-            if vn:
-                out[i] = (vn, vd)
+                a, m, k, out, i = p.get(j, 0), 2, d + 1 - j, r, j
+            n, s = a * s - m * n, s * k
+            if n:
+                out[i] = (n, s)
     if d % 2 and d in q:
-        n, dd = q[d], qd * (d + 1)
-        c = gcd(n, dd)
-        r[d + 1] = (n // c, dd // c)
+        r[d + 1] = (q[d], d + 1)
     return g, r
 
 
-def _poly(values: dict[Exponent, tuple[int, int]]) -> BivarPoly:
-    """The polynomial with these reduced (numerator, denominator)
-    coefficients, over the lcm of their denominators."""
-    den = lcm(*[b for _, b in values.values()])
-    return BivarPoly({e: a * (den // b) for e, (a, b) in values.items()}, den)
+def _poly(values: dict[Exponent, tuple[int, int]], den: int) -> BivarPoly:
+    """The polynomial with coefficients n / (s den) for the unreduced
+    (n, s) pairs in values, over den times the lcm of the divisors; the
+    BivarPoly constructor reduces it."""
+    scale = lcm(*{s for _, s in values.values()})
+    return BivarPoly({e: n * (scale // s) for e, (n, s) in values.items()}, den * scale)
 
 
 def resubstitutes(s: BivarPoly, w: Form1Planar, g: BivarPoly, r: BivarPoly) -> bool:
@@ -269,19 +265,20 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
     returned representative is the solver-canonical one described in the
     module docstring (no minimality claim).
     """
-    p, q = w.p, w.q
+    den = lcm(w.p.den, w.q.den)
     blocks: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    for v, poly in enumerate((p, q)):
+    for v, poly in enumerate((w.p, w.q)):
+        m = den // poly.den
         for (a, b), c in poly.nums.items():
             block = blocks.get(a + b)
             if block is None:
                 block = blocks[a + b] = ({}, {})
-            block[v][b] = c
+            block[v][b] = c * m
     # blocks have disjoint degrees, so their terms never collide
     g: dict[Exponent, tuple[int, int]] = {}
     r: dict[Exponent, tuple[int, int]] = {}
     for d in sorted(blocks):
-        solved = _block_solve(blocks[d][0], p.den, blocks[d][1], q.den, d)
+        solved = _block_solve(*blocks[d], d)
         if solved is None:
             period = period_of_form(w)
             if period.is_zero():
@@ -293,7 +290,7 @@ def decompose(w: Form1Planar) -> Union[FrancoisePair, NoSolution]:
         g.update(((d - 1 - j, j), v) for j, v in solved[0].items())
         r.update(((d + 1 - j, j), v) for j, v in solved[1].items())
 
-    pair = FrancoisePair(g=_poly(g), r=_poly(r))
+    pair = FrancoisePair(g=_poly(g, den), r=_poly(r, den))
     if not pair.verify(ONE, w):
         raise InternalSolverError("resubstitution of decomposition failed")
     return pair

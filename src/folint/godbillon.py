@@ -319,12 +319,10 @@ def integrating_factor(omega: Form1Eps, fint: FirstIntegral, k: int) -> EpsSerie
         raise ValueError("k must be >= 0")
     if omega.order < k or fint.series.order < k:
         raise ValueError("both inputs must carry data through order k")
-    # components of d(F_eps): planar from the coefficients, deps slot i
+    # components of d(F_eps): the partials of the coefficients, deps slot i
     # holding (i+1) c_{i+1}
-    c = fint.series.coeffs
-    dpx = [ci.partial("x") for ci in c]
-    dpy = [ci.partial("y") for ci in c]
-    deps = fint.series.eps_derivative().coeffs
+    d = fint.differential()
+    dpx, dpy, deps = d.a.coeffs, d.b.coeffs, d.e.coeffs
     a, b, e = omega.a.coeffs, omega.b.coeffs, omega.e.coeffs
 
     n: list = []

@@ -75,6 +75,7 @@ and for tools that find them in sys.modules.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
@@ -100,11 +101,16 @@ __all__ = [
     "grid_estimates",
     "write_samples_csv",
     "CSV_COLUMNS",
+    "T_MAX",
 ]
 
 CSV_COLUMNS = ("t", "eps", "delta", "est_error")
 
 _CONDITION_LIMIT = 1e8
+
+# The largest t: a lane integrates inside the annulus t/2 < rho^2 < 2t,
+# whose bound 2t must stay a finite float.
+T_MAX = sys.float_info.max / 2
 
 
 class LeafEscapedAnnulus(RuntimeError):
@@ -141,11 +147,13 @@ _MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class HolonomyConfig:
-    """Fixed-step integrator settings: 100 <= step_count <= 10**6."""
+    """Fixed-step integrator settings: an int 100 <= step_count <= 10**6."""
 
     step_count: int = 20000
 
     def __post_init__(self) -> None:
+        if type(self.step_count) is not int:
+            raise TypeError(f"step_count must be an int, got {self.step_count!r}")
         if self.step_count < 100:
             raise ValueError("step_count must be >= 100")
         if self.step_count > _MAX_STEPS:
@@ -173,18 +181,19 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     those lanes), the second empty when fine is 0.
 
     Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
-    t/2 < rho^2 < 2t.  The lane vector is every n-step lane followed by the
-    2n-step copies.  The stages read node tables (see _Rows) built one chunk
-    of _CHUNK_STEPS n-step steps at a time, so table memory does not grow
-    with the step count; with fine > 0 the nodes are the quarter steps
-    theta = m h / 4, the half steps of the 2n-step run.  Per n-step step
-    every lane is evaluated at nodes 0, 2, 2 and 4 and the 2n-step lanes
-    alone at nodes 1, 1, 3 and 3: 8 stages where two runs take 12.  As
-    0.5 * (2 pi / n) == 2 pi / (2 n) in floats, each stage input, node and
-    update is the float expression of the separate run.  A stage multiplies
-    its node's table by the lanes' powers rho^k and sums over k, elementwise
-    in a fixed order, so no lane's result depends on the other lanes or on
-    the chunk size.
+    t/2 < rho^2 < 2t, so 0 < t <= T_MAX, and eps must be finite; both are
+    checked before any arithmetic on them.  The lane vector is every n-step
+    lane followed by the 2n-step copies.  The stages read node tables (see
+    _Rows) built one chunk of _CHUNK_STEPS n-step steps at a time, so table
+    memory does not grow with the step count; with fine > 0 the nodes are
+    the quarter steps theta = m h / 4, the half steps of the 2n-step run.
+    Per n-step step every lane is evaluated at nodes 0, 2, 2 and 4 and the
+    2n-step lanes alone at nodes 1, 1, 3 and 3: 8 stages where two runs take
+    12.  As 0.5 * (2 pi / n) == 2 pi / (2 n) in floats, each stage input,
+    node and update is the float expression of the separate run.  A stage
+    multiplies its node's table by the lanes' powers rho^k and sums over k,
+    elementwise in a fixed order, so no lane's result depends on the other
+    lanes or on the chunk size.
 
     The loop costs numpy calls, not arithmetic, so each lane set (every
     lane, and the 2n-step lanes alone) has its buffers (see _Stages), and
@@ -220,6 +229,10 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     t, eps = t.ravel(), eps.ravel()
     if not np.all(t > 0):
         raise ValueError("t must be positive")
+    if not np.all(t <= T_MAX):
+        raise ValueError(f"t must be at most {T_MAX:g}")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("eps must be finite")
     if not t.size:  # no lane takes a step
         return np.empty(shape), np.empty(0)
     n = t.size

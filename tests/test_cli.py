@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -1330,6 +1331,20 @@ def test_five_term_reports_match_golden(tmp_path, capsys):
         assert main(argv) == EXIT_OK
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"five-term.{argv[0]}.json").read_text(encoding="utf-8")
+
+
+def test_five_term_melnikov_at_order_40_matches_golden_digest(tmp_path, capsys):
+    # the edge of the degree-order budget: 8.8 MB of report, pinned by its
+    # sha256 rather than checked in
+    doc = {
+        "F": "x^2 + y^2",
+        "omega": {"dx": "x^2 + 3y^2 - 1/2x^3y^2", "dy": "2xy - y^3"},
+        "max_order": 40,
+    }
+    assert main(["melnikov", write_doc(tmp_path, doc)]) == EXIT_OK
+    out = capsys.readouterr().out
+    golden = (GOLDEN / "five-term-order40.melnikov.sha256").read_text(encoding="utf-8")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden.split()[0]
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3-oracle", "nonzero-m1"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -219,22 +220,30 @@ def dense_block_solve(w_dx: BivarPoly, w_dy: BivarPoly, deg: int):
 
 
 def block_numerators(w: Form1Planar, d: int) -> tuple[dict, dict]:
-    """w's degree-d block as decompose reads it: y-power -> numerator of
-    the dx and of the dy component, nonzero ones only."""
+    """w's degree-d block: y-power -> numerator of the dx and of the dy
+    component over its own denominator, nonzero ones only."""
     return tuple({b: c for (a, b), c in f.nums.items() if a + b == d} for f in (w.p, w.q))
+
+
+def over_one_denominator(p: dict, pd: int, q: dict, qd: int) -> tuple[dict, dict, int]:
+    """A block's two numerator dicts brought over lcm(pd, qd), as decompose
+    hands them to _block_solve, and that denominator."""
+    den = lcm(pd, qd)
+    return {j: c * (den // pd) for j, c in p.items()}, {j: c * (den // qd) for j, c in q.items()}, den
 
 
 def sweep_block(w: Form1Planar, d: int):
     """The sweep's (g, r) on w's degree-d block, or None when the block's
     period is nonzero."""
     p, q = block_numerators(w, d)
-    solved = _block_solve(p, w.p.den, q, w.q.den, d)
+    p, q, den = over_one_denominator(p, w.p.den, q, w.q.den)
+    solved = _block_solve(p, q, d)
     if solved is None:
         return None
     g, r = solved
     return (
-        _poly({(d - 1 - j, j): v for j, v in g.items()}),
-        _poly({(d + 1 - j, j): v for j, v in r.items()}),
+        _poly({(d - 1 - j, j): v for j, v in g.items()}, den),
+        _poly({(d + 1 - j, j): v for j, v in r.items()}, den),
     )
 
 
@@ -298,8 +307,8 @@ def test_sweep_matches_dense_on_single_blocks_up_to_degree_60():
 
 
 def test_sweep_matches_dense_on_large_prime_denominators():
-    # coefficients over distinct large primes, so the chains' int pairs carry
-    # big coprime denominators and the shared-denominator shortcut rarely fires
+    # coefficients over distinct large primes, so the block's one denominator
+    # is a product of large primes and the chains' unreduced pairs run over it
     rng = random.Random(210)
     primes = [1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647, 999_983]
     for d in (40, 41, 46, 47):
@@ -331,12 +340,19 @@ def test_sweep_rejects_odd_block_with_nonzero_period():
 
 def assert_sweep_matches_reference(p: dict, pd: int, q: dict, qd: int, d: int):
     """The sweep against the dense-list reference on one block, term for
-    term: the reference's nonzero pairs, or None on both sides."""
+    term as reduced rationals: the reference's nonzero pairs, or None on
+    both sides."""
     dense = reference_block_solve(
         [p.get(j, 0) for j in range(d + 1)], pd, [q.get(j, 0) for j in range(d + 1)], qd, d
     )
     want = dense and tuple({j: v for j, v in enumerate(c) if v[0]} for c in dense)
-    assert _block_solve(p, pd, q, qd, d) == want, (p, pd, q, qd, d)
+    sp, sq, den = over_one_denominator(p, pd, q, qd)
+    solved = _block_solve(sp, sq, d)
+    got = solved and tuple(
+        {j: (f.numerator, f.denominator) for j, (n, s) in c.items() for f in [Fraction(n, s * den)]}
+        for c in solved
+    )
+    assert got == want, (p, pd, q, qd, d)
     return want
 
 
@@ -400,24 +416,29 @@ def test_sweep_matches_reference_on_sparse_blocks():
 def test_sweep_matches_reference_on_melnikov_blocks():
     # the blocks of g_k w through order 10 for a form on the benchmark's
     # reversible support, (2, 2), (1, 0) in dx and (2, 1) in dy, and for the
-    # (x^3y^2 + y^2) dx baseline
+    # (x^3y^2 + y^2) dx baseline; through order 15 for the five-term form,
+    # dense in both chains, whose blocks reach degree 61, where the unreduced
+    # divisors are largest
     rng = random.Random(232)
     c1, c2, c3 = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3))
     forms = [
-        Form1Planar(c1 * X**2 * Y**2 + c2 * X, c3 * X**2 * Y),
-        Form1Planar(X**3 * Y**2 + Y**2, ZERO),
+        (Form1Planar(c1 * X**2 * Y**2 + c2 * X, c3 * X**2 * Y), 10),
+        (Form1Planar(X**3 * Y**2 + Y**2, ZERO), 10),
+        (Form1Planar(X**2 + 3 * Y**2 - Fraction(1, 2) * X**3 * Y**2, 2 * X * Y - Y**3), 15),
     ]
-    blocks = 0
-    for w in forms:
-        res = melnikov_sequence(CIRCLE, w, 10)
+    blocks, top = 0, 0
+    for w, order in forms:
+        res = melnikov_sequence(CIRCLE, w, order)
         assert res.first_nonzero is None
-        for k in range(10):
+        for k in range(order):
             sw = w.scale(res.sequence.g(k))
             for d in {a + b for f in (sw.p, sw.q) for a, b in f.nums}:
                 p, q = block_numerators(sw, d)
                 assert assert_sweep_matches_reference(p, sw.p.den, q, sw.q.den, d) is not None
                 blocks += 1
+                top = max(top, d)
     assert blocks > 100
+    assert top >= 60
 
 
 def test_sweep_rejects_odd_block_with_only_a_top_dx_coefficient():
@@ -497,14 +518,15 @@ def test_zero_form_trivial_sequence():
 def test_corrupted_block_solve_fails_resubstitution(monkeypatch):
     real = francoise._block_solve
 
-    def corrupt(p, pd, q, qd, d):
-        # adds x^{d-1} to the block's g, also where g has no nonzero value
-        solved = real(p, pd, q, qd, d)
+    def corrupt(p, q, d):
+        # adds x^{d-1} over the form's denominator to the block's g, also
+        # where g has no nonzero value
+        solved = real(p, q, d)
         if solved is None:
             return None
         g = dict(solved[0])
-        n, den = g.get(0, (0, 1))
-        g[0] = (n + den, den)
+        n, s = g.get(0, (0, 1))
+        g[0] = (n + s, s)
         return g, solved[1]
 
     monkeypatch.setattr(francoise, "_block_solve", corrupt)
@@ -543,7 +565,7 @@ def test_melnikov_sequence_computes_one_period_at_the_first_nonzero_order(monkey
 
 
 def test_decompose_inconsistent_block_with_zero_period_is_internal(monkeypatch):
-    monkeypatch.setattr(francoise, "_block_solve", lambda p, pd, q, qd, d: None)
+    monkeypatch.setattr(francoise, "_block_solve", lambda p, q, d: None)
     with pytest.raises(InternalSolverError, match="inconsistent"):
         decompose(Form1Planar(Y * Y, ZERO))
 

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -111,6 +112,25 @@ def test_rejects_nonpositive_t():
         holonomy_return(W_LINEAR, -1.0, 1e-3, CFG)
 
 
+@pytest.mark.parametrize("t", [1e308, math.nextafter(sys.float_info.max / 2, math.inf), math.inf])
+def test_rejects_t_beyond_the_annulus_bound(t):
+    # 2t would overflow: refused before the annulus bounds are computed, so
+    # no overflow warning is emitted on the way
+    with pytest.raises(ValueError, match=r"^t must be at most 8\.98847e\+307$"):
+        holonomy_return(W_LINEAR, t, 1e-3, CFG)
+    with pytest.raises(ValueError, match=r"^t must be at most "):
+        oracle._integrate(W_LINEAR, [1.0, t], 1e-3, 100, fine=1)
+    assert oracle.T_MAX == sys.float_info.max / 2 < t
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError, match=r"^eps must be finite$"):
+        holonomy_return(W_LINEAR, 1.0, eps, CFG)
+    with pytest.raises(ValueError, match=r"^eps must be finite$"):
+        oracle._integrate(W_LINEAR, 1.0, [1e-3, eps], 100)
+
+
 def test_escape_guard_reports_parameters():
     # eps=3 keeps the d rho coefficient positive but grows the leaf far past 2t
     with pytest.raises(LeafEscapedAnnulus) as exc:
@@ -156,6 +176,12 @@ def test_config_validation():
         HolonomyConfig(step_count=10**6 + 1)
     with pytest.raises(FrozenInstanceError):
         DEFAULT_CONFIG.step_count = 5
+
+
+@pytest.mark.parametrize("steps", [150.5, 200.0, True, "200"])
+def test_config_refuses_non_int_step_count(steps):
+    with pytest.raises(TypeError, match=r"^step_count must be an int, got "):
+        HolonomyConfig(step_count=steps)
 
 
 def test_displacement_sample_error_estimate():
