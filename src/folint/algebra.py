@@ -4,12 +4,19 @@ Polynomials in Q[x, y] are stored sparsely as int numerators over one common
 denominator: a dict mapping exponent pairs (a, b) to nonzero ints, and one
 positive int den with gcd(den, every numerator) = 1 (a primitive part times a
 content, as in Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
-ch. 2).  The zero polynomial is the empty dict over 1.  The BivarPoly
-constructor alone keeps this invariant, so arithmetic runs on plain ints,
-hands the constructor raw sums and never tests for cancellation or a common
-factor itself; the coefficients as Fractions are a read-only view, and the
-text form is printed from the numerators too, at one gcd per term.  Exact
-checks that only need a yes or no (francoise.resubstitutes) read the
+ch. 2).  The zero polynomial is the empty dict over 1.  The public
+BivarPoly constructor checks exponents and coefficient types and brings
+user input to this form.  Arithmetic results come from stored polynomials,
+so they go through one trusted constructor (_reduced) that only drops the
+zero sums and divides out the common factor; ring operations run on plain
+ints and never test for cancellation themselves.  Where the invariant
+already gives the answer, no gcd runs at all: a negation keeps den (a
+common factor does not depend on signs), and a product with an int c needs
+the one gcd(den, c).  The coefficients as Fractions are a read-only view,
+and the text form is printed from the numerators at one gcd per term, once
+per polynomial: a negation prints as its source's text with every sign
+swapped, so the sign twists of the Godbillon-Vey report print for free.
+Exact checks that only need a yes or no (francoise.resubstitutes) read the
 numerators and build no polynomial at all.
 The monomial order used everywhere (printing, pivoting, leading terms) is
 graded lexicographic with x > y: compare total degree first, then the x
@@ -98,16 +105,23 @@ class BivarPoly:
     Stored as a primitive part over a content: nums maps exponent pairs to
     nonzero int numerators and den is one positive int denominator, with
     gcd(den, every numerator) = 1.  Equal polynomials therefore have equal
-    storage, and == and hash compare it directly.  The constructor alone
-    normalises: it rejects negative exponents and coefficients that are not
-    rational, brings int and Fraction coefficients (over an optional extra
-    int denominator) to that form and drops the zero ones, so arithmetic
-    hands it raw int sums and never cancels a term or a common factor itself.
+    storage, and == and hash compare it directly.  The constructor rejects
+    negative exponents and coefficients that are not rational, brings int
+    and Fraction coefficients (over an optional extra int denominator) to
+    that form and drops the zero ones.  Sums, differences, products,
+    partials and homogeneous parts hand their raw int results to the
+    trusted _reduced, which skips those checks and only drops zeros and the
+    common factor.  -p negates the numerators over the same den: the
+    invariant does not depend on signs.  p * c for an int c divides den and
+    c by g = gcd(den, c), which is the gcd of den and every c n_j since
+    gcd(den, every n_j) = 1; c = 1 gives p itself and c = -1 gives -p.
     terms is the same polynomial as a read-only exponent -> Fraction mapping
-    in lowest terms, built on first use.
+    in lowest terms, and to_text's string is kept, both built on first use.
     """
 
-    __slots__ = ("nums", "den", "_terms", "_hash")
+    # _text is the printed text, or until then the polynomial this one is
+    # the negation of (never itself such a negation: -(-p) is p)
+    __slots__ = ("nums", "den", "_terms", "_hash", "_text")
 
     def __init__(
         self, terms: Mapping[Exponent, CoefLike] | None = None, den: int = 1
@@ -125,28 +139,17 @@ class BivarPoly:
                 if type(c) is not int:
                     plain = False
             if plain:
-                nums = {e: c for e, c in terms.items() if c}
+                nums = terms
             else:
                 fracs = {e: _rational(e, c) for e, c in terms.items()}
                 scale = lcm(*[c.denominator for c in fracs.values()])
-                nums = {
-                    e: c.numerator * (scale // c.denominator)
-                    for e, c in fracs.items()
-                    if c
-                }
+                nums = {e: c.numerator * (scale // c.denominator) for e, c in fracs.items()}
                 den *= scale
         if den < 0:
             den = -den
             nums = {e: -c for e, c in nums.items()}
-        if den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                den //= g
-                nums = {e: c // g for e, c in nums.items()}
-        self.nums = nums
-        self.den = den
-        self._terms = None
-        self._hash = None
+        self.nums, self.den = _normal(nums, den)
+        self._terms = self._hash = self._text = None
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
@@ -186,38 +189,43 @@ class BivarPoly:
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other: "BivarPoly | CoefLike") -> "BivarPoly":
+    def _plus(self, other: "BivarPoly | CoefLike", sign: int) -> "BivarPoly":
+        """self + sign * other, over the lcm of the two denominators."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d1, d2 = self.den, other.den
-        if d1 == d2:
-            out = dict(self.nums)
-            for exp, c in other.nums.items():
-                out[exp] = out.get(exp, 0) + c
-            return BivarPoly(out, d1)
         g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        out = {exp: c * m1 for exp, c in self.nums.items()}
+        m1, m2 = d2 // g, sign * (d1 // g)
+        out = dict(self.nums) if m1 == 1 else {e: c * m1 for e, c in self.nums.items()}
+        get = out.get
         for exp, c in other.nums.items():
-            out[exp] = out.get(exp, 0) + c * m2
-        return BivarPoly(out, d1 * m1)
+            out[exp] = get(exp, 0) + c * m2
+        return _reduced(out, d1 * m1)
+
+    def __add__(self, other: "BivarPoly | CoefLike") -> "BivarPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({e: -c for e, c in self.nums.items()}, self.den)
+        # the same den and no gcd: the invariant does not depend on signs
+        source = self._text
+        if isinstance(source, BivarPoly):
+            return source
+        if not self.nums:
+            return self
+        return _raw({e: -c for e, c in self.nums.items()}, self.den, self)
 
     def __sub__(self, other: "BivarPoly | CoefLike") -> "BivarPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: CoefLike) -> "BivarPoly":
         return _coerce(other) - self
 
     def __mul__(self, other: "BivarPoly | CoefLike") -> "BivarPoly":
+        if type(other) is int:
+            return self._scaled(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -227,9 +235,23 @@ class BivarPoly:
             for (a2, b2), c2 in other.nums.items():
                 exp = (a1 + a2, b1 + b2)
                 out[exp] = get(exp, 0) + c1 * c2
-        return BivarPoly(out, self.den * other.den)
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: int) -> "BivarPoly":
+        """c * self by one gcd: since gcd(den, every n_j) = 1, the gcd of den
+        and every c n_j is g = gcd(den, c), and c n_j / den over den / g with
+        numerators (c / g) n_j is in lowest terms."""
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        if not c:
+            return ZERO
+        g = gcd(self.den, c)
+        m = c // g
+        return _raw({e: n * m for e, n in self.nums.items()}, self.den // g)
 
     def __pow__(self, n: int) -> "BivarPoly":
         if n < 0:
@@ -291,7 +313,7 @@ class BivarPoly:
         parts: dict[int, dict[Exponent, int]] = {}
         for (a, b), c in self.nums.items():
             parts.setdefault(a + b, {})[(a, b)] = c
-        return {d: BivarPoly(t, self.den) for d, t in sorted(parts.items())}
+        return {d: _reduced(t, self.den) for d, t in sorted(parts.items())}
 
     # -- calculus -----------------------------------------------------------------
 
@@ -305,7 +327,7 @@ class BivarPoly:
                 out[(a - 1, b)] = c * a
             elif var == "y" and b > 0:
                 out[(a, b - 1)] = c * b
-        return BivarPoly(out, self.den)
+        return _reduced(out, self.den)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -320,21 +342,30 @@ class BivarPoly:
         """Deterministic text form; round-trips through parse_poly.
 
         Each magnitude is printed from its int numerator over den, reduced
-        by one gcd.
+        by one gcd, and the text is kept for the next call.  A negation
+        prints as its source's text with every sign swapped.
         """
-        den = self.den
-        return terms_text(
-            (
-                ("" if a == 0 else "x" if a == 1 else f"x^{a}")
-                + ("" if b == 0 else "y" if b == 1 else f"y^{b}"),
-                c < 0,
-                str(abs(c) // g) if (g := gcd(c, den)) == den
-                else f"{abs(c) // g}/{den // g}",
+        text = self._text
+        if type(text) is str:
+            return text
+        if text is not None:
+            text = _negated_text(text.to_text())
+        else:
+            den, nums = self.den, self.nums
+            # graded lex, highest first: sorted by the x exponent, then
+            # stably by the total degree
+            text = terms_text(
+                (
+                    ("" if a == 0 else "x" if a == 1 else f"x^{a}")
+                    + ("" if b == 0 else "y" if b == 1 else f"y^{b}"),
+                    (c := nums[a, b]) < 0,
+                    str(abs(c) // g) if (g := gcd(c, den)) == den
+                    else f"{abs(c) // g}/{den // g}",
+                )
+                for a, b in sorted(sorted(nums, reverse=True), key=sum, reverse=True)
             )
-            for (a, b), c in sorted(
-                self.nums.items(), key=lambda t: grlex_key(t[0]), reverse=True
-            )
-        )
+        self._text = text
+        return text
 
     def __str__(self) -> str:
         return self.to_text()
@@ -359,6 +390,45 @@ def terms_text(terms: Iterable[tuple[str, bool, str]]) -> str:
         else:
             pieces.append(f"-{body}" if negative else body)
     return " ".join(pieces) if pieces else "0"
+
+
+def _negated_text(text: str) -> str:
+    """The text of -p from the text of a nonzero p: in terms_text's grammar
+    the only "+" and "-" characters are the signs, so toggling the leading
+    "-" and swapping every other sign is exact."""
+    if text[0] == "-":
+        return text[1:].translate(_SWAP_SIGNS)
+    return "-" + text.translate(_SWAP_SIGNS)
+
+
+_SWAP_SIGNS = str.maketrans("+-", "-+")
+
+
+def _normal(nums: dict[Exponent, int], den: int) -> tuple[dict[Exponent, int], int]:
+    """int numerators over a positive den with the zeros dropped and the
+    common factor of den and the numerators divided out."""
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g == 1:
+        return {e: c for e, c in nums.items() if c}, den
+    return {e: c // g for e, c in nums.items() if c}, den // g
+
+
+def _raw(nums: dict[Exponent, int], den: int, negates: BivarPoly | None = None) -> BivarPoly:
+    """A BivarPoly on storage that already keeps the invariant; negates is
+    the polynomial it is the negation of, whose text it prints from."""
+    p = object.__new__(BivarPoly)
+    p.nums, p.den = nums, den
+    p._terms = p._hash = None
+    p._text = negates
+    return p
+
+
+def _reduced(nums: dict[Exponent, int], den: int) -> BivarPoly:
+    """The trusted constructor of arithmetic results: nums maps exponent
+    pairs of ints >= 0 to ints over a positive den, as ring operations on
+    stored polynomials produce them, so no exponent or coefficient type is
+    checked."""
+    return _raw(*_normal(nums, den))
 
 
 def _rational(exp: Exponent, c) -> Fraction:

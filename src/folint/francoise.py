@@ -73,7 +73,7 @@ from math import lcm
 from typing import Union
 
 from .abelian import CIRCLE_DF, OvalFamily, PeriodPoly, period_of_form
-from .algebra import ONE, BivarPoly, Exponent
+from .algebra import ONE, BivarPoly, Exponent, _reduced
 from .exterior import Form1Planar
 
 __all__ = [
@@ -222,9 +222,9 @@ def _block_solve(
 def _poly(values: dict[Exponent, tuple[int, int]], den: int) -> BivarPoly:
     """The polynomial with coefficients n / (s den) for the unreduced
     (n, s) pairs in values, over den times the lcm of the divisors; the
-    BivarPoly constructor reduces it."""
+    trusted BivarPoly constructor reduces it."""
     scale = lcm(*{s for _, s in values.values()})
-    return BivarPoly({e: n * (scale // s) for e, (n, s) in values.items()}, den * scale)
+    return _reduced({e: n * (scale // s) for e, (n, s) in values.items()}, den * scale)
 
 
 def resubstitutes(s: BivarPoly, w: Form1Planar, g: BivarPoly, r: BivarPoly) -> bool:

@@ -270,6 +270,76 @@ def test_to_text_matches_the_fraction_per_term_printer():
         assert p.to_text() == reference_poly_text(p)
 
 
+def _fraction_polys(rng: random.Random, count: int) -> list[BivarPoly]:
+    """Zero, constants and seeded sparse polynomials whose coefficients
+    share small denominators (2, 3, 6, 2^70) or have large random ones."""
+    polys = [ZERO, ONE, BivarPoly.constant(Fraction(-7, 6)), BivarPoly.constant(2**70)]
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 7)):
+            num = rng.choice([1, -1, rng.randint(-9, 9), rng.randint(-10**25, 10**25)])
+            den = rng.choice([1, 2, 3, 6, 2**70, rng.randint(1, 10**20)])
+            terms[(rng.randint(0, 4), rng.randint(0, 4))] = Fraction(num, den)
+        polys.append(BivarPoly(terms))
+    return polys
+
+
+def _assert_as_built_by_the_constructor(result: BivarPoly, terms: dict) -> None:
+    expected = BivarPoly(terms)
+    assert (result.nums, result.den) == (expected.nums, expected.den)
+    assert result.to_text() == reference_poly_text(result)
+
+
+def test_arithmetic_fast_paths_match_the_public_constructor():
+    # every result of the trusted constructor, the gcd-free negation and the
+    # one-gcd int scaling has the storage the validating constructor gives
+    # the same Fraction terms, and prints as the per-term reference does
+    polys = _fraction_polys(random.Random(30), 60)
+    assert sum(1 for p in polys if p.den % 6 == 0) > 10
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        t = p.terms
+        for c in (0, 1, -1, 3, -3, 2**70):
+            _assert_as_built_by_the_constructor(p * c, {e: c * v for e, v in t.items()})
+            _assert_as_built_by_the_constructor(c * p, {e: c * v for e, v in t.items()})
+        for other in (q, p, -p, BivarPoly(t) * 3):
+            plus, minus = dict(t), dict(t)
+            for e, v in other.terms.items():
+                plus[e] = plus.get(e, 0) + v
+                minus[e] = minus.get(e, 0) - v
+            _assert_as_built_by_the_constructor(p + other, plus)
+            _assert_as_built_by_the_constructor(p - other, minus)
+        product: dict = {}
+        for (a, b), u in t.items():
+            for (c, d), v in q.terms.items():
+                product[a + c, b + d] = product.get((a + c, b + d), 0) + u * v
+        _assert_as_built_by_the_constructor(p * q, product)
+        _assert_as_built_by_the_constructor(
+            p.partial("x"), {(a - 1, b): a * v for (a, b), v in t.items() if a}
+        )
+        _assert_as_built_by_the_constructor(
+            p.partial("y"), {(a, b - 1): b * v for (a, b), v in t.items() if b}
+        )
+        for d, part in p.homogeneous_parts().items():
+            _assert_as_built_by_the_constructor(
+                part, {(a, b): v for (a, b), v in t.items() if a + b == d}
+            )
+        # a negation prints from its source's text, whether the source has
+        # printed before it, prints through it, or is itself a negation
+        negated = {e: -v for e, v in t.items()}
+        for source_first in (True, False):
+            source = BivarPoly(t)  # a copy that has printed nothing
+            if source_first:
+                assert source.to_text() == reference_poly_text(source)
+            _assert_as_built_by_the_constructor(-source, negated)
+            assert source.to_text() == reference_poly_text(source)
+            _assert_as_built_by_the_constructor(-(-source), t)
+    # repeated sign flips print without a chain of sources to recurse through
+    flipped = polys[-1]
+    for _ in range(5001):
+        flipped = -flipped
+    assert flipped.to_text() == reference_poly_text(flipped)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

@@ -1347,6 +1347,20 @@ def test_five_term_melnikov_at_order_40_matches_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden.split()[0]
 
 
+def test_five_term_gv_at_k_39_matches_golden_digest(tmp_path, capsys):
+    # 21.6 MB of report, where every G_i and c_i is printed from the text
+    # of the g_i or r_i it negates
+    doc = {
+        "F": "x^2 + y^2",
+        "omega": {"dx": "x^2 + 3y^2 - 1/2x^3y^2", "dy": "2xy - y^3"},
+        "max_order": 40,
+    }
+    assert main(["gv", "--k", "39", write_doc(tmp_path, doc)]) == EXIT_OK
+    out = capsys.readouterr().out
+    golden = (GOLDEN / "five-term-k39.gv.sha256").read_text(encoding="utf-8")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden.split()[0]
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3-oracle", "nonzero-m1"])
 def test_oracle_reports_match_golden(tmp_path, capsys, name):
     path = write_doc(tmp_path, load_fixture(f"{name}.json"))
