@@ -520,7 +520,8 @@ INTEGRATE_BITS = Path(__file__).parent / "golden" / "integrate_bits.json"
 
 def integrate_bits() -> list[dict]:
     """float.hex of the n-step and 2n-step rho of every reference form at 100
-    and 130 steps, with every one of the 20 reference lanes also at 2n steps.
+    and 130 steps: first with every one of the 20 reference lanes also at 2n
+    steps, then with no 2n-step lane (fine = 0, rho_fine empty).
 
     tests/golden/integrate_bits.json holds these records, written by
     json.dump(integrate_bits(), fh, indent=1) from this module.
@@ -528,21 +529,24 @@ def integrate_bits() -> list[dict]:
     records = []
     for w in REFERENCE_FORMS:
         for steps in (100, 130):
-            rho, rho_fine = oracle._integrate(
-                w, REFERENCE_T, REFERENCE_EPS, steps, fine=REFERENCE_T.size
-            )
-            records.append({
-                "form": str(w),
-                "steps": steps,
-                "rho": [x.hex() for x in rho.tolist()],
-                "rho_fine": [x.hex() for x in rho_fine.tolist()],
-            })
+            for fine in (REFERENCE_T.size, 0):
+                rho, rho_fine = oracle._integrate(
+                    w, REFERENCE_T, REFERENCE_EPS, steps, fine=fine
+                )
+                records.append({
+                    "form": str(w),
+                    "steps": steps,
+                    "fine": fine,
+                    "rho": [x.hex() for x in rho.tolist()],
+                    "rho_fine": [x.hex() for x in rho_fine.tolist()],
+                })
     return records
 
 
 def test_integrate_matches_golden_bits():
     # the other bit-for-bit tests compare the loop with itself; this pins the
-    # absolute bits of both step counts on every reference form
+    # absolute bits of both step counts on every reference form, with and
+    # without 2n-step lanes
     want = json.loads(INTEGRATE_BITS.read_text(encoding="utf-8"))
     assert integrate_bits() == want
 
