@@ -32,11 +32,11 @@ polynomial is sum_k rho^k of its degree-k homogeneous part at (cos, sin),
 so at each node the coefficients of A = Q cos - P sin and
 B = P cos + Q sin are numbers; a stage multiplies its node's table (a row
 per quantity, a column per power of rho that occurs) by the lanes' powers
-rho^k and sums over k.  The nodes are the half steps theta_j = j h / 2 of
-the n-step run, or its quarter steps when 2n-step lanes ride along: the
-half steps of the 2n-step run, whose even nodes are the n-step run's.  An
-n-step step then evaluates every lane at quarter nodes 0, 2, 2 and 4 and
-the 2n-step lanes alone at 1, 1, 3 and 3, 8 stages where two runs take 12.
+rho^k and sums over k.  The nodes are the quarter steps theta_m = m h / 4
+of the n-step run, whether or not 2n-step lanes ride along: the half steps
+of the 2n-step run, whose even nodes are the n-step run's.  An n-step step
+evaluates every lane at quarter nodes 0, 2, 2 and 4 and the 2n-step lanes
+alone at 1, 1, 3 and 3, 8 stages where two runs take 12.
 The tables are built one chunk of _CHUNK_STEPS steps at a time, so their
 memory does not grow with the step count.  The stages write their guard
 values, and the steps their rho, into one check array per chunk, tested once
@@ -181,19 +181,22 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     those lanes), the second empty when fine is 0.
 
     Each lane starts from rho(0) = sqrt(t) and must stay in its own annulus
-    t/2 < rho^2 < 2t, so 0 < t <= T_MAX, and eps must be finite; both are
-    checked before any arithmetic on them.  The lane vector is every n-step
-    lane followed by the 2n-step copies.  The stages read node tables (see
-    _Rows) built one chunk of _CHUNK_STEPS n-step steps at a time, so table
-    memory does not grow with the step count; with fine > 0 the nodes are
-    the quarter steps theta = m h / 4, the half steps of the 2n-step run.
-    Per n-step step every lane is evaluated at nodes 0, 2, 2 and 4 and the
-    2n-step lanes alone at nodes 1, 1, 3 and 3: 8 stages where two runs take
-    12.  As 0.5 * (2 pi / n) == 2 pi / (2 n) in floats, each stage input,
-    node and update is the float expression of the separate run.  A stage
-    multiplies its node's table by the lanes' powers rho^k and sums over k,
-    elementwise in a fixed order, so no lane's result depends on the other
-    lanes or on the chunk size.
+    t/2 < rho^2 < 2t, so T_MIN <= t <= T_MAX, and eps must be finite; both
+    are checked before any arithmetic on them.  The lane vector is every
+    n-step lane followed by the 2n-step copies.  The stages read node tables
+    (see _Rows) built one chunk of _CHUNK_STEPS n-step steps at a time, so
+    table memory does not grow with the step count; the nodes are the
+    quarter steps theta = m h / 4, the half steps of the 2n-step run, with
+    or without 2n-step lanes (_NODES gives each check's node).  Per n-step
+    step every lane is evaluated at nodes 0, 2, 2 and 4 and the 2n-step
+    lanes alone at nodes 1, 1, 3 and 3: 8 stages where two runs take 12.
+    As 0.5 * (2 pi / n) == 2 pi / (2 n) and (4 i) (h / 4) == (2 i) (h / 2)
+    in floats, the 2n-step run's step is written 0.5 * h, and each stage
+    input, node and update is the float expression of the separate run,
+    whose nodes are its own half steps.  A stage multiplies its node's table
+    by the lanes' powers rho^k and sums over k, elementwise in a fixed
+    order, so no lane's result depends on the other lanes or on the chunk
+    size.
 
     The loop costs numpy calls, not arithmetic, so each lane set (every
     lane, and the 2n-step lanes alone) has its buffers (see _Stages), and
@@ -238,17 +241,12 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     n = t.size
     t, eps = np.concatenate([t, t[:fine]]), np.concatenate([eps, eps[:fine]])
     lo, hi = 0.5 * t, 2.0 * t
-    h = 2.0 * pi / steps
-    hf = 2.0 * pi / (2 * steps)  # the 2n-step run's h, == 0.5 * h
-    sub = 4 if fine else 2  # table nodes per n-step step
-    mid = sub // 2
-    # the table node of each check of a step (see _ENDS)
-    node_of = (0, 1, 1, mid, mid, mid, 3, 3, sub, sub)
+    h = 2.0 * pi / steps  # 0.5 * h == 2 pi / (2 n), the 2n-step run's
     rows = _Rows(w)
     chunk = min(_CHUNK_STEPS, steps)
     # per step of a chunk, each check's rows (denominators, then d rho; a step
     # end's rho in row 0), at values that pass until a lane writes them
-    checks = np.ones((chunk, len(node_of), len(rows.dens) + 1, t.size))
+    checks = np.ones((chunk, len(_NODES), len(rows.dens) + 1, t.size))
     ends = checks[:, _ENDS, 0]
     rho = np.sqrt(t)
     ends[:, 0] = rho
@@ -266,8 +264,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     total = np.empty(t.size)
     # h and h / 6 per lane: the every-lane expressions rho + h k3 and
     # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4)
-    h_lane = np.concatenate([np.full(n, h), np.full(fine, hf)])
-    h6_lane = np.concatenate([np.full(n, h / 6.0), np.full(fine, hf / 6.0)])
+    h_lane = np.concatenate([np.full(n, h), np.full(fine, 0.5 * h)])
+    h6_lane = np.concatenate([np.full(n, h / 6.0), np.full(fine, 0.5 * h / 6.0)])
     # the rows a stage writes: a polynomial omega's d rho row alone
     rows_of = checks if rows.dens else checks[:, :, 0]
 
@@ -277,8 +275,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
             return None
         i, check, row, k = np.unravel_index(np.argmax(bad), bad.shape)
         k += first_lane
-        theta = thetas[sub * i + node_of[check]]
-        if check in range(len(node_of))[_ENDS]:
+        theta = thetas[4 * i + _NODES[check]]
+        if check in range(len(_NODES))[_ENDS]:
             return LeafEscapedAnnulus(
                 f"leaf left the annulus ({lo[k]:g}, {hi[k]:g}) at theta="
                 f"{theta:.6f}, t={t[k]:g}, eps={eps[k]:g}"
@@ -302,43 +300,43 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, steps, chunk):
             stop = min(start + chunk, steps)
-            thetas = np.arange(sub * start, sub * stop + 1) * (h / sub)
+            thetas = np.arange(4 * start, 4 * stop + 1) * (h / 4)
             nodes = rows.tabulate(thetas)
             if start == 0 and rows.dens:
                 np.copyto(x, rho)
                 every.set_signs(nodes[0])
             for i in range(stop - start):
-                j, g, end = sub * i, rows_of[i], ends[i]
+                j, g, end = 4 * i, rows_of[i], ends[i]
                 np.copyto(x, rho)
                 every.slope(nodes[j], g[0], k0)  # node 0: k1
                 if fine:  # the 2n-step lanes' first step: k2, k3 at node 1
-                    np.add(rho_f, 0.5 * hf * k0_f, out=xp)
+                    np.add(rho_f, 0.25 * h * k0_f, out=xp)
                     f2 = part.slope(nodes[j + 1], g[1, ..., n:])
                     acc = k0_f + 2.0 * f2
                     # k3 in k1's place, so that one input serves every lane
-                    np.add(rho_f, 0.5 * hf * f2, out=xp)
+                    np.add(rho_f, 0.25 * h * f2, out=xp)
                     part.slope(nodes[j + 1], g[2, ..., n:], k0_f)
                     acc = acc + 2.0 * k0_f
-                # node 2: the n-step k2 and the 2n-step k4 (0.5 * h == hf)
+                # node 2: the n-step k2 and the 2n-step k4
                 np.add(rho, 0.5 * h * k0, out=x)
-                every.slope(nodes[j + mid], g[3], k1)
+                every.slope(nodes[j + 2], g[3], k1)
                 if fine:  # the first step's end; rho becomes [n-step rho, r]
-                    rho_f = np.add(rho_f, (hf / 6.0) * (acc + k1_f), out=end[0, n:])
+                    rho_f = np.add(rho_f, (0.5 * h / 6.0) * (acc + k1_f), out=end[0, n:])
                     end[0, :n] = rho[:n]
                     rho = end[0]
                 # node 2: the n-step k3 and the second step's k1
                 np.add(rho[:n], 0.5 * h * k1_n, out=x_n)
                 if fine:
                     np.copyto(x_f, rho_f)
-                every.slope(nodes[j + mid], g[5], k2)
+                every.slope(nodes[j + 2], g[5], k2)
                 if fine:  # the second step's k1, k2, k3 into k[0], k[1], k[2]
                     np.copyto(k0_f, k2_f)
-                    np.add(rho_f, 0.5 * hf * k0_f, out=xp)
+                    np.add(rho_f, 0.25 * h * k0_f, out=xp)
                     part.slope(nodes[j + 3], g[6, ..., n:], k1_f)
-                    np.add(rho_f, 0.5 * hf * k1_f, out=xp)
+                    np.add(rho_f, 0.25 * h * k1_f, out=xp)
                     part.slope(nodes[j + 3], g[7, ..., n:], k2_f)
                 np.add(rho, h_lane * k2, out=x)  # node 4: every lane's k4
-                every.slope(nodes[j + sub], g[8], k3)
+                every.slope(nodes[j + 4], g[8], k3)
                 # rho + h / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
                 np.multiply(2.0, k[1:3], out=twice)
                 np.add(k0, twice[0], out=total)
@@ -361,9 +359,9 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     return rho[:n].reshape(shape), rho[n:]
 
 
-# RK4 steps per node table: a table holds the 2 * _CHUNK_STEPS + 1 half-step
-# nodes of its steps (4 * _CHUNK_STEPS + 1 quarter-step nodes when the
-# 2n-step lanes run too), so its size does not depend on the step count
+# RK4 steps per node table: a table holds the 4 * _CHUNK_STEPS + 1
+# quarter-step nodes of its steps, so its size does not depend on the step
+# count
 _CHUNK_STEPS = 64
 
 # The ten checks of one n-step step, in the order of the separate runs: eight
@@ -377,6 +375,10 @@ _CHUNK_STEPS = 64
 # An n-step lane writes there its rho at the start of the step, which passed
 # as the last step's end; with no 2n-step lanes nothing writes it.
 _ENDS = slice(4, None, 5)
+
+# The quarter-step table node of each of the ten checks, counted from the
+# step's first node
+_NODES = (0, 1, 1, 2, 2, 2, 3, 3, 4, 4)
 
 
 def _powers(base: np.ndarray, top: int) -> np.ndarray:
@@ -592,18 +594,21 @@ _EPS0 = 1e-3
 _LEVELS = 4
 
 
-def _run(w: Form1Planar, t_values, eps_values, ladder_t, rungs: int, cfg):
+def _run(w: Form1Planar, t_values, eps_values, ladder_t, orders: int, cfg):
     """Every lane an estimate reads, in one integration.
 
     The cfg-step lanes are the row-major (t, eps) table lanes, which also run
-    at 2*cfg steps in the same loop, then `rungs` rungs of the ladder
-    _EPS0 * 2^-j for each t in ladder_t.  Lanes do not interact, so every
-    number is the one a separate integration of its lane gives.  Returns the
-    table samples (Delta from the 2n-step run, est_error its distance from
-    the n-step one), the ladder and each ladder t's row of n-step Delta.
+    at 2*cfg steps in the same loop, then for each t in ladder_t the ladder
+    _EPS0 * 2^-j, as many rungs as the longer estimator reads: 2*orders + 1
+    for the fit of `orders` coefficients, _LEVELS + 1 for Richardson.  Lanes
+    do not interact, so every number is the one a separate integration of
+    its lane gives, however many rungs ride along.  Returns the table samples
+    (Delta from the 2n-step run, est_error its distance from the n-step one),
+    the ladder and each ladder t's row of n-step Delta.
     """
     import numpy as np
 
+    rungs = max(2 * orders + 1, _LEVELS + 1)
     grid = [(t, eps) for t in t_values for eps in eps_values]
     ladder = np.array([_EPS0 * 2.0 ** (-j) for j in range(rungs)])
     lanes = grid + [(t, eps) for t in ladder_t for eps in ladder.tolist()]
@@ -670,10 +675,7 @@ def melnikov_estimate(
     variable eps/1e-3 so the reported condition number reflects the model,
     not the units.  A fit that overflows float64 raises NonFiniteEstimate.
     """
-    if orders < 1:
-        raise ValueError("orders must be >= 1")
-    _, ladder, (row,) = _run(w, (), (), (t,), 2 * orders + 1, cfg)
-    return _fit(t, orders, ladder, row)
+    return grid_estimates(w, (t,), (), orders, cfg)[1][0][0]
 
 
 def first_melnikov_richardson(
@@ -687,7 +689,7 @@ def first_melnikov_richardson(
     successive columns cancel the eps^1, eps^2, ... corrections of
     Delta(t, eps)/eps.
     """
-    _, ladder, (row,) = _run(w, (), (), (t,), _LEVELS + 1, cfg)
+    _, ladder, (row,) = _run(w, (), (), (t,), 0, cfg)
     return _richardson(ladder, row)
 
 
@@ -709,8 +711,7 @@ def grid_estimates(
     """
     if orders < 1:
         raise ValueError("orders must be >= 1")
-    rungs = max(2 * orders + 1, _LEVELS + 1)
-    samples, ladder, rows = _run(w, t_values, eps_values, t_values, rungs, cfg)
+    samples, ladder, rows = _run(w, t_values, eps_values, t_values, orders, cfg)
     fits = [
         (_fit(t, orders, ladder, row), _richardson(ladder, row))
         for t, row in zip(t_values, rows)
