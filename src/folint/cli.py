@@ -220,6 +220,8 @@ def _t_grid(values: tuple[float, ...], label: str) -> tuple[float, ...]:
     for t in values:
         if t <= 0:
             raise InvalidInput(f"{label} entries must be positive, got {t}")
+        if t < oracle.T_MIN:
+            raise InvalidInput(f"{label} entries must be at least {oracle.T_MIN:g}, got {t}")
         if t > oracle.T_MAX:
             raise InvalidInput(f"{label} entries must be at most {oracle.T_MAX:g}, got {t}")
     return values

@@ -36,12 +36,12 @@ rho^k and sums over k.  The nodes are the quarter steps theta_m = m h / 4
 of the n-step run, whether or not 2n-step lanes ride along: the half steps
 of the 2n-step run, whose even nodes are the n-step run's.  An n-step step
 evaluates every lane at quarter nodes 0, 2, 2 and 4 and the 2n-step lanes
-alone at 1, 1, 3 and 3, 8 stages where two runs take 12.
-The tables are built one chunk of _CHUNK_STEPS steps at a time, so their
-memory does not grow with the step count.  The stages write their guard
-values, and the steps their rho, into one check array per chunk, tested once
-at the chunk's end; its values start where they pass, so a value that a lane
-never writes passes and every lane is tested alike.
+alone at 1, 1, 3 and 3, 8 stages where two runs take 12.  The tables are
+built one chunk of _CHUNK_STEPS steps at a time, so their memory does not
+grow with the step count.  The stages write their guard values, and the
+steps their rho, into one check array per chunk, tested once at the chunk's
+end; its values start where they pass, so a value that a lane never writes
+passes and every lane is tested alike.
 
 A lane costs almost nothing; the loop's time is its count of numpy calls on
 small arrays.  So the buffers are made once per call: each lane set (every
@@ -102,6 +102,7 @@ __all__ = [
     "write_samples_csv",
     "CSV_COLUMNS",
     "T_MAX",
+    "T_MIN",
 ]
 
 CSV_COLUMNS = ("t", "eps", "delta", "est_error")
@@ -111,6 +112,10 @@ _CONDITION_LIMIT = 1e8
 # The largest t: a lane integrates inside the annulus t/2 < rho^2 < 2t,
 # whose bound 2t must stay a finite float.
 T_MAX = sys.float_info.max / 2
+
+# The smallest t: below the normal float range ulp(t) / t grows past 2^-52,
+# up to 5e-4 at t = 1e-320, and a displacement drowns in the rounding of t.
+T_MIN = sys.float_info.min
 
 
 class LeafEscapedAnnulus(RuntimeError):
@@ -232,6 +237,8 @@ def _integrate(w: Form1Planar, t, eps, steps: int, fine: int = 0):
     t, eps = t.ravel(), eps.ravel()
     if not np.all(t > 0):
         raise ValueError("t must be positive")
+    if not np.all(t >= T_MIN):
+        raise ValueError(f"t must be at least {T_MIN:g}")
     if not np.all(t <= T_MAX):
         raise ValueError(f"t must be at most {T_MAX:g}")
     if not np.all(np.isfinite(eps)):

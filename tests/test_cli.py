@@ -746,6 +746,24 @@ def test_main_rejects_non_finite_grid_in_document(tmp_path, capsys):
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("where", ["document", "flag"])
+def test_main_rejects_t_below_the_normal_float_range(tmp_path, capsys, where):
+    # at t = 1e-320 the oracle once printed a delta 1.5% off the closed form
+    # and a cross-check of the wrong sign that read "agrees": true
+    doc = dict(LINEAR_DOC, oracle={"t": [1e-320], "eps": [0.01]})
+    flags = []
+    if where == "flag":
+        doc, flags = LINEAR_DOC, ["--t", "1e-320"]
+    path = write_doc(tmp_path, doc)
+    assert main(["--steps", "100", "oracle", path] + flags) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    label = "oracle.t" if where == "document" else "--t"
+    assert captured.err == (
+        f"error: {label} entries must be at least 2.22507e-308, got 1e-320\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -123,6 +123,21 @@ def test_rejects_t_beyond_the_annulus_bound(t):
     assert oracle.T_MAX == sys.float_info.max / 2 < t
 
 
+@pytest.mark.parametrize("t", [5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0)])
+def test_rejects_t_below_the_normal_float_range(t):
+    # ulp(t) / t reaches 5e-4 at t = 1e-320, so the displacement would drown
+    # in the rounding of t; the positive check still comes first
+    with pytest.raises(ValueError, match=r"^t must be at least 2\.22507e-308$"):
+        holonomy_return(W_LINEAR, t, 1e-3, CFG)
+    with pytest.raises(ValueError, match=r"^t must be at least "):
+        oracle._integrate(W_LINEAR, [1.0, t], 1e-3, 100, fine=1)
+    with pytest.raises(ValueError, match=r"^t must be positive$"):
+        oracle._integrate(W_LINEAR, [t, 0.0], 1e-3, 100)
+    assert oracle.T_MIN == sys.float_info.min > t
+    # the smallest normal t still integrates
+    assert holonomy_return(W_LINEAR, oracle.T_MIN, 1e-3, CFG) > 0
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_rejects_non_finite_eps(eps):
     with pytest.raises(ValueError, match=r"^eps must be finite$"):
