@@ -436,6 +436,37 @@ def test_ill_conditioned_flag():
     assert not melnikov_estimate(W_LINEAR, 1.0, 3, cfg).ill_conditioned
 
 
+@pytest.mark.parametrize("orders", [1, 2, 3])
+def test_every_ladder_has_the_longer_estimators_rungs(monkeypatch, orders):
+    # one rung rule, max(2 orders + 1, 5): the fit of `orders` coefficients
+    # and the 4-level Richardson extrapolation read leading rungs of it
+    calls = recording(monkeypatch)
+    rungs = max(2 * orders + 1, 5)
+    ladder = [(1.0, 1e-3 * 2.0**-j) for j in range(rungs)]
+    melnikov_estimate(W_LINEAR, 1.0, orders, CFG)
+    oracle.grid_estimates(W_LINEAR, [1.0], [], orders, CFG)
+    first_melnikov_richardson(W_LINEAR, 1.0, CFG)
+    steps = CFG.step_count
+    assert calls == [(steps, 0, ladder)] * 2 + [(steps, 0, ladder[:5])]
+
+
+def test_melnikov_estimate_fails_where_the_report_does():
+    # the leaves of rungs 3 and 4 (eps 1.25e-4, 6.25e-5) cross the pole line
+    # x = -c near theta = pi, those of rungs 0-2 stay short of it; a 1-term
+    # fit reads rungs 0-2 alone, but it integrates the report's whole ladder
+    c = Fraction(1) - Fraction(14, 100000)
+    band = -X - c
+    w = Form1Planar(RationalFunction(-Y * band + Fraction(1, 10**30), band), ZERO)
+    cfg = HolonomyConfig(100)
+    spec = cli.ProblemSpec(w, False, 1, (1.0,), (1e-3,))
+    with pytest.raises(DenominatorVanished) as report:
+        cli.cmd_oracle(spec, cfg, richardson=False)
+    with pytest.raises(DenominatorVanished) as fit:
+        melnikov_estimate(w, 1.0, 1, cfg)
+    assert str(fit.value) == str(report.value)
+    assert "theta=3.141593, t=1, eps=0.000125 " in str(fit.value)
+
+
 def test_melnikov_fit_validation():
     with pytest.raises(ValueError):
         melnikov_estimate(W_LINEAR, 1.0, 0, CFG)
