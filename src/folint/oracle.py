@@ -677,10 +677,13 @@ def melnikov_estimate(
 ) -> MelnikovEstimates:
     """Least-squares jet of Delta(t, .): coefficients of eps^1..eps^orders.
 
-    Samples the geometric grid eps_j = 1e-3 * 2^-j for j = 0..2*orders and
-    fits the model without constant term; the fit runs in the rescaled
+    Fits the model without constant term to the geometric grid
+    eps_j = 1e-3 * 2^-j for j = 0..2*orders; the fit runs in the rescaled
     variable eps/1e-3 so the reported condition number reflects the model,
     not the units.  A fit that overflows float64 raises NonFiniteEstimate.
+    It is the report's fit at this one t (grid_estimates), so it integrates
+    the report's ladder, at least _LEVELS + 1 rungs, and fails where the
+    report does.
     """
     return grid_estimates(w, (t,), (), orders, cfg)[1][0][0]
 

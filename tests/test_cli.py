@@ -748,8 +748,8 @@ def test_main_rejects_non_finite_grid_in_document(tmp_path, capsys):
 
 @pytest.mark.parametrize("where", ["document", "flag"])
 def test_main_rejects_t_below_the_normal_float_range(tmp_path, capsys, where):
-    # at t = 1e-320 the oracle once printed a delta 1.5% off the closed form
-    # and a cross-check of the wrong sign that read "agrees": true
+    # at t = 1e-320 ulp(t) / t is 5e-4: a report would print a delta 1.5% off
+    # the closed form and a cross-check of the wrong sign that agrees
     doc = dict(LINEAR_DOC, oracle={"t": [1e-320], "eps": [0.01]})
     flags = []
     if where == "flag":
